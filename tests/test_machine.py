@@ -2,6 +2,9 @@ import pytest
 
 from aridem import (
     CostModel,
+    DuplicateOperandError,
+    DuplicateOutputError,
+    IntegerOverflowError,
     JoinDeadlockError,
     MachineConfig,
     Matrix,
@@ -16,7 +19,15 @@ from aridem import (
     validate_metrics,
     worker_busy_profile,
 )
-from aridem.core import Element, IndexTransform, Operation, Relation, RelationStore
+from aridem.core import (
+    INT64_MAX,
+    INT64_MIN,
+    Element,
+    IndexTransform,
+    Operation,
+    Relation,
+    RelationStore,
+)
 from aridem.engine import Program
 from conftest import single_join_program, uniform_unary_program
 
@@ -267,3 +278,127 @@ def test_lifo_engine_depths_can_differ():
     assert fifo.outputs == lifo.outputs
     # depths are allowed to differ; just check both are sane
     assert fifo.max_queue_depth > 0 and lifo.max_queue_depth > 0
+
+
+def _program(initial, relations, arities, result):
+    store = RelationStore()
+    for rel in relations:
+        store.add(rel)
+    return Program(relations=store, initial_elements=initial,
+                   arities=arities, result_identifier=result)
+
+
+def _unary_program(operation, value):
+    """One seed element at arity 0 through operation, sunk as the result."""
+    return _program(
+        [Element(0, (), value)],
+        [Relation((0,), operation, (), 1, IndexTransform.keep()),
+         Relation((1,), Operation.SINK, (), 1, IndexTransform.keep())],
+        {0: 0, 1: 0}, result=1)
+
+
+def _join_program(operation, left, right):
+    """One join of id 0 (left) and id 1 (right) at index (0,), sunk as id 2."""
+    if operation is Operation.MUL_PAIR:
+        relations = [Relation((0, 1), operation, (), 2, IndexTransform.keep())]
+        arities = {0: 1, 1: 1, 2: 1}
+    else:
+        relations = [Relation((0, 1), operation, (5, 2), 0,
+                              IndexTransform.increment_last())]
+        arities = {0: 1, 1: 1, 2: 0}
+    return _program(
+        [Element(0, (0,), left), Element(1, (0,), right)],
+        relations + [Relation((2,), Operation.SINK, (), 2, IndexTransform.keep())],
+        arities, result=2)
+
+
+def _two_join_program(initial):
+    """Two independent MulPair joins, (0, 1) -> 4 and (2, 3) -> 5."""
+    return _program(
+        initial,
+        [Relation((0, 1), Operation.MUL_PAIR, (), 4, IndexTransform.keep()),
+         Relation((2, 3), Operation.MUL_PAIR, (), 5, IndexTransform.keep()),
+         Relation((4,), Operation.SINK, (), 4, IndexTransform.keep())],
+        {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}, result=4)
+
+
+class TestErrorMessages:
+    """simulate() raises the same error classes and texts as run()."""
+
+    CONFIGS = [MachineConfig(workers=p, dispatch=d)
+               for p in (1, 3) for d in ("idle", "roundrobin")]
+
+    def check(self, program, error, message, machine_message=None):
+        with pytest.raises(error) as from_run:
+            run(program)
+        assert str(from_run.value) == message
+        for config in self.CONFIGS:
+            with pytest.raises(error) as from_machine:
+                simulate(program, config)
+            assert type(from_machine.value) is error
+            assert str(from_machine.value) == (machine_message or message)
+
+    def test_duplicate_operand(self):
+        program = _program(
+            [Element(0, (0,), 3), Element(0, (0,), 4)],
+            [Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()),
+             Relation((2,), Operation.SINK, (), 2, IndexTransform.keep())],
+            {0: 1, 1: 1, 2: 1}, result=2)
+        self.check(program, DuplicateOperandError,
+                   "two elements for slot 0 of relation 0 at indices (0,)")
+
+    @pytest.mark.parametrize("operation, value, message", [
+        (Operation.NEGATE, INT64_MIN,
+         "Negate produced 9223372036854775808, outside 64-bit range"),
+        (Operation.SQUARE, 1 << 32,
+         "Square produced 18446744073709551616, outside 64-bit range"),
+    ])
+    def test_unary_overflow(self, operation, value, message):
+        self.check(_unary_program(operation, value), IntegerOverflowError, message)
+
+    @pytest.mark.parametrize("operation, left, right, message", [
+        (Operation.MUL_PAIR, 1 << 40, -(1 << 30),
+         "MulPair produced -1180591620717411303424, outside 64-bit range"),
+        (Operation.SUM_STEP, INT64_MAX, 1,
+         "SumStep produced 9223372036854775808, outside 64-bit range"),
+    ])
+    def test_join_overflow(self, operation, left, right, message):
+        self.check(_join_program(operation, left, right), IntegerOverflowError, message)
+
+    def test_duplicate_output(self):
+        program = _program(
+            [Element(0, (0,), 3), Element(0, (1,), 4)],
+            [Relation((0,), Operation.NEGATE, (), 1, IndexTransform.drop(0)),
+             Relation((1,), Operation.SINK, (), 1, IndexTransform.keep())],
+            {0: 1, 1: 0}, result=1)
+        self.check(program, DuplicateOutputError, "result indices () produced twice")
+
+    def test_deadlock_names_first_arrival_across_relations(self):
+        # id 2 arrives first but parks in the second relation
+        initial = [Element(2, (0,), 1), Element(0, (0,), 2), Element(2, (1,), 3)]
+        self.check(_two_join_program(initial), JoinDeadlockError,
+                   "quiescent with 3 unmatched operand(s), first id2(0) = 1",
+                   "machine quiescent with 3 unmatched operand(s), first id2(0) = 1")
+
+    def test_deadlock_names_a_created_operand(self):
+        # id 0 is created one hop after the start and parks in the second
+        # relation; id 2 is created two hops after the start and parks in
+        # the first
+        program = _program(
+            [Element(6, (0,), 7), Element(7, (1,), 3)],
+            [Relation((2, 3), Operation.MUL_PAIR, (), 5, IndexTransform.keep()),
+             Relation((0, 1), Operation.MUL_PAIR, (), 4, IndexTransform.keep()),
+             Relation((4,), Operation.SINK, (), 4, IndexTransform.keep()),
+             Relation((6,), Operation.NEGATE, (), 0, IndexTransform.keep()),
+             Relation((7,), Operation.NEGATE, (), 8, IndexTransform.keep()),
+             Relation((8,), Operation.NEGATE, (), 2, IndexTransform.keep())],
+            {i: 1 for i in range(9)}, result=4)
+        program.names = {0: "neg"}
+        self.check(program, JoinDeadlockError,
+                   "quiescent with 2 unmatched operand(s), first neg(0) = -7",
+                   "machine quiescent with 2 unmatched operand(s), first neg(0) = -7")
+
+    def test_event_limit(self):
+        with pytest.raises(SimulationLimitError, match=r"^exceeded 10 events$"):
+            simulate(build_matmul_program(4, seed=0), MachineConfig(workers=2),
+                     max_events=10)
