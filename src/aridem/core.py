@@ -123,7 +123,11 @@ class IndexTransform:
     def output_arity(self, input_arity: int) -> int:
         """Arity of each produced index list given the input arity."""
         kind = self.kind
-        if kind is TransformKind.KEEP or kind is TransformKind.INCREMENT_LAST:
+        if kind is TransformKind.KEEP:
+            return input_arity
+        if kind is TransformKind.INCREMENT_LAST:
+            if input_arity < 1:
+                raise ProgramError("IncrementLast needs at least one index")
             return input_arity
         if kind is TransformKind.DROP:
             if self.position >= input_arity:
@@ -253,10 +257,6 @@ class RelationStore:
     def lookup(self, identifier: int) -> list[Relation]:
         """All relations that take identifier as an input. Possibly empty."""
         return list(self._by_identifier.get(identifier, ()))
-
-    def relations_for(self, identifier: int) -> tuple[Relation, ...]:
-        """Non-copying variant of lookup for hot loops."""
-        return self._by_identifier.get(identifier, ())
 
     def __len__(self) -> int:
         return len(self.relations)

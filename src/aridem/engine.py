@@ -89,8 +89,6 @@ class Program:
                     f"{arities[rel.output_identifier]}"
                 )
             if rel.operation is Operation.SUM_STEP:
-                if in_arity < 1:
-                    raise ProgramError("SumStep inputs need at least one index")
                 result_id = rel.parameters[1]
                 if result_id not in arities:
                     raise ProgramError(

@@ -10,24 +10,38 @@ function of the program and the configuration.
 
 Message accounting per unit: 1 for the dispatch plus max(1, outputs) for
 the return, so a unit that deduces nothing still sends one completion.
+
+The master expands elements into units on the engine's compiled plans
+(engine._compile_plans, the per-identifier opcode tuples that
+Execution.run executes), not through apply_relation and PartialStore.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
 from .core import (
+    INT64_MAX,
+    INT64_MIN,
+    DuplicateOperandError,
     DuplicateOutputError,
     Element,
     ElementModelError,
+    IntegerOverflowError,
     JoinDeadlockError,
-    Operation,
-    PartialStore,
-    apply_relation,
 )
-from .engine import Program
+from .engine import (
+    _OP_MUL,
+    _OP_NEGATE,
+    _OP_REPLICATE,
+    _OP_SINK,
+    _OP_SUM,
+    Program,
+    _compile_plans,
+)
 
 DEFAULT_EVENT_LIMIT = 100_000_000
 
@@ -141,129 +155,195 @@ def simulate(program: Program, machine: MachineConfig,
     ("idle_state", time, queued, idle_workers, pending_units) snapshot
     after each event settles; the snapshots let tests audit that no
     worker idles while dispatchable work exists.
+
+    Cyclic GC is off for the whole call, as in Execution.run: the live
+    set of queued and parked elements holds no cycles. GC is left as it
+    was found, also when the run raises.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _simulate(program, machine, costs, max_events, on_event)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
+              max_events: int, on_event) -> Metrics:
+    """The event loop, with the master's unit expansion on compiled plans.
+
+    As in Execution._drain, elements are plain (identifier, indices,
+    value) tuples and each binary relation parks its operands in its own
+    dict keyed by the index list, with the pop count at which they
+    arrived. A unit is (operand_count, created elements, sink record).
     """
     workers = machine.workers
     t_proc, t_msg, t_master = costs.t_proc, costs.t_msg, costs.t_master
     roundrobin = machine.dispatch == "roundrobin"
+    hi, lo = INT64_MAX, INT64_MIN
 
-    queue: deque[Element] = deque(program.initial_elements)
-    pending: deque[tuple] = deque()  # ready units: (operand_count, outputs, sink_record)
-    partials = PartialStore()
-    store = program.relations
-    result_id = program.result_identifier
+    plans = _compile_plans(program)
+    joins = {rel.rid: {} for rel in program.relations if rel.is_binary()}
+    queue = deque(program.initial_elements)
+    pop_element = queue.popleft
+    pending: deque[tuple] = deque()  # ready units not yet dispatched
+    add_unit = pending.append
+    next_unit = pending.popleft
     outputs: dict[tuple[int, ...], int] = {}
 
     idle = [True] * workers
     idle_count = workers
     cursor = workers - 1  # roundrobin: next scan starts after this worker
     heap: list[tuple] = []
+    push, pop = heapq.heappush, heapq.heappop
     seq = 0
     now = 0
     master_free = 0
     pops = 0
     messages = 0
+    events = 0
     per_processed = [0] * workers
     per_busy = [0] * workers
 
-    def next_unit():
-        """Pop queued elements until one yields at least one work unit."""
-        nonlocal pops
-        while queue:
-            element = queue.popleft()
-            pops += 1
-            found = False
-            for rel in store.relations_for(element.identifier):
-                if rel.is_binary():
-                    pair = partials.offer(rel, element)
-                    if pair is None:
-                        continue
-                    operands = pair
-                    operand_count = 2
+    while True:
+        # Dispatch pass: hand ready units to idle workers, expanding
+        # queued elements into units only while a worker is idle.
+        while idle_count:
+            if not pending:
+                while queue:
+                    element = pop_element()
+                    ident, idx, val = element
+                    pops += 1
+                    for plan in plans[ident]:
+                        code = plan[0]
+                        if code == _OP_SUM:
+                            _, rid, slot, out_id, limit, result_id = plan
+                            parked = joins[rid]
+                            hit = parked.pop(idx, None)
+                            if hit is None:
+                                parked[idx] = (slot, element, pops)
+                                continue
+                            if hit[0] == slot:
+                                raise DuplicateOperandError(
+                                    f"two elements for slot {slot} of relation "
+                                    f"{rid} at indices {idx}"
+                                )
+                            total = val + hit[1][2]
+                            if total > hi or total < lo:
+                                raise IntegerOverflowError(
+                                    f"SumStep produced {total}, outside 64-bit range"
+                                )
+                            nxt = idx[-1] + 1
+                            if nxt == limit:
+                                add_unit((2, ((result_id, idx[:-1], total),), None))
+                            else:
+                                add_unit((2, ((out_id, idx[:-1] + (nxt,), total),), None))
+                        elif code == _OP_MUL:
+                            _, rid, slot, out_id, tf = plan
+                            parked = joins[rid]
+                            hit = parked.pop(idx, None)
+                            if hit is None:
+                                parked[idx] = (slot, element, pops)
+                                continue
+                            if hit[0] == slot:
+                                raise DuplicateOperandError(
+                                    f"two elements for slot {slot} of relation "
+                                    f"{rid} at indices {idx}"
+                                )
+                            product = val * hit[1][2]
+                            if product > hi or product < lo:
+                                raise IntegerOverflowError(
+                                    f"MulPair produced {product}, outside 64-bit range"
+                                )
+                            add_unit((2, ((out_id, idx if tf is None else tf(idx),
+                                           product),), None))
+                        elif code == _OP_REPLICATE:
+                            _, out_id, pos, count = plan
+                            head, tail = idx[:pos], idx[pos:]
+                            add_unit((1, [(out_id, head + (j,) + tail, val)
+                                          for j in range(count)], None))
+                        elif code == _OP_SINK:
+                            add_unit((1, (), (idx, val) if plan[1] else None))
+                        elif code == _OP_NEGATE:
+                            value = -val
+                            if value > hi or value < lo:
+                                raise IntegerOverflowError(
+                                    f"Negate produced {value}, outside 64-bit range"
+                                )
+                            tf = plan[2]
+                            add_unit((1, ((plan[1], idx if tf is None else tf(idx),
+                                           value),), None))
+                        else:  # _OP_SQUARE
+                            value = val * val
+                            if value > hi:
+                                raise IntegerOverflowError(
+                                    f"Square produced {value}, outside 64-bit range"
+                                )
+                            tf = plan[2]
+                            add_unit((1, ((plan[1], idx if tf is None else tf(idx),
+                                           value),), None))
+                    if pending:
+                        break
                 else:
-                    operands = element
-                    operand_count = 1
-                created = tuple(apply_relation(rel, operands))
-                sink_record = None
-                if (rel.operation is Operation.SINK
-                        and rel.input_identifiers[0] == result_id):
-                    sink_record = (element.indices, element.value)
-                pending.append((operand_count, created, sink_record))
-                found = True
-            if found:
-                return pending.popleft()
-        return None
-
-    def pick_worker() -> int:
-        nonlocal cursor
-        if roundrobin:
-            for step in range(1, workers + 1):
-                w = (cursor + step) % workers
-                if idle[w]:
-                    cursor = w
-                    return w
-        else:
-            for w in range(workers):
-                if idle[w]:
-                    return w
-        raise AssertionError("pick_worker called with no idle worker")
-
-    def dispatch_pass() -> None:
-        nonlocal idle_count, master_free, messages, seq
-        while idle_count > 0:
-            unit = pending.popleft() if pending else next_unit()
-            if unit is None:
-                return
-            w = pick_worker()
+                    break
+            unit = next_unit()
+            if roundrobin:
+                try:
+                    w = idle.index(True, cursor + 1)
+                except ValueError:
+                    w = idle.index(True)
+                cursor = w
+            else:
+                w = idle.index(True)
             idle[w] = False
             idle_count -= 1
-            send = master_free if master_free > now else now
-            send += t_master
+            send = (master_free if master_free > now else now) + t_master
             master_free = send
             messages += 1
             per_processed[w] += unit[0]
             per_busy[w] += t_proc
-            heapq.heappush(heap, (send + t_msg + t_proc, _FINISH, w, seq, unit))
+            push(heap, (send + t_msg + t_proc, _FINISH, w, seq, unit))
             seq += 1
             if on_event is not None:
                 on_event(("dispatch", send, w, unit[0]))
+        if on_event is not None:
+            on_event(("idle_state", now, len(queue), idle_count, len(pending)))
 
-    events = 0
-    dispatch_pass()
-    if on_event is not None:
-        on_event(("idle_state", now, len(queue), idle_count, len(pending)))
-    while heap:
+        if not heap:
+            break
         events += 1
         if events > max_events:
             raise SimulationLimitError(f"exceeded {max_events} events")
-        now, kind, w, _, unit = heapq.heappop(heap)
+        now, kind, w, _, unit = pop(heap)
         if kind == _FINISH:
             idle[w] = True
             idle_count += 1
-            messages += max(1, len(unit[1]))
-            heapq.heappush(heap, (now + t_msg, _ARRIVAL, w, seq, unit))
+            messages += len(unit[1]) or 1
+            push(heap, (now + t_msg, _ARRIVAL, w, seq, unit))
             seq += 1
             if on_event is not None:
                 on_event(("finish", now, w))
         else:
-            created, sink_record = unit[1], unit[2]
+            _, created, sink_record = unit
             queue.extend(created)
             if sink_record is not None:
-                if sink_record[0] in outputs:
-                    raise DuplicateOutputError(
-                        f"result indices {sink_record[0]} produced twice"
-                    )
-                outputs[sink_record[0]] = sink_record[1]
+                key = sink_record[0]
+                if key in outputs:
+                    raise DuplicateOutputError(f"result indices {key} produced twice")
+                outputs[key] = sink_record[1]
             if on_event is not None:
                 on_event(("arrival", now, w, len(created)))
-        dispatch_pass()
-        if on_event is not None:
-            on_event(("idle_state", now, len(queue), idle_count, len(pending)))
 
-    if len(partials):
-        stuck = partials.pending()
+    # Parked operands in arrival order; (arrival, rid) is unique because
+    # an element parks at most once per relation, in rid order.
+    stuck = sorted((arrival, rid, element)
+                   for rid, parked in joins.items()
+                   for _, element, arrival in parked.values())
+    if stuck:
         raise JoinDeadlockError(
             f"machine quiescent with {len(stuck)} unmatched operand(s), "
-            f"first {stuck[0].describe(program.names)}"
+            f"first {Element._make(stuck[0][2]).describe(program.names)}"
         )
 
     sim_time = now

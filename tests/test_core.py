@@ -61,6 +61,8 @@ class TestIndexTransform:
     def test_increment_last_needs_indices(self):
         with pytest.raises(ProgramError):
             IndexTransform.increment_last().apply(())
+        with pytest.raises(ProgramError, match="IncrementLast needs at least one index"):
+            IndexTransform.increment_last().output_arity(0)
 
     def test_truncate(self):
         t = IndexTransform.truncate_to(1)

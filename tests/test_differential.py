@@ -1,0 +1,167 @@
+"""run() and simulate() agree on random well-formed programs.
+
+Programs are drawn over NEGATE, SQUARE, REPLICATE, MUL_PAIR, SUM_STEP and
+SINK with KEEP, DROP, TRUNCATE, INCREMENT_LAST and INSERT_VARIED
+transforms, identifiers consumed by several relations, and identifiers
+nothing consumes. Seed values range over all of int64, so some programs
+overflow, and joins may lack a partner, so some deadlock.
+
+Every outcome must be the same whatever order the elements are processed
+in, or the two executors could rightly differ. So the generator keeps
+track of which identifiers can carry one index list twice (those made by
+DROP or TRUNCATE, and what derives from them) and never feeds one into a
+join or makes it the result: the only error that can then stop a run
+early is an overflow, which any order reaches.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aridem import (
+    Element,
+    ElementModelError,
+    IndexTransform,
+    IntegerOverflowError,
+    JoinDeadlockError,
+    MachineConfig,
+    Operation,
+    Program,
+    Relation,
+    RelationStore,
+    TransformKind,
+    run,
+    simulate,
+)
+from aridem.core import INT64_MAX, INT64_MIN
+
+MAX_ARITY = 3
+VALUES = st.one_of(st.integers(-9, 9), st.integers(INT64_MIN, INT64_MAX))
+
+
+@st.composite
+def programs(draw):
+    arity = draw(st.integers(0, 2))
+    dims = [draw(st.integers(1, 3)) for _ in range(arity)]
+    initial = [Element(0, idx, draw(VALUES))
+               for idx in itertools.product(*(range(d) for d in dims))]
+    arities = {0: arity}
+    index_lists = {0: [e.indices for e in initial]}
+    distinct = [0]  # identifiers whose index lists never repeat
+    store = RelationStore()
+
+    def add(inputs, operation, parameters, transform, indices, clean):
+        out = len(arities)
+        store.add(Relation(inputs, operation, parameters, out, transform))
+        arities[out] = transform.output_arity(arities[inputs[0]])
+        index_lists[out] = indices
+        if clean:
+            distinct.append(out)
+        return out
+
+    def unary(src, operation, transform, clean):
+        indices = [new for idx in index_lists[src] for new in transform.apply(idx)]
+        parameters = (transform.count,) if operation is Operation.REPLICATE else ()
+        return add((src,), operation, parameters, transform, indices, clean)
+
+    def value_op():
+        return draw(st.sampled_from((Operation.NEGATE, Operation.SQUARE)))
+
+    for _ in range(draw(st.integers(1, 7))):
+        shape = draw(st.sampled_from(
+            ("map", "replicate", "collapse", "join", "sum", "chain")))
+        src = draw(st.sampled_from(distinct))
+        a = arities[src]
+        if shape == "replicate" and a < MAX_ARITY:
+            position = draw(st.integers(0, a))
+            count = draw(st.integers(1, 3))
+            unary(src, Operation.REPLICATE,
+                  IndexTransform.insert_varied(position, count), True)
+        elif shape == "collapse" and any(arities.values()):
+            # any identifier may collapse; the output can repeat index lists
+            src = draw(st.sampled_from([i for i, n in arities.items() if n]))
+            k = draw(st.integers(0, arities[src] - 1))
+            transform = draw(st.sampled_from(
+                (IndexTransform.drop(k), IndexTransform.truncate_to(k))))
+            out = unary(src, value_op(), transform, False)
+            if draw(st.booleans()):
+                store.add(Relation((out,), Operation.SINK, (), out,
+                                   IndexTransform.keep()))
+        elif shape == "join":
+            partners = [d for d in distinct if d != src and arities[d] == a]
+            if partners and draw(st.booleans()):
+                right = draw(st.sampled_from(partners))
+            else:
+                src, right = (unary(src, value_op(), IndexTransform.keep(), True)
+                              for _ in range(2))
+            transform = draw(st.sampled_from(
+                [IndexTransform.keep()]
+                + ([IndexTransform.increment_last(), IndexTransform.drop(a - 1),
+                    IndexTransform.truncate_to(0)] if a else [])))
+            matched = sorted(set(index_lists[src]) & set(index_lists[right]))
+            indices = [transform.apply(idx)[0] for idx in matched]
+            add((src, right), Operation.MUL_PAIR, (), transform, indices,
+                transform.kind in (TransformKind.KEEP, TransformKind.INCREMENT_LAST))
+        elif shape == "sum" and a >= 1:
+            # a fresh running sum, seeded at position 0 of every prefix the
+            # operand stream has there, adds it up to limit into a result
+            limit = draw(st.integers(1, 4))
+            prefixes = sorted({idx[:-1] for idx in index_lists[src] if idx[-1] == 0})
+            running = len(arities)
+            arities[running] = a
+            index_lists[running] = []
+            initial += [Element(running, p + (0,), draw(VALUES)) for p in prefixes]
+            present = set(index_lists[src])
+            done = [p for p in prefixes
+                    if all(p + (k,) in present for k in range(limit))]
+            result = len(arities)
+            arities[result] = a - 1
+            index_lists[result] = done
+            distinct.append(result)
+            store.add(Relation((running, src), Operation.SUM_STEP, (limit, result),
+                               running, IndexTransform.increment_last()))
+        elif shape == "chain":
+            unary(src, value_op(), IndexTransform.keep(), True)
+        else:
+            transform = (IndexTransform.increment_last()
+                         if a and draw(st.booleans()) else IndexTransform.keep())
+            unary(src, value_op(), transform, True)
+
+    result = draw(st.sampled_from(distinct))
+    store.add(Relation((result,), Operation.SINK, (), result, IndexTransform.keep()))
+    return Program(relations=store, initial_elements=initial,
+                   arities=arities, result_identifier=result)
+
+
+def outcome(execute, program):
+    try:
+        result = execute(program)
+    except ElementModelError as error:
+        return type(error)
+    return result.outputs, result.elements_processed
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(programs())
+def test_simulate_agrees_with_run(program):
+    expected = outcome(run, program)
+    for workers in range(1, 9):
+        for dispatch in ("idle", "roundrobin"):
+            config = MachineConfig(workers=workers, dispatch=dispatch)
+            assert outcome(lambda p: simulate(p, config), program) == expected
+
+
+def test_generated_programs_reach_every_outcome():
+    """The generator is not vacuous: it draws clean runs, overflows and
+    deadlocks alike."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(programs())
+    def collect(program):
+        result = outcome(run, program)
+        seen.add(result if isinstance(result, type) else "ok")
+
+    collect()
+    assert {"ok", IntegerOverflowError, JoinDeadlockError} <= seen

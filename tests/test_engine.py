@@ -81,6 +81,15 @@ class TestProgramValidation:
         with pytest.raises(ProgramError):
             tiny_program([], [rel], {0: 2, 1: 1, 2: 2})
 
+    @pytest.mark.parametrize("relations", [
+        [Relation((0,), Operation.NEGATE, (), 1, IndexTransform.increment_last())],
+        [Relation((0, 2), Operation.SUM_STEP, (3, 1), 0, IndexTransform.increment_last())],
+    ])
+    def test_increment_last_needs_an_index(self, relations):
+        # rejected when built, not with an IndexError in run()
+        with pytest.raises(ProgramError, match="IncrementLast needs at least one index"):
+            tiny_program([Element(0, (), 5)], relations, {0: 0, 1: 0, 2: 0})
+
     def test_initial_element_arity(self):
         with pytest.raises(ProgramError):
             tiny_program([Element(0, (1,), 5)], [], {0: 0, 1: 0})

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from aridem import (
@@ -250,7 +252,7 @@ class TestFailureModes:
             simulate(program, MachineConfig(workers=2))
 
     def test_event_budget(self):
-        with pytest.raises(SimulationLimitError):
+        with pytest.raises(SimulationLimitError, match=r"^exceeded 10 events$"):
             simulate(build_matmul_program(4, seed=0), MachineConfig(workers=2),
                      max_events=10)
 
@@ -398,7 +400,37 @@ class TestErrorMessages:
                    "quiescent with 2 unmatched operand(s), first neg(0) = -7",
                    "machine quiescent with 2 unmatched operand(s), first neg(0) = -7")
 
-    def test_event_limit(self):
-        with pytest.raises(SimulationLimitError, match=r"^exceeded 10 events$"):
-            simulate(build_matmul_program(4, seed=0), MachineConfig(workers=2),
-                     max_events=10)
+
+class TestGcScope:
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_simulate_leaves_gc_as_found(self, enabled):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        simulate(build_matmul_program(3, seed=0), MachineConfig(workers=2))
+        assert gc.isenabled() is enabled
+
+    def test_gc_restored_when_simulate_raises(self):
+        gc.enable()
+        with pytest.raises(SimulationLimitError):
+            simulate(build_matmul_program(3, seed=0), MachineConfig(workers=2),
+                     max_events=5)
+        assert gc.isenabled()
+
+    def test_gc_off_inside_the_loop(self):
+        seen = []
+        gc.enable()
+        simulate(build_negate_demo(), MachineConfig(workers=1),
+                 on_event=lambda event: seen.append(gc.isenabled()))
+        assert seen and not any(seen)
+        assert gc.isenabled()
