@@ -141,7 +141,7 @@ def _simulate_one(model: str, n: int, procs: int, seed: int,
                   costs: CostModel, dispatch: str) -> Metrics:
     if model == "element":
         program = build_matmul_program(n, seed)
-        machine = MachineConfig(workers=procs, rng_seed=seed, dispatch=dispatch)
+        machine = MachineConfig(workers=procs, dispatch=dispatch)
         return simulate(program, machine, costs)
     return simulate_instruction_model(n, procs, costs, seed)
 

@@ -41,6 +41,10 @@ class IntegerOverflowError(ElementModelError):
     """An operation produced a value outside the signed 64-bit range."""
 
 
+class SimulationLimitError(ElementModelError):
+    """A run used up its step or event budget before it went quiescent."""
+
+
 class Element(NamedTuple):
     """A unit of work: identifier, index list, and a 64-bit integer value."""
 
@@ -240,23 +244,15 @@ class Relation:
 
 
 class RelationStore:
-    """Registry of relations, indexed by input identifier."""
+    """Registry of relations; a relation's rid is its position in it."""
 
     def __init__(self) -> None:
         self.relations: list[Relation] = []
-        self._by_identifier: dict[int, tuple[Relation, ...]] = {}
 
     def add(self, relation: Relation) -> Relation:
         relation.rid = len(self.relations)
         self.relations.append(relation)
-        for ident in set(relation.input_identifiers):
-            existing = self._by_identifier.get(ident, ())
-            self._by_identifier[ident] = existing + (relation,)
         return relation
-
-    def lookup(self, identifier: int) -> list[Relation]:
-        """All relations that take identifier as an input. Possibly empty."""
-        return list(self._by_identifier.get(identifier, ()))
 
     def __len__(self) -> int:
         return len(self.relations)

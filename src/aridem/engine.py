@@ -1,11 +1,15 @@
 """Sequential deduction engine.
 
 Runs a Program to quiescence: pop an element, apply every relation that
-consumes its identifier, push whatever was deduced. step() walks that
-cycle one element at a time through the plain core primitives; run()
-executes the same semantics through per-identifier plans compiled to
-flat tuples, which is what keeps large runs affordable in pure Python.
-Both paths are exercised against each other in the test suite.
+consumes its identifier, push whatever was deduced. A Program is
+compiled once, when it is built, into per-identifier plans: flat tuples
+that name an opcode and its operands, in relation order. step() executes
+those plans one element at a time, with Elements, the PartialStore, an
+arity check on every created element and the trace hook; run() executes
+them in one tight loop over plain tuples, which is what keeps large runs
+affordable in pure Python. machine.simulate executes the same plans.
+The paths are tested against each other and against a reference loop
+over core.apply_relation and PartialStore.offer.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import (
-    BINARY_OPERATIONS,
     INT64_MAX,
     INT64_MIN,
     DuplicateOperandError,
@@ -29,11 +32,14 @@ from .core import (
     ProgramError,
     Relation,
     RelationStore,
+    SimulationLimitError,
     TransformKind,
-    apply_relation,
+    _check_int64,
 )
 
 TraceFn = Callable[..., None]
+
+DEFAULT_STEP_LIMIT = 100_000_000
 
 
 @dataclass
@@ -43,6 +49,10 @@ class Program:
     arities registers the index-list length of every identifier; the
     result_identifier is the one whose sink records final outputs. names
     is optional and only used for display.
+
+    The program is validated and compiled once, when it is built; every
+    executor runs the compiled plans. Relations, arities and the result
+    identifier changed after that are not seen: build a new Program.
     """
 
     relations: RelationStore
@@ -50,9 +60,16 @@ class Program:
     arities: dict[int, int]
     result_identifier: int
     names: dict[int, str] = field(default_factory=dict)
+    _compiled: _Compiled = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.validate()
+        self._compiled = _compile_plans(self)
+
+    def __reduce__(self):
+        # the plans hold closures; pickle and copy rebuild them instead
+        return (Program, (self.relations, self.initial_elements, self.arities,
+                          self.result_identifier, self.names))
 
     def identifier_name(self, identifier: int) -> str:
         return self.names.get(identifier, f"id{identifier}")
@@ -125,7 +142,7 @@ class RunResult:
 
 
 # Plan opcodes. A plan is one flat tuple per (identifier, relation) pair;
-# run() dispatches on plan[0] without touching Relation objects.
+# the executors dispatch on plan[0] without touching Relation objects.
 _OP_NEGATE = 0
 _OP_SQUARE = 1
 _OP_REPLICATE = 2
@@ -150,37 +167,69 @@ def _compile_transform(transform) -> Callable | None:
     raise ProgramError(f"transform {kind!r} has no single-output form")
 
 
-def _compile_plans(program: Program) -> dict[int, tuple[tuple, ...]]:
-    plans: dict[int, list[tuple]] = {ident: [] for ident in program.arities}
+class _Compiled:
+    """A Program's plans, built once by _compile_plans when it is built.
+
+    plans maps every registered identifier to its plan tuples in rid
+    order; steps pairs each of those plans with its Relation, for
+    step()'s trace; binary holds the rids of the join relations. (A
+    plain class: a NamedTuple here cost 0.4 ms of every package import.)
+    """
+
+    __slots__ = ("plans", "steps", "binary")
+
+    def __init__(self, plans: dict[int, tuple[tuple, ...]],
+                 steps: dict[int, tuple[tuple[tuple, Relation], ...]],
+                 binary: tuple[int, ...]) -> None:
+        self.plans = plans
+        self.steps = steps
+        self.binary = binary
+
+
+def _compile_plans(program: Program) -> _Compiled:
+    steps: dict[int, list[tuple[tuple, Relation]]] = {
+        ident: [] for ident in program.arities
+    }
+    binary = []
     for rel in program.relations:
         op = rel.operation
+        first = rel.input_identifiers[0]
         if op is Operation.SINK:
-            is_result = rel.input_identifiers[0] == program.result_identifier
-            plans[rel.input_identifiers[0]].append((_OP_SINK, is_result))
+            steps[first].append(((_OP_SINK, first == program.result_identifier), rel))
         elif op is Operation.NEGATE:
             tf = _compile_transform(rel.index_transform)
-            plans[rel.input_identifiers[0]].append((_OP_NEGATE, rel.output_identifier, tf))
+            steps[first].append(((_OP_NEGATE, rel.output_identifier, tf), rel))
         elif op is Operation.SQUARE:
             tf = _compile_transform(rel.index_transform)
-            plans[rel.input_identifiers[0]].append((_OP_SQUARE, rel.output_identifier, tf))
+            steps[first].append(((_OP_SQUARE, rel.output_identifier, tf), rel))
         elif op is Operation.REPLICATE:
             t = rel.index_transform
-            plans[rel.input_identifiers[0]].append(
-                (_OP_REPLICATE, rel.output_identifier, t.position, t.count)
+            steps[first].append(
+                ((_OP_REPLICATE, rel.output_identifier, t.position, t.count), rel)
             )
         elif op is Operation.MUL_PAIR:
+            binary.append(rel.rid)
             tf = _compile_transform(rel.index_transform)
             for slot, ident in enumerate(rel.input_identifiers):
-                plans[ident].append((_OP_MUL, rel.rid, slot, rel.output_identifier, tf))
+                steps[ident].append(
+                    ((_OP_MUL, rel.rid, slot, rel.output_identifier, tf), rel)
+                )
         elif op is Operation.SUM_STEP:
+            binary.append(rel.rid)
             limit, result_id = rel.parameters
             for slot, ident in enumerate(rel.input_identifiers):
-                plans[ident].append(
-                    (_OP_SUM, rel.rid, slot, rel.output_identifier, limit, result_id)
+                steps[ident].append(
+                    ((_OP_SUM, rel.rid, slot, rel.output_identifier, limit, result_id),
+                     rel)
                 )
         else:
             raise ProgramError(f"unknown operation {op!r}")
-    return {ident: tuple(entries) for ident, entries in plans.items()}
+    return _Compiled(
+        plans={ident: tuple(plan for plan, _ in pairs)
+               for ident, pairs in steps.items()},
+        steps={ident: tuple(pairs) for ident, pairs in steps.items()},
+        binary=tuple(binary),
+    )
 
 
 class Execution:
@@ -190,11 +239,14 @@ class Execution:
     Quiescent totals are order-independent; the discipline toggle exists
     so tests can prove that. trace, when given, is called with
     ("pop", element), ("apply", relation, operands), ("create", element),
-    ("output", indices, value) and forces the readable path.
+    ("output", indices, value) and forces the step() path. max_steps
+    bounds the elements processed, as max_events bounds simulate(): a
+    program that would process more raises SimulationLimitError.
     """
 
     def __init__(self, program: Program, discipline: str = "fifo",
-                 trace: TraceFn | None = None) -> None:
+                 trace: TraceFn | None = None, *,
+                 max_steps: int = DEFAULT_STEP_LIMIT) -> None:
         if discipline not in ("fifo", "lifo"):
             raise ValueError(f"unknown discipline {discipline!r}")
         self.program = program
@@ -206,7 +258,7 @@ class Execution:
         self.elements_processed = 0
         self.elements_created = len(self.queue)
         self.max_queue_depth = len(self.queue)
-        self._plans = _compile_plans(program)
+        self.max_steps = max_steps
 
     def _record_output(self, element: Element) -> None:
         if element.indices in self.outputs:
@@ -220,37 +272,81 @@ class Execution:
     def step(self) -> bool:
         """Process one element through every relation that consumes it.
 
-        Returns False when the queue is already empty. This path checks
-        the arity of every created element against the program.
+        Returns False when the queue is already empty, and raises
+        SimulationLimitError in place of processing element max_steps + 1.
+        Executes the compiled plans as _drain does, with the queue and
+        the PartialStore holding Elements, the arity of every created
+        element checked against the program, and the trace called with
+        each Relation and its operands (an ordered (left, right) pair
+        for a join).
         """
         queue = self.queue
         if not queue:
             return False
+        if self.elements_processed >= self.max_steps:
+            raise SimulationLimitError(f"exceeded {self.max_steps} steps")
         element = queue.popleft() if self.discipline == "fifo" else queue.pop()
         self.elements_processed += 1
         trace = self.trace
         if trace is not None:
             trace("pop", element)
-        program = self.program
-        for rel in program.relations.lookup(element.identifier):
-            if rel.is_binary():
-                pair = self.partials.offer(rel, element)
-                if pair is None:
+        ident, idx, val = element
+        partials = self.partials
+        waiting = partials._waiting
+        arities = self.program.arities
+        for plan, rel in self.program._compiled.steps[ident]:
+            code = plan[0]
+            operands = element
+            if code == _OP_MUL or code == _OP_SUM:
+                slot = plan[2]
+                key = (plan[1], idx)
+                hit = waiting.get(key)
+                if hit is None:
+                    waiting[key] = (slot, element)
+                    if len(waiting) > partials.max_size:
+                        partials.max_size = len(waiting)
                     continue
-                operands = pair
-            else:
-                operands = element
-            if rel.operation is Operation.SINK:
+                if hit[0] == slot:
+                    raise DuplicateOperandError(
+                        f"two elements for slot {slot} of relation {plan[1]} "
+                        f"at indices {idx}"
+                    )
+                del waiting[key]
+                other = hit[1]
+                operands = (element, other) if slot == 0 else (other, element)
+                if code == _OP_MUL:
+                    _, _, _, out_id, tf = plan
+                    value = _check_int64(val * other.value, "MulPair")
+                    created = ((out_id, idx if tf is None else tf(idx), value),)
+                else:
+                    _, _, _, out_id, limit, result_id = plan
+                    value = _check_int64(val + other.value, "SumStep")
+                    nxt = idx[-1] + 1
+                    if nxt == limit:
+                        created = ((result_id, idx[:-1], value),)
+                    else:
+                        created = ((out_id, idx[:-1] + (nxt,), value),)
+            elif code == _OP_SINK:
                 if trace is not None:
-                    trace("apply", rel, operands)
-                if rel.input_identifiers[0] == program.result_identifier:
+                    trace("apply", rel, element)
+                if plan[1]:
                     self._record_output(element)
                 continue
-            created = apply_relation(rel, operands)
+            elif code == _OP_REPLICATE:
+                _, out_id, pos, count = plan
+                head, tail = idx[:pos], idx[pos:]
+                created = [(out_id, head + (j,) + tail, val) for j in range(count)]
+            else:
+                _, out_id, tf = plan
+                if code == _OP_NEGATE:
+                    value = _check_int64(-val, "Negate")
+                else:
+                    value = _check_int64(val * val, "Square")
+                created = ((out_id, idx if tf is None else tf(idx), value),)
             if trace is not None:
                 trace("apply", rel, operands)
-            for out in created:
-                if len(out.indices) != program.arities[out.identifier]:
+            for out in map(Element._make, created):
+                if len(out.indices) != arities[out.identifier]:
                     raise ProgramError(
                         f"created element {out} violates registered arity"
                     )
@@ -281,10 +377,11 @@ class Execution:
         """Execute to quiescence and return totals.
 
         Traced executions go through step(); everything else takes the
-        compiled-plan loop in _drain(). Cyclic GC is off while that loop
-        runs: its live set is large and holds no cycles, and rescanning
-        it cost about as much as the loop itself. GC is left as it was
-        found, also when the loop raises.
+        compiled-plan loop in _drain(). Either raises SimulationLimitError
+        once max_steps elements are processed with more still queued.
+        Cyclic GC is off while that loop runs: its live set is large and
+        holds no cycles, and rescanning it cost about as much as the loop
+        itself. GC is left as it was found, also when the loop raises.
         """
         if self.trace is not None:
             while self.step():
@@ -300,8 +397,10 @@ class Execution:
         return self._finish()
 
     def _drain(self) -> None:
-        """The compiled-plan loop: apply_relation's semantics, inlined.
+        """The compiled-plan loop: step() without the trace and arity check.
 
+        The step budget costs nothing per element: the loop counts
+        processed elements by iterating a range that ends at max_steps.
         Inside the loop elements are plain (identifier, indices, value)
         tuples, and each binary relation parks its operands in its own
         dict keyed by the index list. Both are undone on the way out,
@@ -311,13 +410,15 @@ class Execution:
         """
         queue = self.queue
         fifo = self.discipline == "fifo"
-        plans = self._plans
+        compiled = self.program._compiled
+        plans = compiled.plans
         partials = self.partials
         waiting = partials._waiting
         outputs = self.outputs
         append = queue.append
         hi, lo = INT64_MAX, INT64_MIN
         processed = self.elements_processed
+        max_steps = self.max_steps
         created = self.elements_created
         max_queue = self.max_queue_depth
         psize = len(waiting)
@@ -325,7 +426,7 @@ class Execution:
 
         # Parked entries are (slot, element, arrival); operands parked
         # before this call (by step()) arrive first.
-        joins = {rel.rid: {} for rel in self.program.relations if rel.is_binary()}
+        joins = {rid: {} for rid in compiled.binary}
         for arrival, ((rid, idx), (slot, element)) in enumerate(
             waiting.items(), -len(waiting)
         ):
@@ -333,10 +434,12 @@ class Execution:
         waiting.clear()
 
         try:
-            while queue:
+            for processed in range(processed + 1, max_steps + 1):
+                if not queue:
+                    processed -= 1
+                    break
                 element = queue.popleft() if fifo else queue.pop()
                 ident, idx, val = element
-                processed += 1
                 for plan in plans[ident]:
                     code = plan[0]
                     if code == _OP_SUM:
@@ -424,6 +527,9 @@ class Execution:
                         created += 1
                 if len(queue) > max_queue:
                     max_queue = len(queue)
+            else:
+                if queue:
+                    raise SimulationLimitError(f"exceeded {max_steps} steps")
         finally:
             self.elements_processed = processed
             self.elements_created = created
@@ -444,6 +550,8 @@ class Execution:
 
 
 def run(program: Program, discipline: str = "fifo",
-        trace: TraceFn | None = None) -> RunResult:
+        trace: TraceFn | None = None, *,
+        max_steps: int = DEFAULT_STEP_LIMIT) -> RunResult:
     """Run a program to quiescence and return its RunResult."""
-    return Execution(program, discipline=discipline, trace=trace).run()
+    return Execution(program, discipline=discipline, trace=trace,
+                     max_steps=max_steps).run()

@@ -11,9 +11,10 @@ function of the program and the configuration.
 Message accounting per unit: 1 for the dispatch plus max(1, outputs) for
 the return, so a unit that deduces nothing still sends one completion.
 
-The master expands elements into units on the engine's compiled plans
-(engine._compile_plans, the per-identifier opcode tuples that
-Execution.run executes), not through apply_relation and PartialStore.
+The master expands elements into units on the plans the Program was
+compiled to when it was built (the per-identifier opcode tuples that
+Execution.step and Execution.run execute), not through apply_relation
+and PartialStore.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .core import (
     DuplicateOperandError,
     DuplicateOutputError,
     Element,
-    ElementModelError,
     IntegerOverflowError,
     JoinDeadlockError,
+    SimulationLimitError,
 )
 from .engine import (
     _OP_MUL,
@@ -40,7 +41,6 @@ from .engine import (
     _OP_SINK,
     _OP_SUM,
     Program,
-    _compile_plans,
 )
 
 DEFAULT_EVENT_LIMIT = 100_000_000
@@ -49,22 +49,16 @@ _FINISH = 0   # worker becomes idle; the return message is now in flight
 _ARRIVAL = 1  # return message reaches the master
 
 
-class SimulationLimitError(ElementModelError):
-    """The event budget ran out before the machine went quiescent."""
-
-
 @dataclass(frozen=True)
 class MachineConfig:
     """Worker count and dispatch policy.
 
     dispatch "idle" always picks the lowest-numbered idle worker;
-    "roundrobin" scans forward from the last pick. rng_seed is carried
-    into run records so they are self-describing; the machine itself is
+    "roundrobin" scans forward from the last pick. The machine is
     deterministic.
     """
 
     workers: int
-    rng_seed: int = 0
     dispatch: str = "idle"
 
     def __post_init__(self) -> None:
@@ -72,8 +66,6 @@ class MachineConfig:
             raise ValueError("need at least one worker")
         if self.dispatch not in ("idle", "roundrobin"):
             raise ValueError(f"unknown dispatch policy {self.dispatch!r}")
-        if not 0 <= self.rng_seed < (1 << 64):
-            raise ValueError("rng_seed must fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -183,8 +175,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     roundrobin = machine.dispatch == "roundrobin"
     hi, lo = INT64_MAX, INT64_MIN
 
-    plans = _compile_plans(program)
-    joins = {rel.rid: {} for rel in program.relations if rel.is_binary()}
+    plans = program._compiled.plans
+    joins = {rid: {} for rid in program._compiled.binary}
     queue = deque(program.initial_elements)
     pop_element = queue.popleft
     pending: deque[tuple] = deque()  # ready units not yet dispatched

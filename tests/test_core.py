@@ -130,30 +130,13 @@ class TestRelationValidation:
 
 
 class TestRelationStore:
-    def test_rid_assignment_and_lookup(self):
+    def test_rid_assignment_and_order(self):
         store = RelationStore()
         r1 = store.add(negate_relation(0, 1))
         r2 = store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
         assert (r1.rid, r2.rid) == (0, 1)
-        assert store.lookup(0) == [r1]
-        assert store.lookup(1) == [r2]
         assert len(store) == 2
         assert list(store) == [r1, r2]
-
-    def test_lookup_is_total(self):
-        assert RelationStore().lookup(999) == []
-
-    def test_identifier_feeding_multiple_relations(self):
-        store = RelationStore()
-        r1 = store.add(negate_relation(0, 1))
-        r2 = store.add(Relation((0,), Operation.SQUARE, (), 2, IndexTransform.keep()))
-        assert store.lookup(0) == [r1, r2]
-
-    def test_binary_relation_indexed_under_both_inputs(self):
-        store = RelationStore()
-        rel = store.add(Relation((3, 4), Operation.MUL_PAIR, (), 5, IndexTransform.keep()))
-        assert store.lookup(3) == [rel]
-        assert store.lookup(4) == [rel]
 
 
 class TestPartialStore:

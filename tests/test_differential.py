@@ -1,4 +1,9 @@
-"""run() and simulate() agree on random well-formed programs.
+"""The executors agree on random well-formed programs.
+
+run() and step(), under FIFO and LIFO, traced and untraced, and a few
+step() calls followed by run() are checked against a reference loop over
+the public core.apply_relation and PartialStore.offer; simulate() is
+checked against run() at every worker count and dispatch policy.
 
 Programs are drawn over NEGATE, SQUARE, REPLICATE, MUL_PAIR, SUM_STEP and
 SINK with KEEP, DROP, TRUNCATE, INCREMENT_LAST and INSERT_VARIED
@@ -7,7 +12,7 @@ nothing consumes. Seed values range over all of int64, so some programs
 overflow, and joins may lack a partner, so some deadlock.
 
 Every outcome must be the same whatever order the elements are processed
-in, or the two executors could rightly differ. So the generator keeps
+in, or the executors could rightly differ. So the generator keeps
 track of which identifiers can carry one index list twice (those made by
 DROP or TRUNCATE, and what derives from them) and never feeds one into a
 join or makes it the result: the only error that can then stop a run
@@ -15,22 +20,28 @@ early is an overflow, which any order reaches.
 """
 
 import itertools
+from collections import deque
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aridem import (
+    DuplicateOutputError,
     Element,
     ElementModelError,
+    Execution,
     IndexTransform,
     IntegerOverflowError,
     JoinDeadlockError,
     MachineConfig,
     Operation,
+    PartialStore,
     Program,
     Relation,
     RelationStore,
     TransformKind,
+    apply_relation,
     run,
     simulate,
 )
@@ -134,12 +145,73 @@ def programs(draw):
                    arities=arities, result_identifier=result)
 
 
-def outcome(execute, program):
+def outcome(execute, program, counters=("elements_processed",)):
     try:
         result = execute(program)
     except ElementModelError as error:
         return type(error)
-    return result.outputs, result.elements_processed
+    return (result.outputs,) + tuple(getattr(result, name) for name in counters)
+
+
+def reference(program):
+    """FIFO deduction on the public primitives, one relation at a time."""
+    consumers = {}
+    for rel in program.relations:
+        for ident in rel.input_identifiers:
+            consumers.setdefault(ident, []).append(rel)
+    queue = deque(program.initial_elements)
+    partials, outputs = PartialStore(), {}
+    processed, created = 0, len(queue)
+    while queue:
+        element = queue.popleft()
+        processed += 1
+        for rel in consumers.get(element.identifier, ()):
+            operands = partials.offer(rel, element) if rel.is_binary() else element
+            if operands is None:
+                continue
+            if rel.operation is not Operation.SINK:
+                new = apply_relation(rel, operands)
+                queue.extend(new)
+                created += len(new)
+            elif element.identifier == program.result_identifier:
+                if element.indices in outputs:
+                    raise DuplicateOutputError(f"{element.indices} produced twice")
+                outputs[element.indices] = element.value
+    if len(partials):
+        raise JoinDeadlockError(f"{len(partials)} unmatched operand(s)")
+    return SimpleNamespace(outputs=outputs, elements_processed=processed,
+                           elements_created=created)
+
+
+def stepped(discipline, steps=None):
+    """step() to quiescence, or steps times and then run(); run() also
+    reports a join deadlock left by step()."""
+    def execute(program):
+        execution = Execution(program, discipline=discipline)
+        for _ in itertools.repeat(None) if steps is None else range(steps):
+            if not execution.step():
+                break
+        return execution.run()
+    return execute
+
+
+def traced(program):
+    return run(program, trace=lambda *event: None)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(programs(), st.integers(0, 6))
+def test_engine_paths_agree_with_reference(program, steps):
+    totals = ("elements_processed", "elements_created")
+    expected = outcome(reference, program, totals)
+    for execute in (run, lambda p: run(p, discipline="lifo"),
+                    stepped("fifo"), stepped("lifo"), traced):
+        assert outcome(execute, program, totals) == expected
+    # under one discipline the peaks are the same on every path too
+    peaks = totals + ("max_queue_depth", "max_partial_depth")
+    fifo = outcome(run, program, peaks)
+    for execute in (stepped("fifo"), traced, stepped("fifo", steps)):
+        assert outcome(execute, program, peaks) == fifo
 
 
 @settings(max_examples=150, deadline=None, database=None)

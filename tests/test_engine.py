@@ -1,7 +1,9 @@
 import gc
+import pickle
 
 import pytest
 
+import aridem
 from aridem import (
     DuplicateOperandError,
     DuplicateOutputError,
@@ -10,17 +12,22 @@ from aridem import (
     IndexTransform,
     IntegerOverflowError,
     JoinDeadlockError,
+    MachineConfig,
     Matrix,
     Operation,
+    PartialStore,
     Program,
     ProgramError,
     Relation,
     RelationStore,
+    SimulationLimitError,
     build_negate_demo,
     build_square_demo,
     matmul_program,
     run,
+    simulate,
 )
+from aridem import engine
 from conftest import fanout_chain_program, single_join_program
 
 
@@ -224,6 +231,37 @@ class TestTrace:
         assert events[2][1] == Element(1, (), -5)
         assert events[5][1:] == ((), -5)
 
+    def test_replicate_creates_in_index_order(self):
+        program = tiny_program(
+            [Element(0, (5,), 7)],
+            [Relation((0,), Operation.REPLICATE, (3,), 1,
+                      IndexTransform.insert_varied(1, 3))],
+            {0: 1, 1: 2},
+        )
+        events = []
+        Execution(program, trace=lambda kind, *args: events.append((kind,) + args)).step()
+        assert [e[1] for e in events if e[0] == "create"] == [
+            Element(1, (5, 0), 7), Element(1, (5, 1), 7), Element(1, (5, 2), 7)]
+
+    def test_join_operands_traced_left_then_right(self):
+        # index (1,): the right operand arrives first
+        program = single_join_program([(2, 3), (4, 5)], left_first=False)
+        mul, sink = program.relations
+        events = []
+        run(program, trace=lambda kind, *args: events.append((kind,) + args))
+        l0, r0, l1, r1 = (Element(0, (0,), 2), Element(1, (0,), 3),
+                          Element(0, (1,), 4), Element(1, (1,), 5))
+        assert events == [
+            ("pop", l0), ("pop", r0), ("apply", mul, (l0, r0)),
+            ("create", Element(2, (0,), 6)),
+            ("pop", r1), ("pop", l1), ("apply", mul, (l1, r1)),
+            ("create", Element(2, (1,), 20)),
+            ("pop", Element(2, (0,), 6)), ("apply", sink, Element(2, (0,), 6)),
+            ("output", (0,), 6),
+            ("pop", Element(2, (1,), 20)), ("apply", sink, Element(2, (1,), 20)),
+            ("output", (1,), 20),
+        ]
+
 
 class TestErrors:
     def test_join_deadlock(self):
@@ -371,6 +409,12 @@ class TestGcScope:
             run(_collapsing_program(3, 4))
         assert gc.isenabled()
 
+    def test_gc_restored_when_the_step_limit_raises(self):
+        gc.enable()
+        with pytest.raises(SimulationLimitError):
+            run(_cyclic_program(), max_steps=10)
+        assert gc.isenabled()
+
     def test_gc_off_inside_the_loop(self):
         seen = []
 
@@ -454,3 +498,113 @@ class TestFifoMatmulDepths:
             pass
         assert stepped.max_queue_depth == fast.max_queue_depth
         assert stepped.partials.max_size == fast.max_partial_depth
+
+
+def _cyclic_program():
+    """NEGATE 0 -> 0 on one seed: every element makes the next, forever."""
+    return tiny_program(
+        [Element(0, (), 1)],
+        [Relation((0,), Operation.NEGATE, (), 0, IndexTransform.keep())],
+        {0: 0},
+        result=0,
+    )
+
+
+def _step_all(execution):
+    while execution.step():
+        pass
+
+
+class TestStepBudget:
+    def test_error_class_is_shared(self):
+        assert (aridem.SimulationLimitError is aridem.machine.SimulationLimitError
+                is aridem.core.SimulationLimitError)
+
+    @pytest.mark.parametrize("execute", [
+        lambda p: run(p, max_steps=10),
+        lambda p: run(p, trace=lambda *event: None, max_steps=10),
+        lambda p: _step_all(Execution(p, max_steps=10)),
+        lambda p: simulate(p, MachineConfig(workers=2), max_events=10),
+    ], ids=["run", "traced", "step", "simulate"])
+    def test_cyclic_program_stops(self, execute):
+        with pytest.raises(SimulationLimitError, match=r"^exceeded 10 (steps|events)$"):
+            execute(_cyclic_program())
+
+    @pytest.mark.parametrize("path", ["run", "step"])
+    def test_state_after_the_limit(self, path):
+        ex = Execution(_cyclic_program(), max_steps=10)
+        with pytest.raises(SimulationLimitError):
+            ex.run() if path == "run" else _step_all(ex)
+        assert ex.elements_processed == 10
+        assert ex.elements_created == 11
+        assert list(ex.queue) == [Element(0, (), 1)]
+        assert type(ex.queue[0]) is Element
+
+    @pytest.mark.parametrize("trace", [None, lambda *event: None])
+    def test_budget_is_inclusive(self, trace):
+        # the negate demo processes exactly two elements
+        assert run(build_negate_demo(), trace=trace, max_steps=2).outputs == {(): -5}
+        with pytest.raises(SimulationLimitError, match=r"^exceeded 1 steps$"):
+            run(build_negate_demo(), trace=trace, max_steps=1)
+
+    def test_steps_count_against_run(self):
+        ex = Execution(_cyclic_program(), max_steps=5)
+        ex.step()
+        ex.step()
+        with pytest.raises(SimulationLimitError, match=r"^exceeded 5 steps$"):
+            ex.run()
+        assert ex.elements_processed == 5
+
+
+class TestCompiledOnce:
+    def test_one_compile_serves_every_executor(self, monkeypatch):
+        compiled = []
+        original = engine._compile_plans
+
+        def counting(program):
+            compiled.append(program)
+            return original(program)
+
+        monkeypatch.setattr(engine, "_compile_plans", counting)
+        program = matmul_program(Matrix.identity(2), Matrix.identity(2))
+        assert len(compiled) == 1 and compiled[0] is program
+        run(program)
+        run(program, discipline="lifo", trace=lambda *event: None)
+        Execution(program).step()
+        simulate(program, MachineConfig(workers=3))
+        assert len(compiled) == 1
+
+    def test_step_runs_on_the_plans_alone(self, monkeypatch):
+        program = single_join_program([(2, 3), (5, 7)], left_first=False)
+
+        def unused(*args):
+            raise AssertionError("step() left its compiled plans")
+
+        monkeypatch.setattr(PartialStore, "offer", unused)
+        monkeypatch.setattr(Relation, "is_binary", unused)
+        ex = Execution(program)
+        _step_all(ex)
+        assert ex.outputs == {(0,): 6, (1,): 35}
+
+    def test_program_pickles(self):
+        program = fanout_chain_program(2, 3)
+        assert run(pickle.loads(pickle.dumps(program))) == run(program)
+
+    def test_plans_follow_relation_order_for_every_input(self):
+        program = tiny_program(
+            [],
+            [Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()),
+             Relation((0,), Operation.SQUARE, (), 2, IndexTransform.keep()),
+             Relation((1, 2), Operation.MUL_PAIR, (), 3, IndexTransform.keep())],
+            {0: 0, 1: 0, 2: 0, 3: 0},
+        )
+        negate, square, mul = program.relations
+        steps = program._compiled.steps
+        assert [rel for _, rel in steps[0]] == [negate, square]
+        assert [rel for _, rel in steps[1]] == [mul]
+        assert [rel for _, rel in steps[2]] == [mul]
+        assert steps[3] == ()
+        assert program._compiled.binary == (mul.rid,)
+        assert program._compiled.plans == {
+            ident: tuple(plan for plan, _ in pairs) for ident, pairs in steps.items()
+        }

@@ -45,10 +45,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MachineConfig(workers=2, dispatch="fastest")
 
-    def test_seed_range(self):
-        with pytest.raises(ValueError):
-            MachineConfig(workers=1, rng_seed=1 << 64)
-
     def test_costs_non_negative(self):
         with pytest.raises(ValueError):
             CostModel(t_proc=-1)

@@ -82,7 +82,7 @@ class TestMatmulStructure:
 
     def test_left_entries_feed_only_replicate(self):
         program = build_matmul_program(3, seed=0)
-        rels = program.relations.lookup(MM_LEFT)
+        rels = [r for r in program.relations if MM_LEFT in r.input_identifiers]
         assert len(rels) == 1
         assert rels[0].operation is Operation.REPLICATE
 
