@@ -3,12 +3,23 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from aridem import MachineConfig, build_matmul_program, simulate
 
 CMD = [sys.executable, "-m", "aridem"]
+
+# Byte-exact sweep outputs. To rewrite one after an intended change:
+#   PYTHONPATH=src python -m aridem sweep --sizes 2,3,5 --procs 1,2,3 \
+#       [FLAGS] --format FMT --out tests/sweep_golden/GRID.FMT
+SWEEP_GOLDEN_DIR = Path(__file__).with_name("sweep_golden")
+SWEEP_GOLDEN_ARGS = ("sweep", "--sizes", "2,3,5", "--procs", "1,2,3")
+SWEEP_GOLDEN_FLAGS = {
+    "default": (),
+    "roundrobin-tmaster2": ("--dispatch", "roundrobin", "--t-master", "2"),
+}
 
 
 def aridem(*args, check=True):
@@ -107,6 +118,12 @@ class TestSweep:
     def test_byte_identical_repeats(self):
         args = ("sweep", "--sizes", "4,8", "--procs", "1,2", "--seed", "3")
         assert aridem(*args).stdout == aridem(*args).stdout
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    @pytest.mark.parametrize("grid", sorted(SWEEP_GOLDEN_FLAGS))
+    def test_output_matches_golden(self, grid, fmt):
+        out = aridem(*SWEEP_GOLDEN_ARGS, *SWEEP_GOLDEN_FLAGS[grid], "--format", fmt).stdout
+        assert out.encode() == (SWEEP_GOLDEN_DIR / f"{grid}.{fmt}").read_bytes()
 
     def test_summary_flags_monotone_speedup(self):
         out = aridem("sweep", "--sizes", "16", "--procs", "1,2,4,8,16").stdout

@@ -39,6 +39,13 @@ WORKER_COUNTS = (1, 2, 5, 16)
 DISPATCH = ("idle", "roundrobin")
 COSTS = ((1, 10, 0), (1, 0, 0), (3, 10, 2), (0, 1, 0))
 EVENT_CASE = ("matmul", 2, 2, "roundrobin", (3, 10, 2))
+# Tie-heavy runs: with t_master = 0 every unit dispatched at one moment
+# finishes at one moment, and round-robin's wrap can hand them out in
+# falling worker order. The second pinned stream is such a run.
+TIE_PROGRAMS = (("matmul", 3), ("matmul", 6), ("fanout_chain", 3))
+TIE_WORKER_COUNTS = (3, 7)
+TIE_COSTS = ((1, 10, 0), (1, 0, 0), (0, 1, 0))
+TIE_EVENT_CASE = ("matmul", 2, 3, "roundrobin", (0, 1, 0))
 
 
 def side_sink_program(n):
@@ -77,6 +84,11 @@ def cases():
             for d in DISPATCH:
                 for c in ((1, 10, 0), (3, 10, 2)):
                     yield (name, n, p, d, c)
+    for name, n in TIE_PROGRAMS:
+        for p in TIE_WORKER_COUNTS:
+            for d in DISPATCH:
+                for c in TIE_COSTS:
+                    yield (name, n, p, d, c)
 
 
 def simulate_case(case, on_event=None):
@@ -114,6 +126,8 @@ def golden_records() -> dict:
     return {
         "records": {case_key(c): record(simulate_case(c)) for c in cases()},
         "events": {"case": case_key(EVENT_CASE), "stream": event_stream(EVENT_CASE)},
+        "tie_events": {"case": case_key(TIE_EVENT_CASE),
+                       "stream": event_stream(TIE_EVENT_CASE)},
     }
 
 
@@ -137,6 +151,16 @@ def test_event_stream_matches_golden(golden):
     assert event_stream(EVENT_CASE) == golden["events"]["stream"]
 
 
+def test_tie_event_stream_matches_golden(golden):
+    assert golden["tie_events"]["case"] == case_key(TIE_EVENT_CASE)
+    stream = event_stream(TIE_EVENT_CASE)
+    dispatches = [event for event in stream if event[0] == "dispatch"]
+    # the case must keep pushing equal-time finishes in falling worker order
+    assert any(later[1] == earlier[1] and later[2] < earlier[2]
+               for earlier, later in zip(dispatches, dispatches[1:]))
+    assert stream == golden["tie_events"]["stream"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_machine_golden.py --write")
@@ -146,4 +170,5 @@ if __name__ == "__main__":
                for key, value in golden_data["records"].items()]
     with open(GOLDEN_PATH, "w") as handle:
         handle.write('{"events": ' + json.dumps(golden_data["events"]) + ',\n'
+                     '"tie_events": ' + json.dumps(golden_data["tie_events"]) + ',\n'
                      '"records": {\n' + ",\n".join(records) + "\n}}\n")
