@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .core import _check_int64
 from .machine import CostModel, Metrics
@@ -119,16 +120,20 @@ def ratio_report(n: int) -> Fraction:
 
 
 def matmul_oracle(a: Matrix, b: Matrix) -> Matrix:
-    """Plain triple-loop integer matrix product, the correctness reference."""
+    """Plain integer matrix product, the correctness reference.
+
+    Each cell is the exact dot product of a row of a and a column of b;
+    a cell outside the 64-bit range raises IntegerOverflowError.
+    """
     if a.n != b.n:
         raise ValueError(f"matrix sizes differ: {a.n} vs {b.n}")
     n = a.n
+    rows = [a.entries[i * n:(i + 1) * n] for i in range(n)]
+    columns = [b.entries[j::n] for j in range(n)]
     out = []
-    for i in range(n):
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                acc += a.at(i, k) * b.at(k, j)
+    for i, row in enumerate(rows):
+        for j, column in enumerate(columns):
+            acc = sum(map(mul, row, column))
             _check_int64(acc, f"product cell ({i}, {j})")
             out.append(acc)
     return Matrix(n, tuple(out))

@@ -215,11 +215,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     costs = _costs(args)
 
     records = []
-    for model in ("element", "instruction"):
-        for n in sizes:
-            for p in procs:
-                metrics = _simulate_one(model, n, p, args.seed, costs, args.dispatch)
-                records.append(_record(model, n, p, args.seed, metrics))
+    for n in sizes:
+        program = build_matmul_program(n, args.seed)  # one build serves every P
+        for p in procs:
+            machine = MachineConfig(workers=p, dispatch=args.dispatch)
+            records.append(_record("element", n, p, args.seed,
+                                   simulate(program, machine, costs)))
+    for n in sizes:
+        for p in procs:
+            records.append(_record("instruction", n, p, args.seed,
+                                   simulate_instruction_model(n, p, costs, args.seed)))
 
     summary = []
     for model in ("element", "instruction"):

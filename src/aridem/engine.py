@@ -51,18 +51,20 @@ class Program:
     is optional and only used for display.
 
     The program is validated and compiled once, when it is built; every
-    executor runs the compiled plans. Relations, arities and the result
-    identifier changed after that are not seen: build a new Program.
+    executor runs the compiled plans. The initial elements are kept as a
+    tuple, so none can be added unchecked. Relations, arities and the
+    result identifier changed after that are not seen: build a new Program.
     """
 
     relations: RelationStore
-    initial_elements: list[Element]
+    initial_elements: tuple[Element, ...]
     arities: dict[int, int]
     result_identifier: int
     names: dict[int, str] = field(default_factory=dict)
     _compiled: _Compiled = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.initial_elements = tuple(self.initial_elements)
         self.validate()
         self._compiled = _compile_plans(self)
 

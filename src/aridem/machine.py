@@ -15,12 +15,23 @@ The master expands elements into units on the plans the Program was
 compiled to when it was built (the per-identifier opcode tuples that
 Execution.step and Execution.run execute), not through apply_relation
 and PartialStore.
+
+Events are taken in (time, kind, worker) order, a finish before an
+arrival at the same time, from two FIFO queues instead of a heap. Costs
+are constant per run and the master's send times never decrease, so
+finishes are due in dispatch order, and each arrival is due t_msg after
+its finish, in the order the finishes were taken. The loop takes the
+earlier of the two heads, the finish on a tie. One case breaks plain
+FIFO order: with t_master = 0, units dispatched at one moment finish at
+one moment, and a later one may go to a lower-numbered worker (the
+round-robin wrap, or a second dispatch pass at the same time); that
+entry is inserted in place.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -44,9 +55,6 @@ from .engine import (
 )
 
 DEFAULT_EVENT_LIMIT = 100_000_000
-
-_FINISH = 0   # worker becomes idle; the return message is now in flight
-_ARRIVAL = 1  # return message reaches the master
 
 
 @dataclass(frozen=True)
@@ -184,12 +192,15 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     next_unit = pending.popleft
     outputs: dict[tuple[int, ...], int] = {}
 
-    idle = [True] * workers
+    # idle[workers] is a sentinel: a round-robin scan that finds no idle
+    # worker after the cursor stops there and wraps to the start.
+    idle = [True] * (workers + 1)
     idle_count = workers
     cursor = workers - 1  # roundrobin: next scan starts after this worker
-    heap: list[tuple] = []
-    push, pop = heapq.heappush, heapq.heappop
-    seq = 0
+    # (time, worker, unit) in due order: finishing holds dispatched units,
+    # arriving holds finished ones whose return message is in flight.
+    finishing: deque[tuple] = deque()
+    arriving: deque[tuple] = deque()
     now = 0
     master_free = 0
     pops = 0
@@ -281,9 +292,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                     break
             unit = next_unit()
             if roundrobin:
-                try:
-                    w = idle.index(True, cursor + 1)
-                except ValueError:
+                w = idle.index(True, cursor + 1)
+                if w == workers:
                     w = idle.index(True)
                 cursor = w
             else:
@@ -295,28 +305,31 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
             messages += 1
             per_processed[w] += unit[0]
             per_busy[w] += t_proc
-            push(heap, (send + t_msg + t_proc, _FINISH, w, seq, unit))
-            seq += 1
+            entry = (send + t_msg + t_proc, w, unit)
+            if finishing and entry < finishing[-1]:
+                insort(finishing, entry)  # t_master = 0 tie, lower worker
+            else:
+                finishing.append(entry)
             if on_event is not None:
                 on_event(("dispatch", send, w, unit[0]))
         if on_event is not None:
             on_event(("idle_state", now, len(queue), idle_count, len(pending)))
 
-        if not heap:
+        if not finishing and not arriving:
             break
         events += 1
         if events > max_events:
             raise SimulationLimitError(f"exceeded {max_events} events")
-        now, kind, w, _, unit = pop(heap)
-        if kind == _FINISH:
+        if finishing and (not arriving or finishing[0][0] <= arriving[0][0]):
+            now, w, unit = finishing.popleft()
             idle[w] = True
             idle_count += 1
             messages += len(unit[1]) or 1
-            push(heap, (now + t_msg, _ARRIVAL, w, seq, unit))
-            seq += 1
+            arriving.append((now + t_msg, w, unit))
             if on_event is not None:
                 on_event(("finish", now, w))
         else:
+            now, w, unit = arriving.popleft()
             _, created, sink_record = unit
             queue.extend(created)
             if sink_record is not None:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,24 @@ class TestOracle:
         ones = Matrix.from_rows([[1, 1], [1, 1]])
         with pytest.raises(IntegerOverflowError):
             matmul_oracle(big, ones)
+
+    def test_overflow_names_the_cell(self):
+        from aridem import IntegerOverflowError
+
+        a = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 1 << 62, 1 << 62]])
+        b = Matrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+        with pytest.raises(IntegerOverflowError, match=r"^product cell \(2, 2\) produced "
+                                                       + str(1 << 63)):
+            matmul_oracle(a, b)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_triple_loop(self, n):
+        rng = random.Random(n)
+        a = Matrix(n, tuple(rng.randint(-50, 50) for _ in range(n * n)))
+        b = Matrix(n, tuple(rng.randint(-50, 50) for _ in range(n * n)))
+        want = [[sum(a.at(i, k) * b.at(k, j) for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        assert matmul_oracle(a, b).rows() == want
 
 
 class TestInstructionMachine:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from aridem import MachineConfig, build_matmul_program, simulate
+from aridem import MachineConfig, build_matmul_program, cli, simulate
 
 CMD = [sys.executable, "-m", "aridem"]
 
@@ -108,6 +108,19 @@ class TestRun:
 
 
 class TestSweep:
+    def test_one_build_per_size(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counting_build(n, seed):
+            calls.append(n)
+            return build_matmul_program(n, seed)
+
+        monkeypatch.setattr(cli, "build_matmul_program", counting_build)
+        out = tmp_path / "sweep.csv"
+        assert cli.main([*SWEEP_GOLDEN_ARGS, "--out", str(out)]) == 0
+        assert calls == [2, 3, 5]
+        assert out.read_bytes() == (SWEEP_GOLDEN_DIR / "default.csv").read_bytes()
+
     def test_cardinality_and_order(self):
         out = aridem("sweep", "--sizes", "4,6,8,10", "--procs", "1,2,3,4").stdout
         records = parse_csv(out)

@@ -2,6 +2,7 @@ import pytest
 
 from aridem import (
     Element,
+    MachineConfig,
     Lcg64,
     Matrix,
     Operation,
@@ -14,6 +15,7 @@ from aridem import (
     matmul_oracle,
     matmul_program,
     run,
+    simulate,
 )
 from aridem.programs import MM_LEFT, MM_PARTIAL, MM_RESULT, MM_RIGHT
 
@@ -179,7 +181,16 @@ class TestDemoBuilders:
     def test_negate_metadata(self):
         program = build_negate_demo()
         assert program.names[program.result_identifier] == "a"
-        assert program.initial_elements == [Element(0, (), 5)]
+        assert program.initial_elements == (Element(0, (), 5),)
+
+    def test_initial_elements_cannot_grow_after_build(self):
+        # an element added after validation would reach the executors
+        # unchecked; with a tuple the append itself fails
+        program = build_negate_demo()
+        with pytest.raises(AttributeError):
+            program.initial_elements.append(Element(99, (), 1))
+        assert run(program).outputs == {(): -5}
+        assert simulate(program, MachineConfig(workers=2)).outputs == {(): -5}
 
     def test_square_custom_length(self):
         assert run(build_square_demo(9)).outputs == {(): 81}
