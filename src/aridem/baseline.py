@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
+from types import MappingProxyType
 
 from .core import _check_int64
 from .machine import CostModel, Metrics
@@ -139,6 +141,17 @@ def matmul_oracle(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(n, tuple(out))
 
 
+@lru_cache(maxsize=1)
+def _seeded_outputs(n: int, seed: int) -> MappingProxyType:
+    """The product of the seeded n x n matrices, read-only, keyed (i, j).
+
+    A sweep asks for it at every worker count of one size in a row, so
+    one entry serves them all.
+    """
+    product = matmul_oracle(generate_matrix(n, seed, 0), generate_matrix(n, seed, 1))
+    return MappingProxyType({(i, j): product.at(i, j) for i in range(n) for j in range(n)})
+
+
 def simulate_instruction_model(n: int, workers: int,
                                costs: CostModel = CostModel(),
                                seed: int = 0,
@@ -165,13 +178,11 @@ def simulate_instruction_model(n: int, workers: int,
     busy = [w * costs.t_proc for w in work]
     sim_time = 3 * costs.t_msg + max(busy)
 
-    a = generate_matrix(n, seed, 0)
-    b = generate_matrix(n, seed, 1)
-    product = matmul_oracle(a, b)
-    outputs = {(i, j): product.at(i, j) for i in range(n) for j in range(n)}
+    outputs = dict(_seeded_outputs(n, seed))  # every record owns its outputs
 
     return Metrics(
         elements_processed=model.count(n),
+        operands_processed=model.count(n),
         messages=3 * workers,
         sim_time=sim_time,
         idle_time_total=workers * sim_time - sum(busy),

@@ -17,7 +17,8 @@ from __future__ import annotations
 import gc
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .core import (
     INT64_MAX,
@@ -31,7 +32,6 @@ from .core import (
     PartialStore,
     ProgramError,
     Relation,
-    RelationStore,
     SimulationLimitError,
     TransformKind,
     _check_int64,
@@ -42,7 +42,7 @@ TraceFn = Callable[..., None]
 DEFAULT_STEP_LIMIT = 100_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     """A complete element program: relations, seed elements, and metadata.
 
@@ -51,27 +51,32 @@ class Program:
     is optional and only used for display.
 
     The program is validated and compiled once, when it is built; every
-    executor runs the compiled plans. The initial elements are kept as a
-    tuple, so none can be added unchecked. Relations, arities and the
-    result identifier changed after that are not seen: build a new Program.
+    executor runs the compiled plans. A built Program is frozen: it keeps
+    the relations of its RelationStore as a tuple (relations added to the
+    store later are not seen), the initial elements as a tuple, and
+    read-only copies of arities and names, and assigning any field raises.
     """
 
-    relations: RelationStore
+    relations: tuple[Relation, ...]
     initial_elements: tuple[Element, ...]
-    arities: dict[int, int]
+    arities: Mapping[int, int]
     result_identifier: int
-    names: dict[int, str] = field(default_factory=dict)
+    names: Mapping[int, str] = field(default_factory=dict)
     _compiled: _Compiled = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.initial_elements = tuple(self.initial_elements)
+        for name, value in (("relations", tuple(self.relations)),
+                            ("initial_elements", tuple(self.initial_elements)),
+                            ("arities", MappingProxyType(dict(self.arities))),
+                            ("names", MappingProxyType(dict(self.names)))):
+            object.__setattr__(self, name, value)
         self.validate()
-        self._compiled = _compile_plans(self)
+        object.__setattr__(self, "_compiled", _compile_plans(self))
 
     def __reduce__(self):
         # the plans hold closures; pickle and copy rebuild them instead
-        return (Program, (self.relations, self.initial_elements, self.arities,
-                          self.result_identifier, self.names))
+        return (Program, (self.relations, self.initial_elements, dict(self.arities),
+                          self.result_identifier, dict(self.names)))
 
     def identifier_name(self, identifier: int) -> str:
         return self.names.get(identifier, f"id{identifier}")
@@ -83,7 +88,12 @@ class Program:
         if self.result_identifier not in arities:
             raise ProgramError("result identifier has no registered arity")
 
-        for rel in self.relations:
+        for position, rel in enumerate(self.relations):
+            if rel.rid != position:
+                raise ProgramError(
+                    f"relation {position} has rid {rel.rid}: add relations "
+                    f"through one RelationStore"
+                )
             for ident in rel.input_identifiers:
                 if ident not in arities:
                     raise ProgramError(f"relation {rel.rid} input {ident} unregistered")

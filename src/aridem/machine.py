@@ -14,7 +14,20 @@ the return, so a unit that deduces nothing still sends one completion.
 The master expands elements into units on the plans the Program was
 compiled to when it was built (the per-identifier opcode tuples that
 Execution.step and Execution.run execute), not through apply_relation
-and PartialStore.
+and PartialStore. A unit is (operand count, created): created is the one
+element a unit deduces, a list for Replicate, and None for a sink, whose
+unit carries the output record as a third item (None unless it sinks the
+result). A join parks the bare element tuple.
+
+The loop counts only units per worker, and operands per worker. The other
+totals follow at quiescence, where every element has been popped and
+every unit dispatched and returned: messages are 2 per unit plus
+count - 1 per Replicate unit, elements processed are the initial ones
+plus one per unit that is not a sink plus count - 1 per Replicate unit,
+and a worker's busy time is t_proc per unit it ran. A run that stops
+with operands still parked is replayed, without the on_event hook, on
+parked stores that stamp each operand as it parks, to name the first
+one to arrive.
 
 Events are taken in (time, kind, worker) order, a finish before an
 arrival at the same time, from two FIFO queues instead of a heap. Costs
@@ -31,9 +44,11 @@ entry is inserted in place.
 from __future__ import annotations
 
 import gc
+import itertools
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from .core import (
     INT64_MAX,
@@ -96,9 +111,15 @@ class CostModel:
 
 @dataclass
 class Metrics:
-    """Aggregate counters from one simulated run."""
+    """Aggregate counters from one simulated run.
+
+    per_worker_processed counts the operands of the units each worker ran
+    (a join unit has two); operands_processed is their exact total,
+    counted where the units are formed.
+    """
 
     elements_processed: int
+    operands_processed: int
     messages: int
     sim_time: int
     idle_time_total: int
@@ -110,12 +131,13 @@ class Metrics:
 
 def validate_metrics(metrics: Metrics) -> Metrics:
     """Check the cross-field identities every emitted record must satisfy."""
-    if metrics.elements_processed < 0 or metrics.messages < 0 or metrics.sim_time < 0:
+    if min(metrics.elements_processed, metrics.operands_processed,
+           metrics.messages, metrics.sim_time) < 0:
         raise ValueError("counters must be non-negative")
     workers = len(metrics.per_worker_busy)
     if workers < 1 or len(metrics.per_worker_processed) != workers:
         raise ValueError("per-worker lists must be non-empty and equal length")
-    if sum(metrics.per_worker_processed) != metrics.elements_processed:
+    if sum(metrics.per_worker_processed) != metrics.operands_processed:
         raise ValueError("per-worker processed counts do not sum to the total")
     busy_total = sum(metrics.per_worker_busy)
     if metrics.idle_time_total != workers * metrics.sim_time - busy_total:
@@ -154,7 +176,9 @@ def simulate(program: Program, machine: MachineConfig,
     ("finish", time, worker), ("arrival", time, worker, outputs) and an
     ("idle_state", time, queued, idle_workers, pending_units) snapshot
     after each event settles; the snapshots let tests audit that no
-    worker idles while dispatchable work exists.
+    worker idles while dispatchable work exists. A run that ends with
+    operands still parked is replayed once, without on_event, to name
+    the first of them in its JoinDeadlockError.
 
     Cyclic GC is off for the whole call, as in Execution.run: the live
     set of queued and parked elements holds no cycles. GC is left as it
@@ -169,14 +193,32 @@ def simulate(program: Program, machine: MachineConfig,
             gc.enable()
 
 
+class _ArrivalStamps(dict):
+    """A join's parked store for the deadlock replay: each operand parked
+    is stamped from a counter all the joins share, so the stamps give the
+    order in which the still-parked operands arrived."""
+
+    __slots__ = ("clock", "stamps")
+
+    def __init__(self, clock) -> None:
+        super().__init__()
+        self.clock = clock
+        self.stamps: dict[tuple[int, ...], int] = {}
+
+    def __setitem__(self, idx, element) -> None:
+        self.stamps[idx] = next(self.clock)
+        super().__setitem__(idx, element)
+
+
 def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
-              max_events: int, on_event) -> Metrics:
+              max_events: int, on_event, parked_store=dict) -> Metrics:
     """The event loop, with the master's unit expansion on compiled plans.
 
     As in Execution._drain, elements are plain (identifier, indices,
-    value) tuples and each binary relation parks its operands in its own
-    dict keyed by the index list, with the pop count at which they
-    arrived. A unit is (operand_count, created elements, sink record).
+    value) tuples, and each binary relation parks its operands in its own
+    parked_store keyed by the index list. Units, the totals derived at
+    quiescence and the deadlock replay on _ArrivalStamps stores are as
+    the module docstring describes.
     """
     workers = machine.workers
     t_proc, t_msg, t_master = costs.t_proc, costs.t_msg, costs.t_master
@@ -184,9 +226,11 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     hi, lo = INT64_MAX, INT64_MIN
 
     plans = program._compiled.plans
-    joins = {rid: {} for rid in program._compiled.binary}
+    joins = {rid: parked_store() for rid in program._compiled.binary}
     queue = deque(program.initial_elements)
     pop_element = queue.popleft
+    push_element = queue.append
+    push_elements = queue.extend
     pending: deque[tuple] = deque()  # ready units not yet dispatched
     add_unit = pending.append
     next_unit = pending.popleft
@@ -197,17 +241,18 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     idle = [True] * (workers + 1)
     idle_count = workers
     cursor = workers - 1  # roundrobin: next scan starts after this worker
-    # (time, worker, unit) in due order: finishing holds dispatched units,
-    # arriving holds finished ones whose return message is in flight.
+    # (due, worker, unit) in due order: finishing holds dispatched units;
+    # a finished entry moves to arriving as it is and arrives t_msg later.
     finishing: deque[tuple] = deque()
     arriving: deque[tuple] = deque()
     now = 0
     master_free = 0
-    pops = 0
-    messages = 0
     events = 0
+    joined = 0  # join units, the second operand of each
+    sinks = 0
+    fanout = 0  # sum of count - 1 over Replicate units
     per_processed = [0] * workers
-    per_busy = [0] * workers
+    per_units = [0] * workers
 
     while True:
         # Dispatch pass: hand ready units to idle workers, expanding
@@ -217,7 +262,6 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                 while queue:
                     element = pop_element()
                     ident, idx, val = element
-                    pops += 1
                     for plan in plans[ident]:
                         code = plan[0]
                         if code == _OP_SUM:
@@ -225,49 +269,55 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                             parked = joins[rid]
                             hit = parked.pop(idx, None)
                             if hit is None:
-                                parked[idx] = (slot, element, pops)
+                                parked[idx] = element
                                 continue
-                            if hit[0] == slot:
+                            # a join's two identifiers differ, so the same
+                            # identifier means the same slot
+                            if hit[0] == ident:
                                 raise DuplicateOperandError(
                                     f"two elements for slot {slot} of relation "
                                     f"{rid} at indices {idx}"
                                 )
-                            total = val + hit[1][2]
+                            total = val + hit[2]
                             if total > hi or total < lo:
                                 raise IntegerOverflowError(
                                     f"SumStep produced {total}, outside 64-bit range"
                                 )
+                            joined += 1
                             nxt = idx[-1] + 1
                             if nxt == limit:
-                                add_unit((2, ((result_id, idx[:-1], total),), None))
+                                add_unit((2, (result_id, idx[:-1], total)))
                             else:
-                                add_unit((2, ((out_id, idx[:-1] + (nxt,), total),), None))
+                                add_unit((2, (out_id, idx[:-1] + (nxt,), total)))
                         elif code == _OP_MUL:
                             _, rid, slot, out_id, tf = plan
                             parked = joins[rid]
                             hit = parked.pop(idx, None)
                             if hit is None:
-                                parked[idx] = (slot, element, pops)
+                                parked[idx] = element
                                 continue
-                            if hit[0] == slot:
+                            if hit[0] == ident:
                                 raise DuplicateOperandError(
                                     f"two elements for slot {slot} of relation "
                                     f"{rid} at indices {idx}"
                                 )
-                            product = val * hit[1][2]
+                            product = val * hit[2]
                             if product > hi or product < lo:
                                 raise IntegerOverflowError(
                                     f"MulPair produced {product}, outside 64-bit range"
                                 )
-                            add_unit((2, ((out_id, idx if tf is None else tf(idx),
-                                           product),), None))
+                            joined += 1
+                            add_unit((2, (out_id, idx if tf is None else tf(idx),
+                                          product)))
                         elif code == _OP_REPLICATE:
                             _, out_id, pos, count = plan
                             head, tail = idx[:pos], idx[pos:]
                             add_unit((1, [(out_id, head + (j,) + tail, val)
-                                          for j in range(count)], None))
+                                          for j in range(count)]))
+                            fanout += count - 1
                         elif code == _OP_SINK:
-                            add_unit((1, (), (idx, val) if plan[1] else None))
+                            add_unit((1, None, (idx, val) if plan[1] else None))
+                            sinks += 1
                         elif code == _OP_NEGATE:
                             value = -val
                             if value > hi or value < lo:
@@ -275,8 +325,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                                     f"Negate produced {value}, outside 64-bit range"
                                 )
                             tf = plan[2]
-                            add_unit((1, ((plan[1], idx if tf is None else tf(idx),
-                                           value),), None))
+                            add_unit((1, (plan[1], idx if tf is None else tf(idx),
+                                          value)))
                         else:  # _OP_SQUARE
                             value = val * val
                             if value > hi:
@@ -284,8 +334,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                                     f"Square produced {value}, outside 64-bit range"
                                 )
                             tf = plan[2]
-                            add_unit((1, ((plan[1], idx if tf is None else tf(idx),
-                                           value),), None))
+                            add_unit((1, (plan[1], idx if tf is None else tf(idx),
+                                          value)))
                     if pending:
                         break
                 else:
@@ -302,9 +352,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
             idle_count -= 1
             send = (master_free if master_free > now else now) + t_master
             master_free = send
-            messages += 1
             per_processed[w] += unit[0]
-            per_busy[w] += t_proc
+            per_units[w] += 1
             entry = (send + t_msg + t_proc, w, unit)
             if finishing and entry < finishing[-1]:
                 insort(finishing, entry)  # t_master = 0 tie, lower worker
@@ -320,45 +369,56 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
         events += 1
         if events > max_events:
             raise SimulationLimitError(f"exceeded {max_events} events")
-        if finishing and (not arriving or finishing[0][0] <= arriving[0][0]):
-            now, w, unit = finishing.popleft()
+        if finishing and (not arriving or finishing[0][0] <= arriving[0][0] + t_msg):
+            entry = finishing.popleft()
+            now, w, _ = entry
             idle[w] = True
             idle_count += 1
-            messages += len(unit[1]) or 1
-            arriving.append((now + t_msg, w, unit))
+            arriving.append(entry)
             if on_event is not None:
                 on_event(("finish", now, w))
         else:
             now, w, unit = arriving.popleft()
-            _, created, sink_record = unit
-            queue.extend(created)
-            if sink_record is not None:
-                key = sink_record[0]
-                if key in outputs:
-                    raise DuplicateOutputError(f"result indices {key} produced twice")
-                outputs[key] = sink_record[1]
+            now += t_msg
+            created = unit[1]
+            if created.__class__ is tuple:
+                push_element(created)
+            elif created is None:
+                record = unit[2]
+                if record is not None:
+                    key = record[0]
+                    if key in outputs:
+                        raise DuplicateOutputError(f"result indices {key} produced twice")
+                    outputs[key] = record[1]
+            else:
+                push_elements(created)
             if on_event is not None:
-                on_event(("arrival", now, w, len(created)))
+                on_event(("arrival", now, w, 1 if created.__class__ is tuple
+                          else 0 if created is None else len(created)))
 
-    # Parked operands in arrival order; (arrival, rid) is unique because
-    # an element parks at most once per relation, in rid order.
-    stuck = sorted((arrival, rid, element)
-                   for rid, parked in joins.items()
-                   for _, element, arrival in parked.values())
-    if stuck:
+    if any(joins.values()):
+        if parked_store is dict:
+            # The replay raises the error; the run is deterministic, so
+            # it parks the same operands.
+            _simulate(program, machine, costs, max_events, None,
+                      partial(_ArrivalStamps, itertools.count()))
+        first = min((store.stamps[idx], element)
+                    for store in joins.values() for idx, element in store.items())
         raise JoinDeadlockError(
-            f"machine quiescent with {len(stuck)} unmatched operand(s), "
-            f"first {Element._make(stuck[0][2]).describe(program.names)}"
+            f"machine quiescent with {sum(map(len, joins.values()))} unmatched "
+            f"operand(s), first {Element._make(first[1]).describe(program.names)}"
         )
 
     sim_time = now
+    units = sum(per_units)
     return Metrics(
-        elements_processed=pops,
-        messages=messages,
+        elements_processed=len(program.initial_elements) + units - sinks + fanout,
+        operands_processed=units + joined,
+        messages=2 * units + fanout,
         sim_time=sim_time,
-        idle_time_total=workers * sim_time - sum(per_busy),
+        idle_time_total=workers * sim_time - t_proc * units,
         per_worker_processed=per_processed,
-        per_worker_busy=per_busy,
+        per_worker_busy=[t_proc * n for n in per_units],
         result_checksum=sum(outputs.values()) % (1 << 32),
         outputs=outputs,
     )

@@ -11,6 +11,7 @@ from aridem import (
     CountModel,
     MachineConfig,
     Matrix,
+    baseline,
     build_matmul_program,
     element_count_reference,
     fit_count_model,
@@ -171,7 +172,25 @@ class TestInstructionMachine:
         for n in (4, 8, 40):
             m = simulate_instruction_model(n, 4)
             assert m.elements_processed == INSTRUCTION_COUNT_MODEL.count(n)
+            assert m.operands_processed == INSTRUCTION_COUNT_MODEL.count(n)
             assert sum(m.per_worker_processed) == m.elements_processed
+
+    def test_one_product_per_size_and_seed(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(a.n)
+            return matmul_oracle(a, b)
+
+        baseline._seeded_outputs.cache_clear()
+        monkeypatch.setattr(baseline, "matmul_oracle", counting)
+        records = [simulate_instruction_model(n, P, seed=seed)
+                   for n, seed in ((5, 0), (7, 0), (7, 1)) for P in (1, 2, 4)]
+        assert calls == [5, 7, 7]
+        # every record owns its outputs
+        assert len({id(m.outputs) for m in records}) == len(records)
+        records[0].outputs.clear()
+        assert simulate_instruction_model(5, 3).outputs == records[1].outputs
 
     def test_sim_time_formula(self):
         costs = CostModel(t_proc=2, t_msg=7, t_master=0)

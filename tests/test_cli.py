@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from aridem import MachineConfig, build_matmul_program, cli, simulate
+from aridem import MachineConfig, baseline, build_matmul_program, cli, matmul_oracle, simulate
 
 CMD = [sys.executable, "-m", "aridem"]
 
@@ -116,6 +116,20 @@ class TestSweep:
             return build_matmul_program(n, seed)
 
         monkeypatch.setattr(cli, "build_matmul_program", counting_build)
+        out = tmp_path / "sweep.csv"
+        assert cli.main([*SWEEP_GOLDEN_ARGS, "--out", str(out)]) == 0
+        assert calls == [2, 3, 5]
+        assert out.read_bytes() == (SWEEP_GOLDEN_DIR / "default.csv").read_bytes()
+
+    def test_one_product_per_size(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counting_oracle(a, b):
+            calls.append(a.n)
+            return matmul_oracle(a, b)
+
+        baseline._seeded_outputs.cache_clear()
+        monkeypatch.setattr(baseline, "matmul_oracle", counting_oracle)
         out = tmp_path / "sweep.csv"
         assert cli.main([*SWEEP_GOLDEN_ARGS, "--out", str(out)]) == 0
         assert calls == [2, 3, 5]

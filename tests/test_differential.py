@@ -3,7 +3,9 @@
 run() and step(), under FIFO and LIFO, traced and untraced, and a few
 step() calls followed by run() are checked against a reference loop over
 the public core.apply_relation and PartialStore.offer; simulate() is
-checked against run() at every worker count and dispatch policy.
+checked against run() at every worker count and dispatch policy, on
+outputs, elements processed and error text, and its totals, which it
+derives at quiescence, against counts taken from its on_event stream.
 
 Programs are drawn over NEGATE, SQUARE, REPLICATE, MUL_PAIR, SUM_STEP and
 SINK with KEEP, DROP, TRUNCATE, INCREMENT_LAST and INSERT_VARIED
@@ -27,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aridem import (
+    CostModel,
     DuplicateOutputError,
     Element,
     ElementModelError,
@@ -44,6 +47,7 @@ from aridem import (
     apply_relation,
     run,
     simulate,
+    validate_metrics,
 )
 from aridem.core import INT64_MAX, INT64_MIN
 
@@ -145,10 +149,14 @@ def programs(draw):
                    arities=arities, result_identifier=result)
 
 
-def outcome(execute, program, counters=("elements_processed",)):
+def outcome(execute, program, counters=("elements_processed",), text=False):
+    """Outputs and counters, or the error class (and text, without the
+    simulator's "machine " prefix on a deadlock)."""
     try:
         result = execute(program)
     except ElementModelError as error:
+        if text:
+            return type(error), str(error).removeprefix("machine ")
         return type(error)
     return (result.outputs,) + tuple(getattr(result, name) for name in counters)
 
@@ -214,14 +222,49 @@ def test_engine_paths_agree_with_reference(program, steps):
         assert outcome(execute, program, peaks) == fifo
 
 
+def audited(config, costs):
+    """simulate() whose Metrics must validate and whose totals must match
+    counts taken from its own on_event stream."""
+    def execute(program):
+        events = []
+        metrics = validate_metrics(simulate(program, config, costs,
+                                            on_event=events.append))
+        units, operands = [0] * config.workers, [0] * config.workers
+        created = returns = 0
+        for event in events:
+            if event[0] == "dispatch":
+                units[event[2]] += 1
+                operands[event[2]] += event[3]
+            elif event[0] == "arrival":
+                created += event[3]
+                returns += max(1, event[3])
+        assert metrics.messages == sum(units) + returns
+        assert metrics.elements_processed == len(program.initial_elements) + created
+        assert metrics.per_worker_busy == [costs.t_proc * n for n in units]
+        assert metrics.per_worker_processed == operands
+        return metrics
+    return execute
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(programs())
 def test_simulate_agrees_with_run(program):
-    expected = outcome(run, program)
+    expected = outcome(run, program, text=True)
+    expected_class = outcome(run, program)
     for workers in range(1, 9):
+        # odd worker counts take the default costs, with their t_master = 0
+        # ties; even ones charge the master
+        costs = CostModel() if workers % 2 else CostModel(t_proc=3, t_master=2)
         for dispatch in ("idle", "roundrobin"):
             config = MachineConfig(workers=workers, dispatch=dispatch)
-            assert outcome(lambda p: simulate(p, config), program) == expected
+            # The machine pops elements in run()'s FIFO order, so it meets
+            # the same first overflow or parked operand, unless a tie hands
+            # an equal-time finish to a lower worker (round-robin at
+            # t_master = 0): its outputs then queue first.
+            if dispatch == "idle" or costs.t_master:
+                assert outcome(audited(config, costs), program, text=True) == expected
+            else:
+                assert outcome(audited(config, costs), program) == expected_class
 
 
 def test_generated_programs_reach_every_outcome():

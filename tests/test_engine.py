@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import pickle
 
@@ -31,12 +32,63 @@ from aridem import engine
 from conftest import fanout_chain_program, single_join_program
 
 
-def tiny_program(initial, relations, arities, result=1):
+def tiny_program(initial, relations, arities, result=1, names=None):
     store = RelationStore()
     for rel in relations:
         store.add(rel)
     return Program(relations=store, initial_elements=initial,
-                   arities=arities, result_identifier=result)
+                   arities=arities, result_identifier=result, names=names or {})
+
+
+class TestFrozenProgram:
+    def test_assigning_any_field_raises(self):
+        program = build_negate_demo()
+        for f in dataclasses.fields(program):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(program, f.name, getattr(program, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(program, f.name)
+
+    def test_unregistered_initial_element_cannot_be_swapped_in(self):
+        program = build_negate_demo()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            program.initial_elements = (Element(99, (), 1),)
+        assert run(program).outputs == {(): -5}
+        assert simulate(program, MachineConfig(workers=2)).outputs == {(): -5}
+
+    def test_mappings_are_read_only_copies(self):
+        arities = {0: 0, 1: 0}
+        names = {1: "neg"}
+        program = tiny_program(
+            [Element(0, (), 5)],
+            [Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()),
+             Relation((1,), Operation.SINK, (), 1, IndexTransform.keep())],
+            arities, names=names)
+        arities[1] = 3
+        names[1] = "other"
+        assert program.arities == {0: 0, 1: 0}
+        assert program.identifier_name(1) == "neg"
+        with pytest.raises(TypeError):
+            program.arities[1] = 3
+        with pytest.raises(TypeError):
+            program.names[0] = "seed"
+
+    def test_relations_added_to_the_store_later_are_not_seen(self):
+        store = RelationStore()
+        store.add(Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()))
+        store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
+        program = Program(relations=store, initial_elements=[Element(0, (), 5)],
+                          arities={0: 0, 1: 0}, result_identifier=1)
+        store.add(Relation((0,), Operation.SQUARE, (), 1, IndexTransform.keep()))
+        assert len(program.relations) == 2
+        assert run(program).outputs == {(): -5}
+
+    def test_relations_need_their_store_rids(self):
+        loose = [Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()),
+                 Relation((1,), Operation.SINK, (), 1, IndexTransform.keep())]
+        with pytest.raises(ProgramError, match="RelationStore"):
+            Program(relations=loose, initial_elements=[], arities={0: 0, 1: 0},
+                    result_identifier=1)
 
 
 class TestProgramValidation:
@@ -441,8 +493,8 @@ class TestFastPathLeavesElements:
              Relation((3,), Operation.SINK, (), 3, IndexTransform.keep())],
             {0: 1, 1: 1, 2: 1, 3: 1},
             result=3,
+            names={2: "neg"},
         )
-        program.names = {2: "neg"}
         ex = Execution(program)
         with pytest.raises(JoinDeadlockError, match=r"first neg\(0\) = -3"):
             ex.run()

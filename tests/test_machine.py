@@ -14,6 +14,7 @@ from aridem import (
     SimulationLimitError,
     build_matmul_program,
     build_negate_demo,
+    machine,
     matmul_element_count,
     matmul_program,
     run,
@@ -170,7 +171,8 @@ class TestAccounting:
     def test_validate_metrics_catches_bad_records(self):
         m = simulate(build_negate_demo(), MachineConfig(workers=1))
         broken = Metrics(
-            elements_processed=m.elements_processed + 1,
+            elements_processed=m.elements_processed,
+            operands_processed=m.operands_processed + 1,
             messages=m.messages,
             sim_time=m.sim_time,
             idle_time_total=m.idle_time_total,
@@ -181,6 +183,94 @@ class TestAccounting:
         )
         with pytest.raises(ValueError):
             validate_metrics(broken)
+
+    def test_per_worker_sum_above_the_total_is_caught(self):
+        m = simulate(single_join_program([(2, 3)]), MachineConfig(workers=2))
+        m.operands_processed -= 1
+        with pytest.raises(ValueError, match="do not sum to the total"):
+            validate_metrics(m)
+
+    def test_shared_and_dead_end_inputs_add_up(self):
+        # id 0 feeds two relations: one popped element, two unit operands
+        program = _program(
+            [Element(0, (), 3)],
+            [Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()),
+             Relation((0,), Operation.SQUARE, (), 2, IndexTransform.keep()),
+             Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()),
+             Relation((2,), Operation.SINK, (), 2, IndexTransform.keep())],
+            {0: 0, 1: 0, 2: 0}, result=1)
+        m = validate_metrics(simulate(program, MachineConfig(workers=2)))
+        assert m.elements_processed == 3
+        assert m.operands_processed == 4
+        assert m.per_worker_processed == [2, 2]
+        assert m.outputs == {(): -3}
+
+    def test_join_units_count_two_operands(self):
+        m = simulate(single_join_program([(2, 3), (4, 5)]), MachineConfig(workers=3))
+        validate_metrics(m)
+        # 4 seeds and 2 products popped; 2 joins and 2 sinks ran
+        assert (m.elements_processed, m.operands_processed) == (6, 6)
+        assert m.messages == 8
+
+
+class TestDeadlockReplay:
+    """A deadlocked run is replayed once, without the hook, to name the
+    first operand that parked."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = machine._simulate
+
+        def spy(program, config, costs, max_events, on_event, *rest):
+            seen.append((on_event, gc.isenabled()))
+            return original(program, config, costs, max_events, on_event, *rest)
+
+        monkeypatch.setattr(machine, "_simulate", spy)
+        return seen
+
+    def program(self):
+        # three NEGATE units; id 0 and id 2 then park for good
+        return _program(
+            [Element(6, (0,), 7), Element(7, (1,), 3)],
+            [Relation((2, 3), Operation.MUL_PAIR, (), 5, IndexTransform.keep()),
+             Relation((0, 1), Operation.MUL_PAIR, (), 4, IndexTransform.keep()),
+             Relation((4,), Operation.SINK, (), 4, IndexTransform.keep()),
+             Relation((6,), Operation.NEGATE, (), 0, IndexTransform.keep()),
+             Relation((7,), Operation.NEGATE, (), 8, IndexTransform.keep()),
+             Relation((8,), Operation.NEGATE, (), 2, IndexTransform.keep())],
+            {i: 1 for i in range(9)}, result=4)
+
+    def test_hook_sees_no_replay_events(self, calls):
+        events = []
+        with pytest.raises(JoinDeadlockError, match=r"first id0\(0\) = -7$"):
+            simulate(self.program(), MachineConfig(workers=2), on_event=events.append)
+        assert [hook for hook, _ in calls] == [events.append, None]
+        kinds = [e[0] for e in events if e[0] != "idle_state"]
+        assert kinds == ["dispatch", "dispatch", "finish", "finish", "arrival",
+                         "arrival", "dispatch", "finish", "arrival"]
+
+    def test_clean_run_is_not_replayed(self, calls):
+        simulate(build_negate_demo(), MachineConfig(workers=2))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_left_as_found_after_the_replay_raises(self, calls, enabled):
+        was_enabled = gc.isenabled()
+        try:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            with pytest.raises(JoinDeadlockError):
+                simulate(self.program(), MachineConfig(workers=1))
+            assert gc.isenabled() is enabled
+        finally:
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
+        assert [gc_on for _, gc_on in calls] == [False, False]
 
 
 class TestNoIdleWhileWork:
@@ -221,7 +311,8 @@ class TestImbalance:
 
     def test_zero_processed_is_an_error(self):
         empty = Metrics(
-            elements_processed=0, messages=0, sim_time=0, idle_time_total=0,
+            elements_processed=0, operands_processed=0, messages=0, sim_time=0,
+            idle_time_total=0,
             per_worker_processed=[0], per_worker_busy=[0],
             result_checksum=0, outputs={},
         )
@@ -278,12 +369,12 @@ def test_lifo_engine_depths_can_differ():
     assert fifo.max_queue_depth > 0 and lifo.max_queue_depth > 0
 
 
-def _program(initial, relations, arities, result):
+def _program(initial, relations, arities, result, names=None):
     store = RelationStore()
     for rel in relations:
         store.add(rel)
     return Program(relations=store, initial_elements=initial,
-                   arities=arities, result_identifier=result)
+                   arities=arities, result_identifier=result, names=names or {})
 
 
 def _unary_program(operation, value):
@@ -345,6 +436,16 @@ class TestErrorMessages:
         self.check(program, DuplicateOperandError,
                    "two elements for slot 0 of relation 0 at indices (0,)")
 
+    def test_duplicate_running_sum_operand(self):
+        program = _program(
+            [Element(1, (0,), 3), Element(1, (0,), 4)],
+            [Relation((0, 1), Operation.SUM_STEP, (5, 2), 0,
+                      IndexTransform.increment_last()),
+             Relation((2,), Operation.SINK, (), 2, IndexTransform.keep())],
+            {0: 1, 1: 1, 2: 0}, result=2)
+        self.check(program, DuplicateOperandError,
+                   "two elements for slot 1 of relation 0 at indices (0,)")
+
     @pytest.mark.parametrize("operation, value, message", [
         (Operation.NEGATE, INT64_MIN,
          "Negate produced 9223372036854775808, outside 64-bit range"),
@@ -390,8 +491,7 @@ class TestErrorMessages:
              Relation((6,), Operation.NEGATE, (), 0, IndexTransform.keep()),
              Relation((7,), Operation.NEGATE, (), 8, IndexTransform.keep()),
              Relation((8,), Operation.NEGATE, (), 2, IndexTransform.keep())],
-            {i: 1 for i in range(9)}, result=4)
-        program.names = {0: "neg"}
+            {i: 1 for i in range(9)}, result=4, names={0: "neg"})
         self.check(program, JoinDeadlockError,
                    "quiescent with 2 unmatched operand(s), first neg(0) = -7",
                    "machine quiescent with 2 unmatched operand(s), first neg(0) = -7")

@@ -101,6 +101,7 @@ def record(metrics) -> dict:
     """Every Metrics field as JSON data; outputs keep their insertion order."""
     return {
         "elements_processed": metrics.elements_processed,
+        "operands_processed": metrics.operands_processed,
         "messages": metrics.messages,
         "sim_time": metrics.sim_time,
         "idle_time_total": metrics.idle_time_total,
