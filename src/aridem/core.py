@@ -250,6 +250,10 @@ class RelationStore:
         self.relations: list[Relation] = []
 
     def add(self, relation: Relation) -> Relation:
+        if relation.rid != -1:
+            raise ProgramError(
+                f"relation {relation.rid} is already in a RelationStore"
+            )
         relation.rid = len(self.relations)
         self.relations.append(relation)
         return relation

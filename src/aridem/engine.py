@@ -3,18 +3,20 @@
 Runs a Program to quiescence: pop an element, apply every relation that
 consumes its identifier, push whatever was deduced. A Program is
 compiled once, when it is built, into per-identifier plans: flat tuples
-that name an opcode and its operands, in relation order. step() executes
-those plans one element at a time, with Elements, the PartialStore, an
-arity check on every created element and the trace hook; run() executes
-them in one tight loop over plain tuples, which is what keeps large runs
-affordable in pure Python. machine.simulate executes the same plans.
-The paths are tested against each other and against a reference loop
-over core.apply_relation and PartialStore.offer.
+that name an opcode and its operands, in relation order. One loop,
+Execution._drain, executes those plans over plain tuples, which is what
+keeps large runs affordable in pure Python; step() takes one element
+through it and run() takes all of them, traced or not. Arrival order of
+parked operands is not kept, and is found on demand by replaying the
+run. machine.simulate executes the same plans. The paths are tested
+against each other and against a reference loop over
+core.apply_relation and PartialStore.offer.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -26,15 +28,14 @@ from .core import (
     DuplicateOperandError,
     DuplicateOutputError,
     Element,
+    ElementModelError,
     IntegerOverflowError,
     JoinDeadlockError,
     Operation,
-    PartialStore,
     ProgramError,
     Relation,
     SimulationLimitError,
     TransformKind,
-    _check_int64,
 )
 
 TraceFn = Callable[..., None]
@@ -153,8 +154,9 @@ class RunResult:
     max_partial_depth: int
 
 
-# Plan opcodes. A plan is one flat tuple per (identifier, relation) pair;
-# the executors dispatch on plan[0] without touching Relation objects.
+# Plan opcodes. A plan is one flat tuple per (identifier, relation) pair
+# that ends with the relation's rid; the executors dispatch on plan[0]
+# without touching Relation objects.
 _OP_NEGATE = 0
 _OP_SQUARE = 1
 _OP_REPLICATE = 2
@@ -183,77 +185,135 @@ class _Compiled:
     """A Program's plans, built once by _compile_plans when it is built.
 
     plans maps every registered identifier to its plan tuples in rid
-    order; steps pairs each of those plans with its Relation, for
-    step()'s trace; binary holds the rids of the join relations. (A
-    plain class: a NamedTuple here cost 0.4 ms of every package import.)
+    order; binary holds the rids of the join relations. (A plain class:
+    a NamedTuple here cost 0.4 ms of every package import.)
     """
 
-    __slots__ = ("plans", "steps", "binary")
+    __slots__ = ("plans", "binary")
 
     def __init__(self, plans: dict[int, tuple[tuple, ...]],
-                 steps: dict[int, tuple[tuple[tuple, Relation], ...]],
                  binary: tuple[int, ...]) -> None:
         self.plans = plans
-        self.steps = steps
         self.binary = binary
 
 
 def _compile_plans(program: Program) -> _Compiled:
-    steps: dict[int, list[tuple[tuple, Relation]]] = {
-        ident: [] for ident in program.arities
-    }
+    plans: dict[int, list[tuple]] = {ident: [] for ident in program.arities}
     binary = []
     for rel in program.relations:
-        op = rel.operation
+        op, rid = rel.operation, rel.rid
         first = rel.input_identifiers[0]
         if op is Operation.SINK:
-            steps[first].append(((_OP_SINK, first == program.result_identifier), rel))
-        elif op is Operation.NEGATE:
+            plans[first].append((_OP_SINK, first == program.result_identifier, rid))
+        elif op is Operation.NEGATE or op is Operation.SQUARE:
+            code = _OP_NEGATE if op is Operation.NEGATE else _OP_SQUARE
             tf = _compile_transform(rel.index_transform)
-            steps[first].append(((_OP_NEGATE, rel.output_identifier, tf), rel))
-        elif op is Operation.SQUARE:
-            tf = _compile_transform(rel.index_transform)
-            steps[first].append(((_OP_SQUARE, rel.output_identifier, tf), rel))
+            plans[first].append((code, rel.output_identifier, tf, rid))
         elif op is Operation.REPLICATE:
             t = rel.index_transform
-            steps[first].append(
-                ((_OP_REPLICATE, rel.output_identifier, t.position, t.count), rel)
+            plans[first].append(
+                (_OP_REPLICATE, rel.output_identifier, t.position, t.count, rid)
             )
         elif op is Operation.MUL_PAIR:
-            binary.append(rel.rid)
+            binary.append(rid)
             tf = _compile_transform(rel.index_transform)
             for slot, ident in enumerate(rel.input_identifiers):
-                steps[ident].append(
-                    ((_OP_MUL, rel.rid, slot, rel.output_identifier, tf), rel)
-                )
+                plans[ident].append((_OP_MUL, slot, rel.output_identifier, tf, rid))
         elif op is Operation.SUM_STEP:
-            binary.append(rel.rid)
+            binary.append(rid)
             limit, result_id = rel.parameters
             for slot, ident in enumerate(rel.input_identifiers):
-                steps[ident].append(
-                    ((_OP_SUM, rel.rid, slot, rel.output_identifier, limit, result_id),
-                     rel)
+                plans[ident].append(
+                    (_OP_SUM, slot, rel.output_identifier, limit, result_id, rid)
                 )
         else:
             raise ProgramError(f"unknown operation {op!r}")
     return _Compiled(
-        plans={ident: tuple(plan for plan, _ in pairs)
-               for ident, pairs in steps.items()},
-        steps={ident: tuple(pairs) for ident, pairs in steps.items()},
+        plans={ident: tuple(plan) for ident, plan in plans.items()},
         binary=tuple(binary),
     )
 
 
+def _without_gc(fn: Callable, *args):
+    """Call fn with cyclic GC off: the live set of queued and parked
+    tuples is large and holds no cycles, and rescanning it cost about as
+    much as the loop itself. GC is left as it was found, also when fn
+    raises."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+class _ArrivalStamps(dict):
+    """A join's parked store for the arrival-order replays: each operand
+    parked is stamped from a counter all the joins share, so the stamps
+    give the order in which the still-parked operands arrived. A stamp is
+    dropped when its operand is popped, and an operand put back right
+    after its pop (a duplicate arrived) keeps the stamp it had."""
+
+    __slots__ = ("clock", "stamps", "popped")
+
+    def __init__(self, clock) -> None:
+        super().__init__()
+        self.clock = clock
+        self.stamps: dict[tuple[int, ...], int] = {}
+        self.popped = None
+
+    def pop(self, idx, default=None):
+        self.popped = self.stamps.pop(idx, None)
+        return super().pop(idx, default)
+
+    def __setitem__(self, idx, element) -> None:
+        stamp = self.popped
+        self.stamps[idx] = next(self.clock) if stamp is None else stamp
+        self.popped = None
+        super().__setitem__(idx, element)
+
+
+class _Partials:
+    """Read-only view of an Execution's parked operands."""
+
+    __slots__ = ("_execution",)
+
+    def __init__(self, execution: Execution) -> None:
+        self._execution = execution
+
+    def __len__(self) -> int:
+        return self._execution._parked
+
+    @property
+    def max_size(self) -> int:
+        return self._execution._max_parked
+
+    def pending(self) -> list[Element]:
+        """Operands still waiting for a partner, in the order they arrived."""
+        return self._execution._pending()
+
+
 class Execution:
-    """Mutable state of one run. Not reusable once the queue drains.
+    """State of one run: plain (identifier, indices, value) tuples in a
+    deque, one parked dict per join keyed by the index list, the park
+    count and its peak. Not reusable once the queue drains.
+
+    step() and run() drive the same loop, _drain, and may be mixed: the
+    state after k elements processed does not depend on how they were
+    taken. queue and partials are read-only views built on request (a
+    tuple of Elements, and a view with len(), max_size and pending());
+    elements_created is elements_processed + len(queue), since every
+    created element is queued and every processed one was popped.
 
     discipline picks the ready-queue order: "fifo" (default) or "lifo".
     Quiescent totals are order-independent; the discipline toggle exists
     so tests can prove that. trace, when given, is called with
-    ("pop", element), ("apply", relation, operands), ("create", element),
-    ("output", indices, value) and forces the step() path. max_steps
-    bounds the elements processed, as max_events bounds simulate(): a
-    program that would process more raises SimulationLimitError.
+    ("pop", element), ("apply", relation, operands), ("create", element)
+    and ("output", indices, value), where operands is an ordered
+    (left, right) pair for a join. max_steps bounds the elements
+    processed, as max_events bounds simulate(): a program that would
+    process more raises SimulationLimitError.
     """
 
     def __init__(self, program: Program, discipline: str = "fifo",
@@ -264,115 +324,54 @@ class Execution:
         self.program = program
         self.discipline = discipline
         self.trace = trace
-        self.queue: deque[Element] = deque(program.initial_elements)
-        self.partials = PartialStore()
+        self.max_steps = max_steps
+        self._queue: deque[tuple] = deque(program.initial_elements)
+        self._joins: dict[int, dict] = {rid: {} for rid in program._compiled.binary}
+        self._parked = 0
+        self._max_parked = 0
         self.outputs: dict[tuple[int, ...], int] = {}
         self.elements_processed = 0
-        self.elements_created = len(self.queue)
-        self.max_queue_depth = len(self.queue)
-        self.max_steps = max_steps
+        self.max_queue_depth = len(self._queue)
 
-    def _record_output(self, element: Element) -> None:
-        if element.indices in self.outputs:
-            raise DuplicateOutputError(
-                f"result indices {element.indices} produced twice"
-            )
-        self.outputs[element.indices] = element.value
-        if self.trace is not None:
-            self.trace("output", element.indices, element.value)
+    @property
+    def queue(self) -> tuple[Element, ...]:
+        return tuple(map(Element._make, self._queue))
+
+    @property
+    def partials(self) -> _Partials:
+        return _Partials(self)
+
+    @property
+    def elements_created(self) -> int:
+        return self.elements_processed + len(self._queue)
 
     def step(self) -> bool:
         """Process one element through every relation that consumes it.
 
         Returns False when the queue is already empty, and raises
         SimulationLimitError in place of processing element max_steps + 1.
-        Executes the compiled plans as _drain does, with the queue and
-        the PartialStore holding Elements, the arity of every created
-        element checked against the program, and the trace called with
-        each Relation and its operands (an ordered (left, right) pair
-        for a join).
         """
-        queue = self.queue
-        if not queue:
+        if not self._queue:
             return False
         if self.elements_processed >= self.max_steps:
             raise SimulationLimitError(f"exceeded {self.max_steps} steps")
-        element = queue.popleft() if self.discipline == "fifo" else queue.pop()
-        self.elements_processed += 1
-        trace = self.trace
-        if trace is not None:
-            trace("pop", element)
-        ident, idx, val = element
-        partials = self.partials
-        waiting = partials._waiting
-        arities = self.program.arities
-        for plan, rel in self.program._compiled.steps[ident]:
-            code = plan[0]
-            operands = element
-            if code == _OP_MUL or code == _OP_SUM:
-                slot = plan[2]
-                key = (plan[1], idx)
-                hit = waiting.get(key)
-                if hit is None:
-                    waiting[key] = (slot, element)
-                    if len(waiting) > partials.max_size:
-                        partials.max_size = len(waiting)
-                    continue
-                if hit[0] == slot:
-                    raise DuplicateOperandError(
-                        f"two elements for slot {slot} of relation {plan[1]} "
-                        f"at indices {idx}"
-                    )
-                del waiting[key]
-                other = hit[1]
-                operands = (element, other) if slot == 0 else (other, element)
-                if code == _OP_MUL:
-                    _, _, _, out_id, tf = plan
-                    value = _check_int64(val * other.value, "MulPair")
-                    created = ((out_id, idx if tf is None else tf(idx), value),)
-                else:
-                    _, _, _, out_id, limit, result_id = plan
-                    value = _check_int64(val + other.value, "SumStep")
-                    nxt = idx[-1] + 1
-                    if nxt == limit:
-                        created = ((result_id, idx[:-1], value),)
-                    else:
-                        created = ((out_id, idx[:-1] + (nxt,), value),)
-            elif code == _OP_SINK:
-                if trace is not None:
-                    trace("apply", rel, element)
-                if plan[1]:
-                    self._record_output(element)
-                continue
-            elif code == _OP_REPLICATE:
-                _, out_id, pos, count = plan
-                head, tail = idx[:pos], idx[pos:]
-                created = [(out_id, head + (j,) + tail, val) for j in range(count)]
-            else:
-                _, out_id, tf = plan
-                if code == _OP_NEGATE:
-                    value = _check_int64(-val, "Negate")
-                else:
-                    value = _check_int64(val * val, "Square")
-                created = ((out_id, idx if tf is None else tf(idx), value),)
-            if trace is not None:
-                trace("apply", rel, operands)
-            for out in map(Element._make, created):
-                if len(out.indices) != arities[out.identifier]:
-                    raise ProgramError(
-                        f"created element {out} violates registered arity"
-                    )
-                queue.append(out)
-                self.elements_created += 1
-                if trace is not None:
-                    trace("create", out)
-        if len(queue) > self.max_queue_depth:
-            self.max_queue_depth = len(queue)
+        self._drain(self.elements_processed + 1)
         return True
 
+    def run(self) -> RunResult:
+        """Execute to quiescence and return totals.
+
+        Raises SimulationLimitError once max_steps elements are processed
+        with more still queued. Cyclic GC is off while the loop runs.
+        """
+        _without_gc(self._drain, self.max_steps)
+        if self._queue:
+            raise SimulationLimitError(f"exceeded {self.max_steps} steps")
+        return self._finish()
+
     def _finish(self) -> RunResult:
-        if len(self.partials):
-            stuck = self.partials.pending()
+        if self._parked:
+            stuck = self._pending()
             raise JoinDeadlockError(
                 f"quiescent with {len(stuck)} unmatched operand(s), "
                 f"first {stuck[0].describe(self.program.names)}"
@@ -382,183 +381,188 @@ class Execution:
             elements_processed=self.elements_processed,
             elements_created=self.elements_created,
             max_queue_depth=self.max_queue_depth,
-            max_partial_depth=self.partials.max_size,
+            max_partial_depth=self._max_parked,
         )
 
-    def run(self) -> RunResult:
-        """Execute to quiescence and return totals.
+    def _pending(self) -> list[Element]:
+        """The parked operands in the order they arrived.
 
-        Traced executions go through step(); everything else takes the
-        compiled-plan loop in _drain(). Either raises SimulationLimitError
-        once max_steps elements are processed with more still queued.
-        Cyclic GC is off while that loop runs: its live set is large and
-        holds no cycles, and rescanning it cost about as much as the loop
-        itself. GC is left as it was found, also when the loop raises.
+        The loop keeps no arrival order, so this replays the run so far
+        from the program's start, without the trace, on parked stores that
+        stamp each operand. The run is deterministic, so the replay parks
+        the same operands and stops where this run stopped, at the same
+        error if it raised one.
         """
-        if self.trace is not None:
-            while self.step():
-                pass
-            return self._finish()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
+        if not self._parked:
+            return []
+        processed = self.elements_processed
+        replay = Execution(self.program, self.discipline, max_steps=processed)
+        clock = itertools.count()
+        replay._joins = {rid: _ArrivalStamps(clock) for rid in self._joins}
         try:
-            self._drain()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return self._finish()
+            _without_gc(replay._drain, processed)
+        except ElementModelError:
+            pass
+        parked = sorted((store.stamps[idx], element)
+                        for store in replay._joins.values()
+                        for idx, element in store.items())
+        return [Element._make(element) for _, element in parked]
 
-    def _drain(self) -> None:
-        """The compiled-plan loop: step() without the trace and arity check.
+    def _drain(self, stop: int) -> None:
+        """The element loop: process elements until stop of them have been
+        processed in all, or the queue is empty.
 
-        The step budget costs nothing per element: the loop counts
-        processed elements by iterating a range that ends at max_steps.
-        Inside the loop elements are plain (identifier, indices, value)
-        tuples, and each binary relation parks its operands in its own
-        dict keyed by the index list. Both are undone on the way out,
-        also when the loop raises: whatever is still queued or parked is
-        an Element again, the PartialStore holds every parked operand in
-        the order it arrived, and the counters are written back.
+        The count costs nothing per element: the loop iterates a range
+        that ends at stop. A join pops its partner from its parked dict
+        or parks the element tuple itself. The trace payloads (Elements,
+        the Relation looked up by rid, ordered operands) are built only
+        when a hook is set. Only the counters are written back on the way
+        out, also when the loop raises; the queue and the parked dicts
+        are the state itself.
         """
-        queue = self.queue
+        queue = self._queue
         fifo = self.discipline == "fifo"
-        compiled = self.program._compiled
-        plans = compiled.plans
-        partials = self.partials
-        waiting = partials._waiting
+        plans = self.program._compiled.plans
+        joins = self._joins
         outputs = self.outputs
         append = queue.append
+        trace = self.trace
+        emit = self._emit
         hi, lo = INT64_MAX, INT64_MIN
         processed = self.elements_processed
-        max_steps = self.max_steps
-        created = self.elements_created
         max_queue = self.max_queue_depth
-        psize = len(waiting)
-        max_partial = partials.max_size
-
-        # Parked entries are (slot, element, arrival); operands parked
-        # before this call (by step()) arrive first.
-        joins = {rid: {} for rid in compiled.binary}
-        for arrival, ((rid, idx), (slot, element)) in enumerate(
-            waiting.items(), -len(waiting)
-        ):
-            joins[rid][idx] = (slot, element, arrival)
-        waiting.clear()
+        psize = self._parked
+        max_partial = self._max_parked
 
         try:
-            for processed in range(processed + 1, max_steps + 1):
+            for processed in range(processed + 1, stop + 1):
                 if not queue:
                     processed -= 1
                     break
                 element = queue.popleft() if fifo else queue.pop()
+                if trace is not None:
+                    shown = Element._make(element)
+                    trace("pop", shown)
                 ident, idx, val = element
                 for plan in plans[ident]:
                     code = plan[0]
                     if code == _OP_SUM:
-                        _, rid, slot, out_id, limit, result_id = plan
+                        _, slot, out_id, limit, result_id, rid = plan
                         parked = joins[rid]
                         hit = parked.pop(idx, None)
                         if hit is None:
-                            parked[idx] = (slot, element, processed)
+                            parked[idx] = element
                             psize += 1
                             if psize > max_partial:
                                 max_partial = psize
                             continue
-                        if hit[0] == slot:
+                        # a join's two identifiers differ, so the same
+                        # identifier means the same slot
+                        if hit[0] == ident:
                             parked[idx] = hit
                             raise DuplicateOperandError(
                                 f"two elements for slot {slot} of relation "
                                 f"{rid} at indices {idx}"
                             )
                         psize -= 1
-                        total = val + hit[1][2]
+                        total = val + hit[2]
                         if total > hi or total < lo:
                             raise IntegerOverflowError(
                                 f"SumStep produced {total}, outside 64-bit range"
                             )
                         nxt = idx[-1] + 1
                         if nxt == limit:
-                            append((result_id, idx[:-1], total))
+                            out = (result_id, idx[:-1], total)
                         else:
-                            append((out_id, idx[:-1] + (nxt,), total))
-                        created += 1
+                            out = (out_id, idx[:-1] + (nxt,), total)
+                        if trace is None:
+                            append(out)
+                        else:
+                            pair = (shown, Element._make(hit))
+                            emit(rid, pair if slot == 0 else pair[::-1], (out,))
                     elif code == _OP_MUL:
-                        _, rid, slot, out_id, tf = plan
+                        _, slot, out_id, tf, rid = plan
                         parked = joins[rid]
                         hit = parked.pop(idx, None)
                         if hit is None:
-                            parked[idx] = (slot, element, processed)
+                            parked[idx] = element
                             psize += 1
                             if psize > max_partial:
                                 max_partial = psize
                             continue
-                        if hit[0] == slot:
+                        if hit[0] == ident:
                             parked[idx] = hit
                             raise DuplicateOperandError(
                                 f"two elements for slot {slot} of relation "
                                 f"{rid} at indices {idx}"
                             )
                         psize -= 1
-                        product = val * hit[1][2]
+                        product = val * hit[2]
                         if product > hi or product < lo:
                             raise IntegerOverflowError(
                                 f"MulPair produced {product}, outside 64-bit range"
                             )
-                        append((out_id, idx if tf is None else tf(idx), product))
-                        created += 1
+                        out = (out_id, idx if tf is None else tf(idx), product)
+                        if trace is None:
+                            append(out)
+                        else:
+                            pair = (shown, Element._make(hit))
+                            emit(rid, pair if slot == 0 else pair[::-1], (out,))
                     elif code == _OP_REPLICATE:
-                        _, out_id, pos, count = plan
+                        _, out_id, pos, count, rid = plan
                         head, tail = idx[:pos], idx[pos:]
-                        for j in range(count):
-                            append((out_id, head + (j,) + tail, val))
-                        created += count
+                        if trace is None:
+                            for j in range(count):
+                                append((out_id, head + (j,) + tail, val))
+                        else:
+                            emit(rid, shown, [(out_id, head + (j,) + tail, val)
+                                              for j in range(count)])
                     elif code == _OP_SINK:
+                        if trace is not None:
+                            emit(plan[2], shown, ())
                         if plan[1]:
                             if idx in outputs:
                                 raise DuplicateOutputError(
                                     f"result indices {idx} produced twice"
                                 )
                             outputs[idx] = val
-                    elif code == _OP_NEGATE:
-                        value = -val
-                        if value > hi or value < lo:
-                            raise IntegerOverflowError(
-                                f"Negate produced {value}, outside 64-bit range"
-                            )
-                        tf = plan[2]
-                        append((plan[1], idx if tf is None else tf(idx), value))
-                        created += 1
-                    else:  # _OP_SQUARE
-                        value = val * val
-                        if value > hi:
-                            raise IntegerOverflowError(
-                                f"Square produced {value}, outside 64-bit range"
-                            )
-                        tf = plan[2]
-                        append((plan[1], idx if tf is None else tf(idx), value))
-                        created += 1
+                            if trace is not None:
+                                trace("output", idx, val)
+                    else:
+                        if code == _OP_NEGATE:
+                            value = -val
+                            if value > hi or value < lo:
+                                raise IntegerOverflowError(
+                                    f"Negate produced {value}, outside 64-bit range"
+                                )
+                        else:  # _OP_SQUARE
+                            value = val * val
+                            if value > hi:
+                                raise IntegerOverflowError(
+                                    f"Square produced {value}, outside 64-bit range"
+                                )
+                        _, out_id, tf, rid = plan
+                        out = (out_id, idx if tf is None else tf(idx), value)
+                        if trace is None:
+                            append(out)
+                        else:
+                            emit(rid, shown, (out,))
                 if len(queue) > max_queue:
                     max_queue = len(queue)
-            else:
-                if queue:
-                    raise SimulationLimitError(f"exceeded {max_steps} steps")
         finally:
             self.elements_processed = processed
-            self.elements_created = created
             self.max_queue_depth = max_queue
-            partials.max_size = max_partial
-            # (arrival, rid) is unique: an element parks at most once per
-            # relation, and relations are tried in rid order, as in step().
-            for arrival, rid, idx, slot, element in sorted(
-                (arrival, rid, idx, slot, element)
-                for rid, parked in joins.items()
-                for idx, (slot, element, arrival) in parked.items()
-            ):
-                waiting[(rid, idx)] = (slot, Element._make(element))
-            if queue:
-                rest = list(map(Element._make, queue))
-                queue.clear()
-                queue.extend(rest)
+            self._parked = psize
+            self._max_parked = max_partial
+
+    def _emit(self, rid: int, operands, created) -> None:
+        """The traced path of one application: report relation rid and
+        its operands, then queue and report each created element."""
+        trace = self.trace
+        trace("apply", self.program.relations[rid], operands)
+        for out in created:
+            self._queue.append(out)
+            trace("create", Element._make(out))
 
 
 def run(program: Program, discipline: str = "fifo",

@@ -13,8 +13,8 @@ the return, so a unit that deduces nothing still sends one completion.
 
 The master expands elements into units on the plans the Program was
 compiled to when it was built (the per-identifier opcode tuples that
-Execution.step and Execution.run execute), not through apply_relation
-and PartialStore. A unit is (operand count, created): created is the one
+Execution._drain executes), not through apply_relation and
+PartialStore. A unit is (operand count, created): created is the one
 element a unit deduces, a list for Replicate, and None for a sink, whose
 unit carries the output record as a third item (None unless it sinks the
 result). A join parks the bare element tuple.
@@ -43,7 +43,6 @@ entry is inserted in place.
 
 from __future__ import annotations
 
-import gc
 import itertools
 from bisect import insort
 from collections import deque
@@ -67,6 +66,8 @@ from .engine import (
     _OP_SINK,
     _OP_SUM,
     Program,
+    _ArrivalStamps,
+    _without_gc,
 )
 
 DEFAULT_EVENT_LIMIT = 100_000_000
@@ -184,30 +185,7 @@ def simulate(program: Program, machine: MachineConfig,
     set of queued and parked elements holds no cycles. GC is left as it
     was found, also when the run raises.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _simulate(program, machine, costs, max_events, on_event)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-class _ArrivalStamps(dict):
-    """A join's parked store for the deadlock replay: each operand parked
-    is stamped from a counter all the joins share, so the stamps give the
-    order in which the still-parked operands arrived."""
-
-    __slots__ = ("clock", "stamps")
-
-    def __init__(self, clock) -> None:
-        super().__init__()
-        self.clock = clock
-        self.stamps: dict[tuple[int, ...], int] = {}
-
-    def __setitem__(self, idx, element) -> None:
-        self.stamps[idx] = next(self.clock)
-        super().__setitem__(idx, element)
+    return _without_gc(_simulate, program, machine, costs, max_events, on_event)
 
 
 def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
@@ -265,7 +243,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                     for plan in plans[ident]:
                         code = plan[0]
                         if code == _OP_SUM:
-                            _, rid, slot, out_id, limit, result_id = plan
+                            _, slot, out_id, limit, result_id, rid = plan
                             parked = joins[rid]
                             hit = parked.pop(idx, None)
                             if hit is None:
@@ -290,7 +268,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                             else:
                                 add_unit((2, (out_id, idx[:-1] + (nxt,), total)))
                         elif code == _OP_MUL:
-                            _, rid, slot, out_id, tf = plan
+                            _, slot, out_id, tf, rid = plan
                             parked = joins[rid]
                             hit = parked.pop(idx, None)
                             if hit is None:
@@ -310,7 +288,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                             add_unit((2, (out_id, idx if tf is None else tf(idx),
                                           product)))
                         elif code == _OP_REPLICATE:
-                            _, out_id, pos, count = plan
+                            _, out_id, pos, count, _ = plan
                             head, tail = idx[:pos], idx[pos:]
                             add_unit((1, [(out_id, head + (j,) + tail, val)
                                           for j in range(count)]))

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from aridem import (
@@ -13,6 +15,7 @@ from aridem import (
     Relation,
     RelationStore,
     apply_relation,
+    build_negate_demo,
 )
 
 
@@ -137,6 +140,16 @@ class TestRelationStore:
         assert (r1.rid, r2.rid) == (0, 1)
         assert len(store) == 2
         assert list(store) == [r1, r2]
+
+    def test_added_relation_keeps_its_rid(self):
+        # adding relation 1 of a built program to a new store would renumber
+        # it to 0, and the program would no longer pickle
+        program = build_negate_demo()
+        sink = program.relations[1]
+        with pytest.raises(ProgramError, match="relation 1 is already in a RelationStore"):
+            RelationStore().add(sink)
+        assert sink.rid == 1
+        assert pickle.loads(pickle.dumps(program)).relations[1].rid == 1
 
 
 class TestPartialStore:

@@ -2,7 +2,9 @@
 
 run() and step(), under FIFO and LIFO, traced and untraced, and a few
 step() calls followed by run() are checked against a reference loop over
-the public core.apply_relation and PartialStore.offer; simulate() is
+the public core.apply_relation and PartialStore.offer; step() and a
+traced run() must also give run()'s whole RunResult under the same
+discipline, or its error text; simulate() is
 checked against run() at every worker count and dispatch policy, on
 outputs, elements processed and error text, and its totals, which it
 derives at quiescence, against counts taken from its on_event stream.
@@ -220,6 +222,21 @@ def test_engine_paths_agree_with_reference(program, steps):
     fifo = outcome(run, program, peaks)
     for execute in (stepped("fifo"), traced, stepped("fifo", steps)):
         assert outcome(execute, program, peaks) == fifo
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(programs(), st.sampled_from(("fifo", "lifo")))
+def test_step_and_trace_match_run_exactly(program, discipline):
+    def exact(execute):
+        try:
+            return execute(program)
+        except ElementModelError as error:
+            return type(error), str(error)
+
+    expected = exact(lambda p: run(p, discipline=discipline))
+    assert exact(stepped(discipline)) == expected
+    assert exact(lambda p: run(p, discipline=discipline,
+                               trace=lambda *event: None)) == expected
 
 
 def audited(config, costs):

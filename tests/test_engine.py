@@ -29,6 +29,7 @@ from aridem import (
     simulate,
 )
 from aridem import engine
+from aridem.core import INT64_MIN
 from conftest import fanout_chain_program, single_join_program
 
 
@@ -538,6 +539,124 @@ class TestFastPathLeavesElements:
         assert ex.partials.pending() == initial
 
 
+def _parking_cycle_program(initial):
+    """NEGATE 0 -> 0 cycles forever beside a MulPair join (1, 2) -> 3."""
+    return tiny_program(
+        initial,
+        [Relation((0,), Operation.NEGATE, (), 0, IndexTransform.keep()),
+         Relation((1, 2), Operation.MUL_PAIR, (), 3, IndexTransform.keep()),
+         Relation((3,), Operation.SINK, (), 3, IndexTransform.keep())],
+        {0: 0, 1: 1, 2: 1, 3: 1},
+        result=3,
+    )
+
+
+def _duplicate_then_park_program():
+    """id 0 parks, id 2 parks, then a second id 0 at the same index is a
+    duplicate, with one element still queued."""
+    return _two_join_program(
+        [Element(0, (0,), 2), Element(2, (0,), 1), Element(0, (0,), 3),
+         Element(3, (0,), 5)])
+
+
+class TestViewsAndReplay:
+    # Arrival order differs from rid order and from index order.
+    ARRIVALS = [Element(2, (1,), 1), Element(0, (1,), 2), Element(2, (0,), 3),
+                Element(1, (9,), 7), Element(0, (0,), 4)]
+
+    def test_pending_after_mixed_step_and_run(self):
+        ex = Execution(_two_join_program(self.ARRIVALS + [Element(3, (1,), 5)]))
+        ex.step()
+        assert ex.partials.pending() == self.ARRIVALS[:1]
+        ex.step()
+        ex.step()
+        assert ex.partials.pending() == self.ARRIVALS[:3]
+        with pytest.raises(JoinDeadlockError, match=r"^quiescent with 4 unmatched "
+                           r"operand\(s\), first id0\(1\) = 2$"):
+            ex.run()
+        # id 3 at (1,) joined id 2 at (1,), the first to arrive
+        assert ex.partials.pending() == self.ARRIVALS[1:]
+        assert len(ex.partials) == 4
+        assert ex.partials.max_size == 5
+
+    @pytest.mark.parametrize("path", ["run", "step"])
+    def test_pending_after_a_duplicate_operand(self, path):
+        ex = Execution(_duplicate_then_park_program())
+        with pytest.raises(DuplicateOperandError):
+            ex.run() if path == "run" else _step_all(ex)
+        # the operand put back after the duplicate keeps its place
+        assert ex.partials.pending() == [Element(0, (0,), 2), Element(2, (0,), 1)]
+        assert ex.elements_processed == 3
+
+    def test_stamp_dropped_when_its_operand_joins(self):
+        # id 0 at (0,) parks, joins, and parks again after id 2 has parked
+        ex = Execution(_two_join_program(
+            [Element(0, (0,), 1), Element(2, (0,), 2), Element(1, (0,), 3),
+             Element(0, (0,), 4)]))
+        with pytest.raises(JoinDeadlockError, match=r"first id2\(0\) = 2$"):
+            ex.run()
+        assert ex.partials.pending() == [Element(2, (0,), 2), Element(0, (0,), 4)]
+
+    @pytest.mark.parametrize("path", ["run", "step"])
+    def test_pending_after_the_step_limit(self, path):
+        initial = [Element(2, (1,), 5), Element(0, (), 1), Element(1, (0,), 6)]
+        ex = Execution(_parking_cycle_program(initial), max_steps=10)
+        with pytest.raises(SimulationLimitError):
+            ex.run() if path == "run" else _step_all(ex)
+        assert ex.partials.pending() == [Element(2, (1,), 5), Element(1, (0,), 6)]
+
+    def test_replay_never_calls_the_trace(self):
+        events = []
+        ex = Execution(_two_join_program(self.ARRIVALS),
+                       trace=lambda *event: events.append(event))
+        with pytest.raises(JoinDeadlockError):
+            ex.run()
+        assert len(events) == len(self.ARRIVALS)  # one pop each, nothing joins
+        assert ex.partials.pending() == self.ARRIVALS
+        assert len(events) == len(self.ARRIVALS)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_left_as_found_when_the_replay_raises(self, enabled):
+        was_enabled = gc.isenabled()
+        ex = Execution(_duplicate_then_park_program())
+        with pytest.raises(DuplicateOperandError):
+            ex.run()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert len(ex.partials.pending()) == 2
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    @pytest.mark.parametrize("program, error, max_steps", [
+        (_collapsing_program(3, 4, 5), DuplicateOutputError, None),
+        (_duplicate_then_park_program(), DuplicateOperandError, None),
+        (_parking_cycle_program([Element(1, (0,), 1), Element(0, (), INT64_MIN)]),
+         IntegerOverflowError, None),
+        (_parking_cycle_program([Element(0, (), 1), Element(1, (0,), 1)]),
+         SimulationLimitError, 7),
+        (_two_join_program([Element(0, (0,), 1)]), JoinDeadlockError, None),
+    ], ids=["output", "operand", "overflow", "limit", "deadlock"])
+    @pytest.mark.parametrize("path", ["run", "step"])
+    def test_created_count_after_a_raise(self, program, error, max_steps, path):
+        creates = []
+        ex = Execution(program, trace=lambda kind, *args: creates.append(kind == "create"),
+                       max_steps=max_steps or engine.DEFAULT_STEP_LIMIT)
+        with pytest.raises(error):
+            if path == "step":
+                _step_all(ex)
+            ex.run()
+        assert ex.elements_created == len(program.initial_elements) + sum(creates)
+        assert ex.elements_created == ex.elements_processed + len(ex.queue)
+
+    @pytest.mark.parametrize("name", ["queue", "partials", "elements_created"])
+    def test_views_are_read_only(self, name):
+        ex = Execution(build_negate_demo())
+        with pytest.raises(AttributeError):
+            setattr(ex, name, getattr(ex, name))
+        assert ex.queue == (Element(0, (), 5),)
+
+
 class TestFifoMatmulDepths:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_closed_form_peaks_on_both_paths(self, n):
@@ -651,12 +770,10 @@ class TestCompiledOnce:
             {0: 0, 1: 0, 2: 0, 3: 0},
         )
         negate, square, mul = program.relations
-        steps = program._compiled.steps
-        assert [rel for _, rel in steps[0]] == [negate, square]
-        assert [rel for _, rel in steps[1]] == [mul]
-        assert [rel for _, rel in steps[2]] == [mul]
-        assert steps[3] == ()
+        plans = program._compiled.plans
+        # every plan ends with its relation's rid
+        assert [plan[-1] for plan in plans[0]] == [negate.rid, square.rid]
+        assert [plan[-1] for plan in plans[1]] == [mul.rid]
+        assert [plan[-1] for plan in plans[2]] == [mul.rid]
+        assert plans[3] == ()
         assert program._compiled.binary == (mul.rid,)
-        assert program._compiled.plans == {
-            ident: tuple(plan for plan, _ in pairs) for ident, pairs in steps.items()
-        }
