@@ -300,11 +300,13 @@ class Execution:
     count and its peak. Not reusable once the queue drains.
 
     step() and run() drive the same loop, _drain, and may be mixed: the
-    state after k elements processed does not depend on how they were
-    taken. queue and partials are read-only views built on request (a
-    tuple of Elements, and a view with len(), max_size and pending());
-    elements_created is elements_processed + len(queue), since every
-    created element is queued and every processed one was popped.
+    state after k elements processed depends only on the program, the
+    discipline and k, which is what lets _pending replay it, so
+    discipline is read-only. queue and partials are read-only views
+    built on request (a tuple of Elements, and a view with len(),
+    max_size and pending()); elements_created is elements_processed +
+    len(queue), since every created element is queued and every
+    processed one was popped.
 
     discipline picks the ready-queue order: "fifo" (default) or "lifo".
     Quiescent totals are order-independent; the discipline toggle exists
@@ -322,7 +324,7 @@ class Execution:
         if discipline not in ("fifo", "lifo"):
             raise ValueError(f"unknown discipline {discipline!r}")
         self.program = program
-        self.discipline = discipline
+        self._discipline = discipline
         self.trace = trace
         self.max_steps = max_steps
         self._queue: deque[tuple] = deque(program.initial_elements)
@@ -332,6 +334,10 @@ class Execution:
         self.outputs: dict[tuple[int, ...], int] = {}
         self.elements_processed = 0
         self.max_queue_depth = len(self._queue)
+
+    @property
+    def discipline(self) -> str:
+        return self._discipline
 
     @property
     def queue(self) -> tuple[Element, ...]:
@@ -391,7 +397,7 @@ class Execution:
         from the program's start, without the trace, on parked stores that
         stamp each operand. The run is deterministic, so the replay parks
         the same operands and stops where this run stopped, at the same
-        error if it raised one.
+        error if it raised one. The operands listed are this run's own.
         """
         if not self._parked:
             return []
@@ -403,8 +409,12 @@ class Execution:
             _without_gc(replay._drain, processed)
         except ElementModelError:
             pass
-        parked = sorted((store.stamps[idx], element)
-                        for store in replay._joins.values()
+        stamps = {(rid, idx): stamp for rid, store in replay._joins.items()
+                  for idx, stamp in store.stamps.items()}
+        # an operand the replay joined (a trace hook raised part way
+        # through an element) sorts last
+        parked = sorted((stamps.get((rid, idx), next(clock)), element)
+                        for rid, store in self._joins.items()
                         for idx, element in store.items())
         return [Element._make(element) for _, element in parked]
 
@@ -421,7 +431,7 @@ class Execution:
         are the state itself.
         """
         queue = self._queue
-        fifo = self.discipline == "fifo"
+        fifo = self._discipline == "fifo"
         plans = self.program._compiled.plans
         joins = self._joins
         outputs = self.outputs

@@ -615,6 +615,19 @@ class TestViewsAndReplay:
         assert ex.partials.pending() == self.ARRIVALS
         assert len(events) == len(self.ARRIVALS)
 
+    def test_pending_lists_this_runs_operands_after_a_trace_hook_raises(self):
+        # the hook fails on the pop of id 1, so id 0 stays parked here,
+        # while the replay, which has no hook, joins the two
+        def hook(kind, *args):
+            if args == (Element(1, (0,), 5),):
+                raise RuntimeError("hook failed")
+
+        ex = Execution(single_join_program([(6, 5)]), trace=hook)
+        with pytest.raises(RuntimeError):
+            ex.run()
+        assert len(ex.partials) == 1
+        assert ex.partials.pending() == [Element(0, (0,), 6)]
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_gc_left_as_found_when_the_replay_raises(self, enabled):
         was_enabled = gc.isenabled()
@@ -649,7 +662,8 @@ class TestViewsAndReplay:
         assert ex.elements_created == len(program.initial_elements) + sum(creates)
         assert ex.elements_created == ex.elements_processed + len(ex.queue)
 
-    @pytest.mark.parametrize("name", ["queue", "partials", "elements_created"])
+    @pytest.mark.parametrize("name", ["queue", "partials", "elements_created",
+                                      "discipline"])
     def test_views_are_read_only(self, name):
         ex = Execution(build_negate_demo())
         with pytest.raises(AttributeError):
