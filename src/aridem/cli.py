@@ -270,10 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ElementModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ElementModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -178,14 +178,15 @@ class IndexTransform:
         raise ProgramError(f"unknown transform kind {kind!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Relation:
     """A deduction rule: consume matching element(s), emit derived element(s).
 
     Unary relations fire on every element of their single input
     identifier. Binary relations (MUL_PAIR, SUM_STEP) fire once both
     operands with the same index list have arrived; input_identifiers
-    order fixes which identifier is the left operand.
+    order fixes which identifier is the left operand. A Relation is
+    frozen; RelationStore.add sets its rid, once.
     """
 
     input_identifiers: tuple[int, ...]
@@ -254,7 +255,7 @@ class RelationStore:
             raise ProgramError(
                 f"relation {relation.rid} is already in a RelationStore"
             )
-        relation.rid = len(self.relations)
+        object.__setattr__(relation, "rid", len(self.relations))
         self.relations.append(relation)
         return relation
 

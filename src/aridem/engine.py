@@ -6,9 +6,10 @@ compiled once, when it is built, into per-identifier plans: flat tuples
 that name an opcode and its operands, in relation order. One loop,
 Execution._drain, executes those plans over plain tuples, which is what
 keeps large runs affordable in pure Python; step() takes one element
-through it and run() takes all of them, traced or not. Arrival order of
-parked operands is not kept, and is found on demand by replaying the
-run. machine.simulate executes the same plans. The paths are tested
+through it and run() takes all of them, traced or not. Parked operands
+are listed in (relation id, index list) order, which no processing order
+can change, so every executor names the same first one when a run
+deadlocks. machine.simulate executes the same plans. The paths are tested
 against each other and against a reference loop over
 core.apply_relation and PartialStore.offer.
 """
@@ -16,7 +17,6 @@ core.apply_relation and PartialStore.offer.
 from __future__ import annotations
 
 import gc
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -28,7 +28,6 @@ from .core import (
     DuplicateOperandError,
     DuplicateOutputError,
     Element,
-    ElementModelError,
     IntegerOverflowError,
     JoinDeadlockError,
     Operation,
@@ -248,30 +247,22 @@ def _without_gc(fn: Callable, *args):
             gc.enable()
 
 
-class _ArrivalStamps(dict):
-    """A join's parked store for the arrival-order replays: each operand
-    parked is stamped from a counter all the joins share, so the stamps
-    give the order in which the still-parked operands arrived. A stamp is
-    dropped when its operand is popped, and an operand put back right
-    after its pop (a duplicate arrived) keeps the stamp it had."""
+def _parked_operands(joins: dict[int, dict]) -> list[Element]:
+    """The operands parked in a run's join dicts, in (relation id, index
+    list) order."""
+    return [Element._make(store[idx]) for _, store in sorted(joins.items())
+            for idx in sorted(store)]
 
-    __slots__ = ("clock", "stamps", "popped")
 
-    def __init__(self, clock) -> None:
-        super().__init__()
-        self.clock = clock
-        self.stamps: dict[tuple[int, ...], int] = {}
-        self.popped = None
-
-    def pop(self, idx, default=None):
-        self.popped = self.stamps.pop(idx, None)
-        return super().pop(idx, default)
-
-    def __setitem__(self, idx, element) -> None:
-        stamp = self.popped
-        self.stamps[idx] = next(self.clock) if stamp is None else stamp
-        self.popped = None
-        super().__setitem__(idx, element)
+def _deadlock_error(joins: dict[int, dict], names: Mapping[int, str],
+                    prefix: str = "") -> JoinDeadlockError:
+    """The error for a run gone quiescent with operands parked in joins;
+    the simulator passes the prefix "machine "."""
+    stuck = _parked_operands(joins)
+    return JoinDeadlockError(
+        f"{prefix}quiescent with {len(stuck)} unmatched operand(s), "
+        f"first {stuck[0].describe(names)}"
+    )
 
 
 class _Partials:
@@ -290,8 +281,9 @@ class _Partials:
         return self._execution._max_parked
 
     def pending(self) -> list[Element]:
-        """Operands still waiting for a partner, in the order they arrived."""
-        return self._execution._pending()
+        """Operands still waiting for a partner, in (relation id, index
+        list) order."""
+        return _parked_operands(self._execution._joins)
 
 
 class Execution:
@@ -299,11 +291,9 @@ class Execution:
     deque, one parked dict per join keyed by the index list, the park
     count and its peak. Not reusable once the queue drains.
 
-    step() and run() drive the same loop, _drain, and may be mixed: the
-    state after k elements processed depends only on the program, the
-    discipline and k, which is what lets _pending replay it, so
-    discipline is read-only. queue and partials are read-only views
-    built on request (a tuple of Elements, and a view with len(),
+    step() and run() drive the same loop, _drain, and may be mixed.
+    discipline, queue and partials are read-only; queue and partials are
+    views built on request (a tuple of Elements, and a view with len(),
     max_size and pending()); elements_created is elements_processed +
     len(queue), since every created element is queued and every
     processed one was popped.
@@ -377,11 +367,7 @@ class Execution:
 
     def _finish(self) -> RunResult:
         if self._parked:
-            stuck = self._pending()
-            raise JoinDeadlockError(
-                f"quiescent with {len(stuck)} unmatched operand(s), "
-                f"first {stuck[0].describe(self.program.names)}"
-            )
+            raise _deadlock_error(self._joins, self.program.names)
         return RunResult(
             outputs=self.outputs,
             elements_processed=self.elements_processed,
@@ -389,34 +375,6 @@ class Execution:
             max_queue_depth=self.max_queue_depth,
             max_partial_depth=self._max_parked,
         )
-
-    def _pending(self) -> list[Element]:
-        """The parked operands in the order they arrived.
-
-        The loop keeps no arrival order, so this replays the run so far
-        from the program's start, without the trace, on parked stores that
-        stamp each operand. The run is deterministic, so the replay parks
-        the same operands and stops where this run stopped, at the same
-        error if it raised one. The operands listed are this run's own.
-        """
-        if not self._parked:
-            return []
-        processed = self.elements_processed
-        replay = Execution(self.program, self.discipline, max_steps=processed)
-        clock = itertools.count()
-        replay._joins = {rid: _ArrivalStamps(clock) for rid in self._joins}
-        try:
-            _without_gc(replay._drain, processed)
-        except ElementModelError:
-            pass
-        stamps = {(rid, idx): stamp for rid, store in replay._joins.items()
-                  for idx, stamp in store.stamps.items()}
-        # an operand the replay joined (a trace hook raised part way
-        # through an element) sorts last
-        parked = sorted((stamps.get((rid, idx), next(clock)), element)
-                        for rid, store in self._joins.items()
-                        for idx, element in store.items())
-        return [Element._make(element) for _, element in parked]
 
     def _drain(self, stop: int) -> None:
         """The element loop: process elements until stop of them have been

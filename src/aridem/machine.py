@@ -25,9 +25,8 @@ every unit dispatched and returned: messages are 2 per unit plus
 count - 1 per Replicate unit, elements processed are the initial ones
 plus one per unit that is not a sink plus count - 1 per Replicate unit,
 and a worker's busy time is t_proc per unit it ran. A run that stops
-with operands still parked is replayed, without the on_event hook, on
-parked stores that stamp each operand as it parks, to name the first
-one to arrive.
+with operands still parked names them as Execution.run does, in
+(relation id, index list) order.
 
 Events are taken in (time, kind, worker) order, a finish before an
 arrival at the same time, from two FIFO queues instead of a heap. Costs
@@ -43,20 +42,16 @@ entry is inserted in place.
 
 from __future__ import annotations
 
-import itertools
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 
 from .core import (
     INT64_MAX,
     INT64_MIN,
     DuplicateOperandError,
     DuplicateOutputError,
-    Element,
     IntegerOverflowError,
-    JoinDeadlockError,
     SimulationLimitError,
 )
 from .engine import (
@@ -66,7 +61,7 @@ from .engine import (
     _OP_SINK,
     _OP_SUM,
     Program,
-    _ArrivalStamps,
+    _deadlock_error,
     _without_gc,
 )
 
@@ -178,8 +173,8 @@ def simulate(program: Program, machine: MachineConfig,
     ("idle_state", time, queued, idle_workers, pending_units) snapshot
     after each event settles; the snapshots let tests audit that no
     worker idles while dispatchable work exists. A run that ends with
-    operands still parked is replayed once, without on_event, to name
-    the first of them in its JoinDeadlockError.
+    operands still parked raises JoinDeadlockError with run()'s text,
+    prefixed "machine ".
 
     Cyclic GC is off for the whole call, as in Execution.run: the live
     set of queued and parked elements holds no cycles. GC is left as it
@@ -189,14 +184,13 @@ def simulate(program: Program, machine: MachineConfig,
 
 
 def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
-              max_events: int, on_event, parked_store=dict) -> Metrics:
+              max_events: int, on_event) -> Metrics:
     """The event loop, with the master's unit expansion on compiled plans.
 
     As in Execution._drain, elements are plain (identifier, indices,
     value) tuples, and each binary relation parks its operands in its own
-    parked_store keyed by the index list. Units, the totals derived at
-    quiescence and the deadlock replay on _ArrivalStamps stores are as
-    the module docstring describes.
+    dict keyed by the index list. Units and the totals derived at
+    quiescence are as the module docstring describes.
     """
     workers = machine.workers
     t_proc, t_msg, t_master = costs.t_proc, costs.t_msg, costs.t_master
@@ -204,7 +198,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     hi, lo = INT64_MAX, INT64_MIN
 
     plans = program._compiled.plans
-    joins = {rid: parked_store() for rid in program._compiled.binary}
+    joins = {rid: {} for rid in program._compiled.binary}
     queue = deque(program.initial_elements)
     pop_element = queue.popleft
     push_element = queue.append
@@ -375,17 +369,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                           else 0 if created is None else len(created)))
 
     if any(joins.values()):
-        if parked_store is dict:
-            # The replay raises the error; the run is deterministic, so
-            # it parks the same operands.
-            _simulate(program, machine, costs, max_events, None,
-                      partial(_ArrivalStamps, itertools.count()))
-        first = min((store.stamps[idx], element)
-                    for store in joins.values() for idx, element in store.items())
-        raise JoinDeadlockError(
-            f"machine quiescent with {sum(map(len, joins.values()))} unmatched "
-            f"operand(s), first {Element._make(first[1]).describe(program.names)}"
-        )
+        raise _deadlock_error(joins, program.names, "machine ")
 
     sim_time = now
     units = sum(per_units)

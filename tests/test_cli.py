@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from aridem import MachineConfig, baseline, build_matmul_program, cli, matmul_oracle, simulate
+from aridem import (
+    JoinDeadlockError,
+    MachineConfig,
+    baseline,
+    build_matmul_program,
+    cli,
+    matmul_oracle,
+    simulate,
+)
 
 CMD = [sys.executable, "-m", "aridem"]
 
@@ -101,6 +109,18 @@ class TestRun:
                       "--t-msg", "0", "--t-master", "0", check=False)
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+    def test_model_error_fails_with_exit_1(self, monkeypatch, capsys):
+        def deadlocked(*args):
+            raise JoinDeadlockError("machine quiescent with 1 unmatched "
+                                    "operand(s), first id0(0) = 3")
+
+        monkeypatch.setattr(cli, "simulate", deadlocked)
+        assert cli.main(["run", "element", "--n", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: machine quiescent with 1 unmatched "
+                                "operand(s), first id0(0) = 3\n")
 
     def test_bad_n_is_usage_error(self):
         assert aridem("run", "element", "--n", "0", check=False).returncode == 2

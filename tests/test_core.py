@@ -154,8 +154,8 @@ class TestRelationStore:
 
 class TestPartialStore:
     def setup_method(self):
-        self.rel = Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep())
-        self.rel.rid = 0
+        self.rel = RelationStore().add(
+            Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()))
 
     def test_first_arrival_waits(self):
         store = PartialStore()

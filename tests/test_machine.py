@@ -14,7 +14,6 @@ from aridem import (
     SimulationLimitError,
     build_matmul_program,
     build_negate_demo,
-    machine,
     matmul_element_count,
     matmul_program,
     run,
@@ -213,66 +212,6 @@ class TestAccounting:
         assert m.messages == 8
 
 
-class TestDeadlockReplay:
-    """A deadlocked run is replayed once, without the hook, to name the
-    first operand that parked."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
-        original = machine._simulate
-
-        def spy(program, config, costs, max_events, on_event, *rest):
-            seen.append((on_event, gc.isenabled()))
-            return original(program, config, costs, max_events, on_event, *rest)
-
-        monkeypatch.setattr(machine, "_simulate", spy)
-        return seen
-
-    def program(self):
-        # three NEGATE units; id 0 and id 2 then park for good
-        return _program(
-            [Element(6, (0,), 7), Element(7, (1,), 3)],
-            [Relation((2, 3), Operation.MUL_PAIR, (), 5, IndexTransform.keep()),
-             Relation((0, 1), Operation.MUL_PAIR, (), 4, IndexTransform.keep()),
-             Relation((4,), Operation.SINK, (), 4, IndexTransform.keep()),
-             Relation((6,), Operation.NEGATE, (), 0, IndexTransform.keep()),
-             Relation((7,), Operation.NEGATE, (), 8, IndexTransform.keep()),
-             Relation((8,), Operation.NEGATE, (), 2, IndexTransform.keep())],
-            {i: 1 for i in range(9)}, result=4)
-
-    def test_hook_sees_no_replay_events(self, calls):
-        events = []
-        with pytest.raises(JoinDeadlockError, match=r"first id0\(0\) = -7$"):
-            simulate(self.program(), MachineConfig(workers=2), on_event=events.append)
-        assert [hook for hook, _ in calls] == [events.append, None]
-        kinds = [e[0] for e in events if e[0] != "idle_state"]
-        assert kinds == ["dispatch", "dispatch", "finish", "finish", "arrival",
-                         "arrival", "dispatch", "finish", "arrival"]
-
-    def test_clean_run_is_not_replayed(self, calls):
-        simulate(build_negate_demo(), MachineConfig(workers=2))
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_gc_left_as_found_after_the_replay_raises(self, calls, enabled):
-        was_enabled = gc.isenabled()
-        try:
-            if enabled:
-                gc.enable()
-            else:
-                gc.disable()
-            with pytest.raises(JoinDeadlockError):
-                simulate(self.program(), MachineConfig(workers=1))
-            assert gc.isenabled() is enabled
-        finally:
-            if was_enabled:
-                gc.enable()
-            else:
-                gc.disable()
-        assert [gc_on for _, gc_on in calls] == [False, False]
-
-
 class TestNoIdleWhileWork:
     def test_event_trace_audit(self):
         events = []
@@ -401,6 +340,21 @@ def _join_program(operation, left, right):
         arities, result=2)
 
 
+def _created_operands_program(names=None):
+    """Three NEGATE units: id 0 is created one hop after the start and
+    parks in the second relation; id 2 is created two hops after the
+    start and parks in the first."""
+    return _program(
+        [Element(6, (0,), 7), Element(7, (1,), 3)],
+        [Relation((2, 3), Operation.MUL_PAIR, (), 5, IndexTransform.keep()),
+         Relation((0, 1), Operation.MUL_PAIR, (), 4, IndexTransform.keep()),
+         Relation((4,), Operation.SINK, (), 4, IndexTransform.keep()),
+         Relation((6,), Operation.NEGATE, (), 0, IndexTransform.keep()),
+         Relation((7,), Operation.NEGATE, (), 8, IndexTransform.keep()),
+         Relation((8,), Operation.NEGATE, (), 2, IndexTransform.keep())],
+        {i: 1 for i in range(9)}, result=4, names=names)
+
+
 def _two_join_program(initial):
     """Two independent MulPair joins, (0, 1) -> 4 and (2, 3) -> 5."""
     return _program(
@@ -472,29 +426,27 @@ class TestErrorMessages:
             {0: 1, 1: 0}, result=1)
         self.check(program, DuplicateOutputError, "result indices () produced twice")
 
-    def test_deadlock_names_first_arrival_across_relations(self):
-        # id 2 arrives first but parks in the second relation
-        initial = [Element(2, (0,), 1), Element(0, (0,), 2), Element(2, (1,), 3)]
+    def test_deadlock_names_the_lowest_relation_and_index_first(self):
+        # id 2 arrives first but parks in the second relation, and id 0
+        # parks at (1,) before (0,)
+        initial = [Element(2, (0,), 1), Element(0, (1,), 2), Element(0, (0,), 5)]
         self.check(_two_join_program(initial), JoinDeadlockError,
-                   "quiescent with 3 unmatched operand(s), first id2(0) = 1",
-                   "machine quiescent with 3 unmatched operand(s), first id2(0) = 1")
+                   "quiescent with 3 unmatched operand(s), first id0(0) = 5",
+                   "machine quiescent with 3 unmatched operand(s), first id0(0) = 5")
 
     def test_deadlock_names_a_created_operand(self):
-        # id 0 is created one hop after the start and parks in the second
-        # relation; id 2 is created two hops after the start and parks in
-        # the first
-        program = _program(
-            [Element(6, (0,), 7), Element(7, (1,), 3)],
-            [Relation((2, 3), Operation.MUL_PAIR, (), 5, IndexTransform.keep()),
-             Relation((0, 1), Operation.MUL_PAIR, (), 4, IndexTransform.keep()),
-             Relation((4,), Operation.SINK, (), 4, IndexTransform.keep()),
-             Relation((6,), Operation.NEGATE, (), 0, IndexTransform.keep()),
-             Relation((7,), Operation.NEGATE, (), 8, IndexTransform.keep()),
-             Relation((8,), Operation.NEGATE, (), 2, IndexTransform.keep())],
-            {i: 1 for i in range(9)}, result=4, names={0: "neg"})
-        self.check(program, JoinDeadlockError,
-                   "quiescent with 2 unmatched operand(s), first neg(0) = -7",
-                   "machine quiescent with 2 unmatched operand(s), first neg(0) = -7")
+        self.check(_created_operands_program({2: "twice"}), JoinDeadlockError,
+                   "quiescent with 2 unmatched operand(s), first twice(1) = 3",
+                   "machine quiescent with 2 unmatched operand(s), first twice(1) = 3")
+
+    def test_deadlock_raises_after_the_runs_own_events(self):
+        events = []
+        with pytest.raises(JoinDeadlockError, match=r"first id2\(1\) = 3$"):
+            simulate(_created_operands_program(), MachineConfig(workers=2),
+                     on_event=events.append)
+        kinds = [e[0] for e in events if e[0] != "idle_state"]
+        assert kinds == ["dispatch", "dispatch", "finish", "finish", "arrival",
+                         "arrival", "dispatch", "finish", "arrival"]
 
 
 class TestGcScope:
