@@ -71,6 +71,9 @@ class Operation(Enum):
 
 
 BINARY_OPERATIONS = frozenset({Operation.MUL_PAIR, Operation.SUM_STEP})
+# The build checks test these by identity: on CPython 3.11 both an enum
+# class attribute and Enum.__hash__ cost a Python-level call.
+_MUL_PAIR, _SUM_STEP = Operation.MUL_PAIR, Operation.SUM_STEP
 
 
 class TransformKind(Enum):
@@ -199,9 +202,9 @@ class Relation:
     def __post_init__(self) -> None:
         ids = self.input_identifiers
         op = self.operation
-        if any(i < 0 for i in ids) or self.output_identifier < 0:
+        if min(ids, default=0) < 0 or self.output_identifier < 0:
             raise ProgramError("identifiers must be non-negative")
-        if op in BINARY_OPERATIONS:
+        if op is _MUL_PAIR or op is _SUM_STEP:
             if len(ids) != 2:
                 raise ProgramError(f"{op.name} takes exactly two input identifiers")
             if ids[0] == ids[1]:
@@ -217,7 +220,7 @@ class Relation:
                 raise ProgramError("Replicate requires an InsertVaried transform")
             if self.index_transform.count != self.parameters[0]:
                 raise ProgramError("Replicate fan-out must match transform count")
-        elif op is Operation.SUM_STEP:
+        elif op is _SUM_STEP:
             if len(self.parameters) != 2:
                 raise ProgramError("SumStep takes parameters (limit, result identifier)")
             limit, result_id = self.parameters
@@ -232,7 +235,8 @@ class Relation:
                 raise ProgramError(f"{op.name} cannot use an InsertVaried transform")
 
     def is_binary(self) -> bool:
-        return self.operation in BINARY_OPERATIONS
+        op = self.operation
+        return op is _MUL_PAIR or op is _SUM_STEP
 
     def operand_slot(self, identifier: int) -> int:
         """Position (0 = left) of identifier among this relation's inputs."""
@@ -324,7 +328,7 @@ def apply_relation(relation: Relation, operands) -> list[Element]:
     out_id = relation.output_identifier
     transform = relation.index_transform
 
-    if op in BINARY_OPERATIONS:
+    if op is _MUL_PAIR or op is _SUM_STEP:
         left, right = operands
         if (left.identifier, right.identifier) != relation.input_identifiers:
             raise ProgramError(

@@ -83,7 +83,7 @@ class Program:
 
     def validate(self) -> None:
         arities = self.arities
-        if any(a < 0 for a in arities.values()):
+        if min(arities.values(), default=0) < 0:
             raise ProgramError("arities must be non-negative")
         if self.result_identifier not in arities:
             raise ProgramError("result identifier has no registered arity")
@@ -138,7 +138,7 @@ class Program:
                 )
             if elem.value > INT64_MAX or elem.value < INT64_MIN:
                 raise ProgramError(f"initial value {elem.value} outside 64-bit range")
-            if any(i < 0 for i in elem.indices):
+            if elem.indices and min(elem.indices) < 0:
                 raise ProgramError("initial indices must be non-negative")
 
 

@@ -32,12 +32,20 @@ Events are taken in (time, kind, worker) order, a finish before an
 arrival at the same time, from two FIFO queues instead of a heap. Costs
 are constant per run and the master's send times never decrease, so
 finishes are due in dispatch order, and each arrival is due t_msg after
-its finish, in the order the finishes were taken. The loop takes the
-earlier of the two heads, the finish on a tie. One case breaks plain
-FIFO order: with t_master = 0, units dispatched at one moment finish at
-one moment, and a later one may go to a lower-numbered worker (the
-round-robin wrap, or a second dispatch pass at the same time); that
-entry is inserted in place.
+its finish, in the order the finishes were taken. One read of the two
+heads takes the earlier, the finish on a tie, and finds the machine
+quiet when both are empty. One case breaks plain FIFO order: with
+t_master = 0, units dispatched at one moment finish at one moment, and
+a later one may go to a lower-numbered worker (the round-robin wrap, or
+a second dispatch pass at the same time). As dues never fall, the tie
+test compares worker ids only when a new due equals the last
+dispatch's, and a lower worker's entry is then inserted in place.
+
+A finished worker is handed its next unit directly. Every dispatch pass
+either fills all idle workers or runs out of work, and a finish brings
+no work, so a finish that leads to a dispatch has freed the only idle
+worker. The freed worker therefore stays out of the idle list, which is
+not scanned for it, and goes back in only when the pass finds no work.
 """
 
 from __future__ import annotations
@@ -81,6 +89,8 @@ class MachineConfig:
     dispatch: str = "idle"
 
     def __post_init__(self) -> None:
+        if type(self.workers) is not int:
+            raise ValueError(f"workers must be an integer, not {self.workers!r}")
         if self.workers < 1:
             raise ValueError("need at least one worker")
         if self.dispatch not in ("idle", "roundrobin"):
@@ -99,7 +109,7 @@ class CostModel:
     def __post_init__(self) -> None:
         for name in ("t_proc", "t_msg", "t_master"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
         if self.t_proc == 0 and self.t_msg == 0 and self.t_master == 0:
             raise ValueError("at least one cost must be positive")
@@ -189,8 +199,9 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
 
     As in Execution._drain, elements are plain (identifier, indices,
     value) tuples, and each binary relation parks its operands in its own
-    dict keyed by the index list. Units and the totals derived at
-    quiescence are as the module docstring describes.
+    dict keyed by the index list. Units, the totals derived at
+    quiescence, the hand-off to a freed worker and the tie test on due
+    times are as the module docstring describes.
     """
     workers = machine.workers
     t_proc, t_msg, t_master = costs.t_proc, costs.t_msg, costs.t_master
@@ -212,11 +223,15 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     # worker after the cursor stops there and wraps to the start.
     idle = [True] * (workers + 1)
     idle_count = workers
+    # The worker the last finish freed, kept out of idle: the dispatch
+    # pass hands it the next unit or, with no work, puts it back.
+    freed = -1
     cursor = workers - 1  # roundrobin: next scan starts after this worker
     # (due, worker, unit) in due order: finishing holds dispatched units;
     # a finished entry moves to arriving as it is and arrives t_msg later.
     finishing: deque[tuple] = deque()
     arriving: deque[tuple] = deque()
+    last_due = -1  # due time of the last dispatch; every due is positive
     now = 0
     master_free = 0
     events = 0
@@ -311,45 +326,52 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                     if pending:
                         break
                 else:
+                    if freed >= 0:
+                        idle[freed] = True
+                        freed = -1
                     break
             unit = next_unit()
-            if roundrobin:
-                w = idle.index(True, cursor + 1)
-                if w == workers:
-                    w = idle.index(True)
-                cursor = w
+            if freed >= 0:
+                w = freed
+                freed = -1
             else:
-                w = idle.index(True)
-            idle[w] = False
+                if roundrobin:
+                    w = idle.index(True, cursor + 1)
+                    if w == workers:
+                        w = idle.index(True)
+                else:
+                    w = idle.index(True)
+                idle[w] = False
+            cursor = w
             idle_count -= 1
             send = (master_free if master_free > now else now) + t_master
             master_free = send
             per_processed[w] += unit[0]
             per_units[w] += 1
-            entry = (send + t_msg + t_proc, w, unit)
-            if finishing and entry < finishing[-1]:
-                insort(finishing, entry)  # t_master = 0 tie, lower worker
+            due = send + t_msg + t_proc
+            # Dues never fall, so only an equal due can order before the
+            # last entry: a t_master = 0 tie, sent to a lower worker.
+            if due == last_due and w < finishing[-1][1]:
+                insort(finishing, (due, w, unit))
             else:
-                finishing.append(entry)
+                finishing.append((due, w, unit))
+            last_due = due
             if on_event is not None:
                 on_event(("dispatch", send, w, unit[0]))
         if on_event is not None:
             on_event(("idle_state", now, len(queue), idle_count, len(pending)))
 
-        if not finishing and not arriving:
-            break
-        events += 1
-        if events > max_events:
+        if events >= max_events and (finishing or arriving):
             raise SimulationLimitError(f"exceeded {max_events} events")
-        if finishing and (not arriving or finishing[0][0] <= arriving[0][0] + t_msg):
+        events += 1
+        if finishing and not (arriving and arriving[0][0] + t_msg < finishing[0][0]):
             entry = finishing.popleft()
-            now, w, _ = entry
-            idle[w] = True
+            now, freed, _ = entry
             idle_count += 1
             arriving.append(entry)
             if on_event is not None:
-                on_event(("finish", now, w))
-        else:
+                on_event(("finish", now, freed))
+        elif arriving:
             now, w, unit = arriving.popleft()
             now += t_msg
             created = unit[1]
@@ -367,6 +389,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
             if on_event is not None:
                 on_event(("arrival", now, w, 1 if created.__class__ is tuple
                           else 0 if created is None else len(created)))
+        else:
+            break
 
     if any(joins.values()):
         raise _deadlock_error(joins, program.names, "machine ")

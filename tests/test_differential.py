@@ -242,18 +242,34 @@ def test_step_and_trace_match_run_exactly(program, discipline):
 
 
 def audited(config, costs):
-    """simulate() whose Metrics must validate and whose totals must match
-    counts taken from its own on_event stream."""
+    """simulate() whose Metrics must validate, whose totals must match
+    counts taken from its own on_event stream, and whose every dispatch
+    must go where the policy says, given the idle workers rebuilt from the
+    dispatch and finish events: the lowest idle worker under "idle", the
+    first idle worker after the last pick, wrapping, under "roundrobin"."""
     def execute(program):
         events = []
         metrics = validate_metrics(simulate(program, config, costs,
                                             on_event=events.append))
         units, operands = [0] * config.workers, [0] * config.workers
         created = returns = 0
+        idle = set(range(config.workers))
+        last = config.workers - 1
         for event in events:
             if event[0] == "dispatch":
-                units[event[2]] += 1
-                operands[event[2]] += event[3]
+                w = event[2]
+                after = [v for v in idle if v > last]
+                if config.dispatch == "idle" or not after:
+                    after = idle
+                assert w == min(after), (event, sorted(idle), last)
+                idle.remove(w)
+                last = w
+                units[w] += 1
+                operands[w] += event[3]
+            elif event[0] == "finish":
+                idle.add(event[2])
+            elif event[0] == "idle_state":
+                assert event[3] == len(idle)
             elif event[0] == "arrival":
                 created += event[3]
                 returns += max(1, event[3])

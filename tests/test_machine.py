@@ -41,6 +41,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MachineConfig(workers=0)
 
+    @pytest.mark.parametrize("workers", [2.0, True, False, "2", None])
+    def test_workers_plain_int(self, workers):
+        # a float count used to fail mid-run with a bare TypeError, and
+        # True simulated one worker
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            MachineConfig(workers=workers)
+
     def test_dispatch_policy_names(self):
         with pytest.raises(ValueError):
             MachineConfig(workers=2, dispatch="fastest")
@@ -48,6 +55,12 @@ class TestConfigValidation:
     def test_costs_non_negative(self):
         with pytest.raises(ValueError):
             CostModel(t_proc=-1)
+
+    @pytest.mark.parametrize("name", ["t_proc", "t_msg", "t_master"])
+    @pytest.mark.parametrize("value", [1.0, True, False, "1"])
+    def test_costs_plain_int(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+            CostModel(**{name: value})
 
     def test_costs_not_all_zero(self):
         with pytest.raises(ValueError):
