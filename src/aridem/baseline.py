@@ -39,8 +39,6 @@ class CountModel:
 INSTRUCTION_COUNT_MODEL = CountModel(40, 107)
 ELEMENT_COUNT_MODEL = CountModel(14, 10)
 
-PROCESSOR_COUNTS = (2, 4, 8, 16)
-
 
 @dataclass(frozen=True)
 class ReferenceTables:

@@ -296,10 +296,7 @@ class PartialStore:
             return None
         other_slot, other = hit
         if other_slot == slot:
-            raise DuplicateOperandError(
-                f"two elements for slot {slot} of relation {relation.rid} "
-                f"at indices {element.indices}"
-            )
+            raise _duplicate_operand(slot, relation.rid, element.indices)
         del self._waiting[key]
         return (other, element) if other_slot == 0 else (element, other)
 
@@ -311,9 +308,22 @@ class PartialStore:
         return [elem for _, elem in self._waiting.values()]
 
 
+def _overflow(name: str, value: int) -> IntegerOverflowError:
+    """The error every executor raises when name produces an out-of-range value."""
+    return IntegerOverflowError(f"{name} produced {value}, outside 64-bit range")
+
+
+def _duplicate_operand(slot: int, rid: int,
+                       indices: tuple[int, ...]) -> DuplicateOperandError:
+    """The error for a second operand in slot of join rid at indices."""
+    return DuplicateOperandError(
+        f"two elements for slot {slot} of relation {rid} at indices {indices}"
+    )
+
+
 def _check_int64(value: int, context: str) -> int:
     if value > INT64_MAX or value < INT64_MIN:
-        raise IntegerOverflowError(f"{context} produced {value}, outside 64-bit range")
+        raise _overflow(context, value)
     return value
 
 

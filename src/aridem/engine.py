@@ -25,21 +25,27 @@ from typing import Callable, Mapping
 from .core import (
     INT64_MAX,
     INT64_MIN,
-    DuplicateOperandError,
     DuplicateOutputError,
     Element,
-    IntegerOverflowError,
     JoinDeadlockError,
     Operation,
     ProgramError,
     Relation,
     SimulationLimitError,
     TransformKind,
+    _duplicate_operand,
+    _overflow,
 )
 
 TraceFn = Callable[..., None]
 
 DEFAULT_STEP_LIMIT = 100_000_000
+
+
+def _check_budget(name: str, value) -> None:
+    """Reject a step or event budget that is a bool, not an int, or negative."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -155,13 +161,17 @@ class RunResult:
 
 # Plan opcodes. A plan is one flat tuple per (identifier, relation) pair
 # that ends with the relation's rid; the executors dispatch on plan[0]
-# without touching Relation objects.
-_OP_NEGATE = 0
-_OP_SQUARE = 1
+# without touching Relation objects. Both joins compile to one shape,
+# (code, slot, out_id, arg, result_id, rid): arg is MulPair's compiled
+# transform or SumStep's limit, and result_id is SumStep's result
+# identifier (None for MulPair). The join codes are the lowest, so
+# code <= _OP_SUM selects the one join branch of each executor.
+_OP_MUL = 0
+_OP_SUM = 1
 _OP_REPLICATE = 2
-_OP_MUL = 3
-_OP_SUM = 4
-_OP_SINK = 5
+_OP_SINK = 3
+_OP_NEGATE = 4
+_OP_SQUARE = 5
 
 
 def _compile_transform(transform) -> Callable | None:
@@ -213,18 +223,16 @@ def _compile_plans(program: Program) -> _Compiled:
             plans[first].append(
                 (_OP_REPLICATE, rel.output_identifier, t.position, t.count, rid)
             )
-        elif op is Operation.MUL_PAIR:
+        elif op is Operation.MUL_PAIR or op is Operation.SUM_STEP:
             binary.append(rid)
-            tf = _compile_transform(rel.index_transform)
+            if op is Operation.SUM_STEP:
+                code, (arg, result_id) = _OP_SUM, rel.parameters
+            else:
+                code, result_id = _OP_MUL, None
+                arg = _compile_transform(rel.index_transform)
+            out_id = rel.output_identifier
             for slot, ident in enumerate(rel.input_identifiers):
-                plans[ident].append((_OP_MUL, slot, rel.output_identifier, tf, rid))
-        elif op is Operation.SUM_STEP:
-            binary.append(rid)
-            limit, result_id = rel.parameters
-            for slot, ident in enumerate(rel.input_identifiers):
-                plans[ident].append(
-                    (_OP_SUM, slot, rel.output_identifier, limit, result_id, rid)
-                )
+                plans[ident].append((code, slot, out_id, arg, result_id, rid))
         else:
             raise ProgramError(f"unknown operation {op!r}")
     return _Compiled(
@@ -303,9 +311,9 @@ class Execution:
     so tests can prove that. trace, when given, is called with
     ("pop", element), ("apply", relation, operands), ("create", element)
     and ("output", indices, value), where operands is an ordered
-    (left, right) pair for a join. max_steps bounds the elements
-    processed, as max_events bounds simulate(): a program that would
-    process more raises SimulationLimitError.
+    (left, right) pair for a join. max_steps, a non-negative int, bounds
+    the elements processed, as max_events bounds simulate(): a program
+    that would process more raises SimulationLimitError.
     """
 
     def __init__(self, program: Program, discipline: str = "fifo",
@@ -313,6 +321,7 @@ class Execution:
                  max_steps: int = DEFAULT_STEP_LIMIT) -> None:
         if discipline not in ("fifo", "lifo"):
             raise ValueError(f"unknown discipline {discipline!r}")
+        _check_budget("max_steps", max_steps)
         self.program = program
         self._discipline = discipline
         self.trace = trace
@@ -414,8 +423,8 @@ class Execution:
                 ident, idx, val = element
                 for plan in plans[ident]:
                     code = plan[0]
-                    if code == _OP_SUM:
-                        _, slot, out_id, limit, result_id, rid = plan
+                    if code <= _OP_SUM:
+                        _, slot, out_id, arg, result_id, rid = plan
                         parked = joins[rid]
                         hit = parked.pop(idx, None)
                         if hit is None:
@@ -428,49 +437,21 @@ class Execution:
                         # identifier means the same slot
                         if hit[0] == ident:
                             parked[idx] = hit
-                            raise DuplicateOperandError(
-                                f"two elements for slot {slot} of relation "
-                                f"{rid} at indices {idx}"
-                            )
+                            raise _duplicate_operand(slot, rid, idx)
                         psize -= 1
-                        total = val + hit[2]
-                        if total > hi or total < lo:
-                            raise IntegerOverflowError(
-                                f"SumStep produced {total}, outside 64-bit range"
-                            )
-                        nxt = idx[-1] + 1
-                        if nxt == limit:
-                            out = (result_id, idx[:-1], total)
+                        if code == _OP_SUM:
+                            value = val + hit[2]
+                            nxt = idx[-1] + 1
+                            if nxt == arg:
+                                out = (result_id, idx[:-1], value)
+                            else:
+                                out = (out_id, idx[:-1] + (nxt,), value)
                         else:
-                            out = (out_id, idx[:-1] + (nxt,), total)
-                        if trace is None:
-                            append(out)
-                        else:
-                            pair = (shown, Element._make(hit))
-                            emit(rid, pair if slot == 0 else pair[::-1], (out,))
-                    elif code == _OP_MUL:
-                        _, slot, out_id, tf, rid = plan
-                        parked = joins[rid]
-                        hit = parked.pop(idx, None)
-                        if hit is None:
-                            parked[idx] = element
-                            psize += 1
-                            if psize > max_partial:
-                                max_partial = psize
-                            continue
-                        if hit[0] == ident:
-                            parked[idx] = hit
-                            raise DuplicateOperandError(
-                                f"two elements for slot {slot} of relation "
-                                f"{rid} at indices {idx}"
-                            )
-                        psize -= 1
-                        product = val * hit[2]
-                        if product > hi or product < lo:
-                            raise IntegerOverflowError(
-                                f"MulPair produced {product}, outside 64-bit range"
-                            )
-                        out = (out_id, idx if tf is None else tf(idx), product)
+                            value = val * hit[2]
+                            out = (out_id, idx if arg is None else arg(idx), value)
+                        if value > hi or value < lo:
+                            raise _overflow(
+                                "SumStep" if code == _OP_SUM else "MulPair", value)
                         if trace is None:
                             append(out)
                         else:
@@ -496,19 +477,11 @@ class Execution:
                             outputs[idx] = val
                             if trace is not None:
                                 trace("output", idx, val)
-                    else:
-                        if code == _OP_NEGATE:
-                            value = -val
-                            if value > hi or value < lo:
-                                raise IntegerOverflowError(
-                                    f"Negate produced {value}, outside 64-bit range"
-                                )
-                        else:  # _OP_SQUARE
-                            value = val * val
-                            if value > hi:
-                                raise IntegerOverflowError(
-                                    f"Square produced {value}, outside 64-bit range"
-                                )
+                    else:  # _OP_NEGATE or _OP_SQUARE
+                        value = -val if code == _OP_NEGATE else val * val
+                        if value > hi or value < lo:
+                            raise _overflow(
+                                "Negate" if code == _OP_NEGATE else "Square", value)
                         _, out_id, tf, rid = plan
                         out = (out_id, idx if tf is None else tf(idx), value)
                         if trace is None:

@@ -14,10 +14,13 @@ the return, so a unit that deduces nothing still sends one completion.
 The master expands elements into units on the plans the Program was
 compiled to when it was built (the per-identifier opcode tuples that
 Execution._drain executes), not through apply_relation and
-PartialStore. A unit is (operand count, created): created is the one
-element a unit deduces, a list for Replicate, and None for a sink, whose
-unit carries the output record as a third item (None unless it sinks the
-result). A join parks the bare element tuple.
+PartialStore. MulPair and SumStep plans share one shape, so one join
+branch parks, matches and checks for a duplicate operand before the
+arithmetic of either; Negate and Square share one unary branch. A unit
+is (operand count, created): created is the one element a unit deduces,
+a list for Replicate, and None for a sink, whose unit carries the output
+record as a third item (None unless it sinks the result). A join parks
+the bare element tuple.
 
 The loop counts only units per worker, and operands per worker. The other
 totals follow at quiescence, where every element has been popped and
@@ -57,18 +60,18 @@ from dataclasses import dataclass, field
 from .core import (
     INT64_MAX,
     INT64_MIN,
-    DuplicateOperandError,
     DuplicateOutputError,
-    IntegerOverflowError,
     SimulationLimitError,
+    _duplicate_operand,
+    _overflow,
 )
 from .engine import (
-    _OP_MUL,
     _OP_NEGATE,
     _OP_REPLICATE,
     _OP_SINK,
     _OP_SUM,
     Program,
+    _check_budget,
     _deadlock_error,
     _without_gc,
 )
@@ -186,10 +189,11 @@ def simulate(program: Program, machine: MachineConfig,
     operands still parked raises JoinDeadlockError with run()'s text,
     prefixed "machine ".
 
-    Cyclic GC is off for the whole call, as in Execution.run: the live
-    set of queued and parked elements holds no cycles. GC is left as it
-    was found, also when the run raises.
+    max_events must be a non-negative int. Cyclic GC is off for the whole
+    call, as in Execution.run: the live set of queued and parked elements
+    holds no cycles. GC is left as it was found, also when the run raises.
     """
+    _check_budget("max_events", max_events)
     return _without_gc(_simulate, program, machine, costs, max_events, on_event)
 
 
@@ -251,8 +255,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                     ident, idx, val = element
                     for plan in plans[ident]:
                         code = plan[0]
-                        if code == _OP_SUM:
-                            _, slot, out_id, limit, result_id, rid = plan
+                        if code <= _OP_SUM:
+                            _, slot, out_id, arg, result_id, rid = plan
                             parked = joins[rid]
                             hit = parked.pop(idx, None)
                             if hit is None:
@@ -261,41 +265,22 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                             # a join's two identifiers differ, so the same
                             # identifier means the same slot
                             if hit[0] == ident:
-                                raise DuplicateOperandError(
-                                    f"two elements for slot {slot} of relation "
-                                    f"{rid} at indices {idx}"
-                                )
-                            total = val + hit[2]
-                            if total > hi or total < lo:
-                                raise IntegerOverflowError(
-                                    f"SumStep produced {total}, outside 64-bit range"
-                                )
-                            joined += 1
-                            nxt = idx[-1] + 1
-                            if nxt == limit:
-                                add_unit((2, (result_id, idx[:-1], total)))
+                                raise _duplicate_operand(slot, rid, idx)
+                            if code == _OP_SUM:
+                                value = val + hit[2]
+                                nxt = idx[-1] + 1
+                                if nxt == arg:
+                                    out = (result_id, idx[:-1], value)
+                                else:
+                                    out = (out_id, idx[:-1] + (nxt,), value)
                             else:
-                                add_unit((2, (out_id, idx[:-1] + (nxt,), total)))
-                        elif code == _OP_MUL:
-                            _, slot, out_id, tf, rid = plan
-                            parked = joins[rid]
-                            hit = parked.pop(idx, None)
-                            if hit is None:
-                                parked[idx] = element
-                                continue
-                            if hit[0] == ident:
-                                raise DuplicateOperandError(
-                                    f"two elements for slot {slot} of relation "
-                                    f"{rid} at indices {idx}"
-                                )
-                            product = val * hit[2]
-                            if product > hi or product < lo:
-                                raise IntegerOverflowError(
-                                    f"MulPair produced {product}, outside 64-bit range"
-                                )
+                                value = val * hit[2]
+                                out = (out_id, idx if arg is None else arg(idx), value)
+                            if value > hi or value < lo:
+                                raise _overflow(
+                                    "SumStep" if code == _OP_SUM else "MulPair", value)
                             joined += 1
-                            add_unit((2, (out_id, idx if tf is None else tf(idx),
-                                          product)))
+                            add_unit((2, out))
                         elif code == _OP_REPLICATE:
                             _, out_id, pos, count, _ = plan
                             head, tail = idx[:pos], idx[pos:]
@@ -305,24 +290,13 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                         elif code == _OP_SINK:
                             add_unit((1, None, (idx, val) if plan[1] else None))
                             sinks += 1
-                        elif code == _OP_NEGATE:
-                            value = -val
+                        else:  # _OP_NEGATE or _OP_SQUARE
+                            value = -val if code == _OP_NEGATE else val * val
                             if value > hi or value < lo:
-                                raise IntegerOverflowError(
-                                    f"Negate produced {value}, outside 64-bit range"
-                                )
-                            tf = plan[2]
-                            add_unit((1, (plan[1], idx if tf is None else tf(idx),
-                                          value)))
-                        else:  # _OP_SQUARE
-                            value = val * val
-                            if value > hi:
-                                raise IntegerOverflowError(
-                                    f"Square produced {value}, outside 64-bit range"
-                                )
-                            tf = plan[2]
-                            add_unit((1, (plan[1], idx if tf is None else tf(idx),
-                                          value)))
+                                raise _overflow(
+                                    "Negate" if code == _OP_NEGATE else "Square", value)
+                            _, out_id, tf, _ = plan
+                            add_unit((1, (out_id, idx if tf is None else tf(idx), value)))
                     if pending:
                         break
                 else:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import pickle
+import re
 
 import pytest
 
@@ -714,6 +715,26 @@ class TestStepBudget:
         assert run(build_negate_demo(), trace=trace, max_steps=2).outputs == {(): -5}
         with pytest.raises(SimulationLimitError, match=r"^exceeded 1 steps$"):
             run(build_negate_demo(), trace=trace, max_steps=1)
+
+    @pytest.mark.parametrize("budget", [2.5, True, False, "10", None, -1])
+    @pytest.mark.parametrize("make", [
+        lambda p, budget: Execution(p, max_steps=budget),
+        lambda p, budget: run(p, max_steps=budget),
+        lambda p, budget: run(p, trace=lambda *event: None, max_steps=budget),
+    ], ids=["Execution", "run", "traced"])
+    def test_budget_checked_when_the_run_is_set_up(self, make, budget):
+        # 2.5 used to raise a bare TypeError mid-run, True ran one step
+        # and -1 raised SimulationLimitError
+        with pytest.raises(ValueError,
+                           match=f"^max_steps must be a non-negative integer, "
+                                 f"not {re.escape(repr(budget))}$"):
+            make(build_negate_demo(), budget)
+
+    def test_zero_budget_allowed(self):
+        ex = Execution(build_negate_demo(), max_steps=0)
+        with pytest.raises(SimulationLimitError, match=r"^exceeded 0 steps$"):
+            ex.step()
+        assert ex.elements_processed == 0
 
     def test_steps_count_against_run(self):
         ex = Execution(_cyclic_program(), max_steps=5)

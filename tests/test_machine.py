@@ -1,4 +1,5 @@
 import gc
+import re
 
 import pytest
 
@@ -6,6 +7,7 @@ from aridem import (
     CostModel,
     DuplicateOperandError,
     DuplicateOutputError,
+    Execution,
     IntegerOverflowError,
     JoinDeadlockError,
     MachineConfig,
@@ -65,6 +67,22 @@ class TestConfigValidation:
     def test_costs_not_all_zero(self):
         with pytest.raises(ValueError):
             CostModel(t_proc=0, t_msg=0, t_master=0)
+
+    @pytest.mark.parametrize("budget", [2.5, True, False, "10", None, -1])
+    def test_event_budget_checked_before_the_run(self, budget):
+        # True and 2.5 used to run and stop with "exceeded True events",
+        # and -1 with SimulationLimitError
+        events = []
+        with pytest.raises(ValueError,
+                           match=f"^max_events must be a non-negative integer, "
+                                 f"not {re.escape(repr(budget))}$"):
+            simulate(build_negate_demo(), MachineConfig(workers=1),
+                     max_events=budget, on_event=events.append)
+        assert events == []
+
+    def test_event_budget_zero_allowed(self):
+        with pytest.raises(SimulationLimitError, match=r"^exceeded 0 events$"):
+            simulate(build_negate_demo(), MachineConfig(workers=1), max_events=0)
 
 
 class TestNegateSchedule:
@@ -378,16 +396,27 @@ def _two_join_program(initial):
         {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}, result=4)
 
 
+def _stepped(program):
+    """step() to quiescence, then run(), which reports a deadlock."""
+    execution = Execution(program)
+    while execution.step():
+        pass
+    return execution.run()
+
+
 class TestErrorMessages:
-    """simulate() raises the same error classes and texts as run()."""
+    """step(), a traced run() and simulate() raise the same error classes
+    and texts as run()."""
 
     CONFIGS = [MachineConfig(workers=p, dispatch=d)
                for p in (1, 3) for d in ("idle", "roundrobin")]
 
     def check(self, program, error, message, machine_message=None):
-        with pytest.raises(error) as from_run:
-            run(program)
-        assert str(from_run.value) == message
+        for execute in (run, _stepped, lambda p: run(p, trace=lambda *e: None)):
+            with pytest.raises(error) as from_engine:
+                execute(program)
+            assert type(from_engine.value) is error
+            assert str(from_engine.value) == message
         for config in self.CONFIGS:
             with pytest.raises(error) as from_machine:
                 simulate(program, config)
