@@ -70,18 +70,21 @@ class Operation(Enum):
     SINK = auto()
 
 
-BINARY_OPERATIONS = frozenset({Operation.MUL_PAIR, Operation.SUM_STEP})
-# The build checks test these by identity: on CPython 3.11 both an enum
-# class attribute and Enum.__hash__ cost a Python-level call.
-_MUL_PAIR, _SUM_STEP = Operation.MUL_PAIR, Operation.SUM_STEP
-
-
 class TransformKind(Enum):
     KEEP = auto()
     DROP = auto()
     INSERT_VARIED = auto()
     INCREMENT_LAST = auto()
     TRUNCATE = auto()
+
+
+# The build path tests members by identity through these aliases: on CPython
+# 3.11 an enum class attribute read and Enum.__hash__ each cost a Python call.
+_NEGATE, _SQUARE, _REPLICATE = Operation.NEGATE, Operation.SQUARE, Operation.REPLICATE
+_MUL_PAIR, _SUM_STEP, _SINK = Operation.MUL_PAIR, Operation.SUM_STEP, Operation.SINK
+_KEEP, _DROP, _TRUNCATE = TransformKind.KEEP, TransformKind.DROP, TransformKind.TRUNCATE
+_INSERT_VARIED, _INCREMENT_LAST = TransformKind.INSERT_VARIED, TransformKind.INCREMENT_LAST
+BINARY_OPERATIONS = frozenset({_MUL_PAIR, _SUM_STEP})
 
 
 @dataclass(frozen=True)
@@ -104,51 +107,51 @@ class IndexTransform:
     def __post_init__(self) -> None:
         if self.position < 0 or self.count < 0:
             raise ProgramError("transform position and count must be non-negative")
-        if self.kind is TransformKind.INSERT_VARIED and self.count < 1:
+        if self.kind is _INSERT_VARIED and self.count < 1:
             raise ProgramError("InsertVaried needs a positive count")
 
     @classmethod
     def keep(cls) -> "IndexTransform":
-        return cls(TransformKind.KEEP)
+        return cls(_KEEP)
 
     @classmethod
     def drop(cls, position: int) -> "IndexTransform":
-        return cls(TransformKind.DROP, position=position)
+        return cls(_DROP, position=position)
 
     @classmethod
     def insert_varied(cls, position: int, count: int) -> "IndexTransform":
-        return cls(TransformKind.INSERT_VARIED, position=position, count=count)
+        return cls(_INSERT_VARIED, position=position, count=count)
 
     @classmethod
     def increment_last(cls) -> "IndexTransform":
-        return cls(TransformKind.INCREMENT_LAST)
+        return cls(_INCREMENT_LAST)
 
     @classmethod
     def truncate_to(cls, count: int) -> "IndexTransform":
-        return cls(TransformKind.TRUNCATE, count=count)
+        return cls(_TRUNCATE, count=count)
 
     def output_arity(self, input_arity: int) -> int:
         """Arity of each produced index list given the input arity."""
         kind = self.kind
-        if kind is TransformKind.KEEP:
+        if kind is _KEEP:
             return input_arity
-        if kind is TransformKind.INCREMENT_LAST:
+        if kind is _INCREMENT_LAST:
             if input_arity < 1:
                 raise ProgramError("IncrementLast needs at least one index")
             return input_arity
-        if kind is TransformKind.DROP:
+        if kind is _DROP:
             if self.position >= input_arity:
                 raise ProgramError(
                     f"cannot drop index {self.position} from arity {input_arity}"
                 )
             return input_arity - 1
-        if kind is TransformKind.INSERT_VARIED:
+        if kind is _INSERT_VARIED:
             if self.position > input_arity:
                 raise ProgramError(
                     f"cannot insert at position {self.position} into arity {input_arity}"
                 )
             return input_arity + 1
-        if kind is TransformKind.TRUNCATE:
+        if kind is _TRUNCATE:
             if self.count > input_arity:
                 raise ProgramError(
                     f"cannot truncate arity {input_arity} to {self.count}"
@@ -163,20 +166,20 @@ class IndexTransform:
         yields count of them.
         """
         kind = self.kind
-        if kind is TransformKind.KEEP:
+        if kind is _KEEP:
             return [indices]
-        if kind is TransformKind.DROP:
+        if kind is _DROP:
             p = self.position
             return [indices[:p] + indices[p + 1 :]]
-        if kind is TransformKind.INSERT_VARIED:
+        if kind is _INSERT_VARIED:
             p = self.position
             head, tail = indices[:p], indices[p:]
             return [head + (j,) + tail for j in range(self.count)]
-        if kind is TransformKind.INCREMENT_LAST:
+        if kind is _INCREMENT_LAST:
             if not indices:
                 raise ProgramError("IncrementLast needs at least one index")
             return [indices[:-1] + (indices[-1] + 1,)]
-        if kind is TransformKind.TRUNCATE:
+        if kind is _TRUNCATE:
             return [indices[: self.count]]
         raise ProgramError(f"unknown transform kind {kind!r}")
 
@@ -202,7 +205,7 @@ class Relation:
     def __post_init__(self) -> None:
         ids = self.input_identifiers
         op = self.operation
-        if min(ids, default=0) < 0 or self.output_identifier < 0:
+        if (ids and min(ids) < 0) or self.output_identifier < 0:
             raise ProgramError("identifiers must be non-negative")
         if op is _MUL_PAIR or op is _SUM_STEP:
             if len(ids) != 2:
@@ -213,10 +216,10 @@ class Relation:
             raise ProgramError(f"{op.name} takes exactly one input identifier")
 
         kind = self.index_transform.kind
-        if op is Operation.REPLICATE:
+        if op is _REPLICATE:
             if len(self.parameters) != 1 or self.parameters[0] < 1:
                 raise ProgramError("Replicate takes one positive parameter")
-            if kind is not TransformKind.INSERT_VARIED:
+            if kind is not _INSERT_VARIED:
                 raise ProgramError("Replicate requires an InsertVaried transform")
             if self.index_transform.count != self.parameters[0]:
                 raise ProgramError("Replicate fan-out must match transform count")
@@ -226,12 +229,12 @@ class Relation:
             limit, result_id = self.parameters
             if limit < 1 or result_id < 0:
                 raise ProgramError("SumStep limit must be positive, result id non-negative")
-            if kind is not TransformKind.INCREMENT_LAST:
+            if kind is not _INCREMENT_LAST:
                 raise ProgramError("SumStep requires an IncrementLast transform")
         else:
             if self.parameters:
                 raise ProgramError(f"{op.name} takes no parameters")
-            if kind is TransformKind.INSERT_VARIED:
+            if kind is _INSERT_VARIED:
                 raise ProgramError(f"{op.name} cannot use an InsertVaried transform")
 
     def is_binary(self) -> bool:
@@ -347,7 +350,7 @@ def apply_relation(relation: Relation, operands) -> list[Element]:
             )
         if left.indices != right.indices:
             raise ProgramError("binary operands must share one index list")
-        if op is Operation.MUL_PAIR:
+        if op is _MUL_PAIR:
             value = _check_int64(left.value * right.value, "MulPair")
             indices = transform.apply(left.indices)[0]
             return [Element(out_id, indices, value)]
@@ -368,16 +371,16 @@ def apply_relation(relation: Relation, operands) -> list[Element]:
             f"operand {element.identifier} does not match relation input "
             f"{relation.input_identifiers[0]}"
         )
-    if op is Operation.SINK:
+    if op is _SINK:
         return []
-    if op is Operation.REPLICATE:
+    if op is _REPLICATE:
         return [
             Element(out_id, indices, element.value)
             for indices in transform.apply(element.indices)
         ]
-    if op is Operation.NEGATE:
+    if op is _NEGATE:
         value = _check_int64(-element.value, "Negate")
-    elif op is Operation.SQUARE:
+    elif op is _SQUARE:
         value = _check_int64(element.value * element.value, "Square")
     else:
         raise ProgramError(f"unknown operation {op!r}")

@@ -1,17 +1,17 @@
 """Sequential deduction engine.
 
 Runs a Program to quiescence: pop an element, apply every relation that
-consumes its identifier, push whatever was deduced. A Program is
-compiled once, when it is built, into per-identifier plans: flat tuples
-that name an opcode and its operands, in relation order. One loop,
-Execution._drain, executes those plans over plain tuples, which is what
-keeps large runs affordable in pure Python; step() takes one element
-through it and run() takes all of them, traced or not. Parked operands
-are listed in (relation id, index list) order, which no processing order
-can change, so every executor names the same first one when a run
-deadlocks. machine.simulate executes the same plans. The paths are tested
-against each other and against a reference loop over
-core.apply_relation and PartialStore.offer.
+consumes its identifier, push whatever was deduced. When a Program is
+built, one pass over its relations validates each one and compiles it
+into per-identifier plans: flat tuples that name an opcode and its
+operands, in relation order. One loop, Execution._drain, executes those
+plans over plain tuples, which is what keeps large runs affordable in
+pure Python; step() takes one element through it and run() takes all
+of them, traced or not. Parked operands are listed in (relation id,
+index list) order, which no processing order can change, so every
+executor names the same first one when a run deadlocks. machine.simulate
+executes the same plans. The paths are tested against each other and
+against a reference loop over core.apply_relation and PartialStore.offer.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ from .core import (
     DuplicateOutputError,
     Element,
     JoinDeadlockError,
-    Operation,
     ProgramError,
     Relation,
     SimulationLimitError,
-    TransformKind,
     _duplicate_operand,
     _overflow,
 )
+from .core import _DROP, _INCREMENT_LAST, _KEEP, _TRUNCATE
+from .core import _MUL_PAIR, _NEGATE, _REPLICATE, _SINK, _SQUARE, _SUM_STEP
 
 TraceFn = Callable[..., None]
 
@@ -56,11 +56,12 @@ class Program:
     result_identifier is the one whose sink records final outputs. names
     is optional and only used for display.
 
-    The program is validated and compiled once, when it is built; every
-    executor runs the compiled plans. A built Program is frozen: it keeps
-    the relations of its RelationStore as a tuple (relations added to the
-    store later are not seen), the initial elements as a tuple, and
-    read-only copies of arities and names, and assigning any field raises.
+    One pass over the relations validates and compiles the program, once,
+    when it is built; every executor runs the compiled plans. A built
+    Program is frozen: it keeps the relations of its RelationStore as a
+    tuple (relations added to the store later are not seen), the initial
+    elements as a tuple, and read-only copies of arities and names, and
+    assigning any field raises.
     """
 
     relations: tuple[Relation, ...]
@@ -76,7 +77,6 @@ class Program:
                             ("arities", MappingProxyType(dict(self.arities))),
                             ("names", MappingProxyType(dict(self.names)))):
             object.__setattr__(self, name, value)
-        self.validate()
         object.__setattr__(self, "_compiled", _compile_plans(self))
 
     def __reduce__(self):
@@ -86,66 +86,6 @@ class Program:
 
     def identifier_name(self, identifier: int) -> str:
         return self.names.get(identifier, f"id{identifier}")
-
-    def validate(self) -> None:
-        arities = self.arities
-        if min(arities.values(), default=0) < 0:
-            raise ProgramError("arities must be non-negative")
-        if self.result_identifier not in arities:
-            raise ProgramError("result identifier has no registered arity")
-
-        for position, rel in enumerate(self.relations):
-            if rel.rid != position:
-                raise ProgramError(
-                    f"relation {position} has rid {rel.rid}: add relations "
-                    f"through one RelationStore"
-                )
-            for ident in rel.input_identifiers:
-                if ident not in arities:
-                    raise ProgramError(f"relation {rel.rid} input {ident} unregistered")
-            in_arity = arities[rel.input_identifiers[0]]
-            if rel.is_binary():
-                other = arities[rel.input_identifiers[1]]
-                if other != in_arity:
-                    raise ProgramError(
-                        f"relation {rel.rid} joins arities {in_arity} and {other}"
-                    )
-            if rel.operation is Operation.SINK:
-                continue
-            if rel.output_identifier not in arities:
-                raise ProgramError(
-                    f"relation {rel.rid} output {rel.output_identifier} unregistered"
-                )
-            out_arity = rel.index_transform.output_arity(in_arity)
-            if arities[rel.output_identifier] != out_arity:
-                raise ProgramError(
-                    f"relation {rel.rid} produces arity {out_arity} but "
-                    f"{rel.output_identifier} is registered at "
-                    f"{arities[rel.output_identifier]}"
-                )
-            if rel.operation is Operation.SUM_STEP:
-                result_id = rel.parameters[1]
-                if result_id not in arities:
-                    raise ProgramError(
-                        f"SumStep result identifier {result_id} unregistered"
-                    )
-                if arities[result_id] != in_arity - 1:
-                    raise ProgramError(
-                        "SumStep result arity must be one less than its input"
-                    )
-
-        for elem in self.initial_elements:
-            if elem.identifier not in arities:
-                raise ProgramError(f"initial element identifier {elem.identifier} unregistered")
-            if len(elem.indices) != arities[elem.identifier]:
-                raise ProgramError(
-                    f"initial element {elem} has arity {len(elem.indices)}, "
-                    f"expected {arities[elem.identifier]}"
-                )
-            if elem.value > INT64_MAX or elem.value < INT64_MIN:
-                raise ProgramError(f"initial value {elem.value} outside 64-bit range")
-            if elem.indices and min(elem.indices) < 0:
-                raise ProgramError("initial indices must be non-negative")
 
 
 @dataclass
@@ -177,14 +117,14 @@ _OP_SQUARE = 5
 def _compile_transform(transform) -> Callable | None:
     """Single-output transform as a tuple->tuple callable, None for identity."""
     kind = transform.kind
-    if kind is TransformKind.KEEP:
+    if kind is _KEEP:
         return None
-    if kind is TransformKind.DROP:
+    if kind is _DROP:
         p = transform.position
         return lambda idx: idx[:p] + idx[p + 1 :]
-    if kind is TransformKind.INCREMENT_LAST:
+    if kind is _INCREMENT_LAST:
         return lambda idx: idx[:-1] + (idx[-1] + 1,)
-    if kind is TransformKind.TRUNCATE:
+    if kind is _TRUNCATE:
         k = transform.count
         return lambda idx: idx[:k]
     raise ProgramError(f"transform {kind!r} has no single-output form")
@@ -207,34 +147,84 @@ class _Compiled:
 
 
 def _compile_plans(program: Program) -> _Compiled:
-    plans: dict[int, list[tuple]] = {ident: [] for ident in program.arities}
+    """Check program and compile its plans in one walk over its relations.
+    The checks fire in order: arities, result identifier, each relation,
+    each initial element, and last an operation that is not an Operation."""
+    arities = program.arities
+    if arities and min(arities.values()) < 0:
+        raise ProgramError("arities must be non-negative")
+    result = program.result_identifier
+    if result not in arities:
+        raise ProgramError("result identifier has no registered arity")
+
+    plans: dict[int, list[tuple]] = {ident: [] for ident in arities}
     binary = []
-    for rel in program.relations:
-        op, rid = rel.operation, rel.rid
-        first = rel.input_identifiers[0]
-        if op is Operation.SINK:
-            plans[first].append((_OP_SINK, first == program.result_identifier, rid))
-        elif op is Operation.NEGATE or op is Operation.SQUARE:
-            code = _OP_NEGATE if op is Operation.NEGATE else _OP_SQUARE
-            tf = _compile_transform(rel.index_transform)
-            plans[first].append((code, rel.output_identifier, tf, rid))
-        elif op is Operation.REPLICATE:
-            t = rel.index_transform
-            plans[first].append(
-                (_OP_REPLICATE, rel.output_identifier, t.position, t.count, rid)
+    unknown = None
+    for position, rel in enumerate(program.relations):
+        rid = rel.rid
+        if rid != position:
+            raise ProgramError(
+                f"relation {position} has rid {rid}: add relations "
+                f"through one RelationStore"
             )
-        elif op is Operation.MUL_PAIR or op is Operation.SUM_STEP:
-            binary.append(rid)
-            if op is Operation.SUM_STEP:
+        ids = rel.input_identifiers
+        for ident in ids:
+            if ident not in arities:
+                raise ProgramError(f"relation {rid} input {ident} unregistered")
+        op, first = rel.operation, ids[0]
+        in_arity = arities[first]
+        if op is _MUL_PAIR or op is _SUM_STEP:
+            other = arities[ids[1]]
+            if other != in_arity:
+                raise ProgramError(f"relation {rid} joins arities {in_arity} and {other}")
+        if op is _SINK:
+            plans[first].append((_OP_SINK, first == result, rid))
+            continue
+        out_id, t = rel.output_identifier, rel.index_transform
+        if out_id not in arities:
+            raise ProgramError(f"relation {rid} output {out_id} unregistered")
+        out_arity = t.output_arity(in_arity)
+        if arities[out_id] != out_arity:
+            raise ProgramError(
+                f"relation {rid} produces arity {out_arity} but "
+                f"{out_id} is registered at {arities[out_id]}"
+            )
+        if op is _SUM_STEP or op is _MUL_PAIR:
+            if op is _SUM_STEP:
                 code, (arg, result_id) = _OP_SUM, rel.parameters
+                if result_id not in arities:
+                    raise ProgramError(f"SumStep result identifier {result_id} unregistered")
+                if arities[result_id] != in_arity - 1:
+                    raise ProgramError(
+                        "SumStep result arity must be one less than its input"
+                    )
             else:
-                code, result_id = _OP_MUL, None
-                arg = _compile_transform(rel.index_transform)
-            out_id = rel.output_identifier
-            for slot, ident in enumerate(rel.input_identifiers):
+                code, arg, result_id = _OP_MUL, _compile_transform(t), None
+            binary.append(rid)
+            for slot, ident in enumerate(ids):
                 plans[ident].append((code, slot, out_id, arg, result_id, rid))
-        else:
-            raise ProgramError(f"unknown operation {op!r}")
+        elif op is _REPLICATE:
+            plans[first].append((_OP_REPLICATE, out_id, t.position, t.count, rid))
+        elif op is _NEGATE or op is _SQUARE:
+            code = _OP_NEGATE if op is _NEGATE else _OP_SQUARE
+            plans[first].append((code, out_id, _compile_transform(t), rid))
+        elif unknown is None:
+            unknown = ProgramError(f"unknown operation {op!r}")
+
+    for elem in program.initial_elements:
+        if elem.identifier not in arities:
+            raise ProgramError(f"initial element identifier {elem.identifier} unregistered")
+        if len(elem.indices) != arities[elem.identifier]:
+            raise ProgramError(
+                f"initial element {elem} has arity {len(elem.indices)}, "
+                f"expected {arities[elem.identifier]}"
+            )
+        if elem.value > INT64_MAX or elem.value < INT64_MIN:
+            raise ProgramError(f"initial value {elem.value} outside 64-bit range")
+        if elem.indices and min(elem.indices) < 0:
+            raise ProgramError("initial indices must be non-negative")
+    if unknown is not None:
+        raise unknown
     return _Compiled(
         plans={ident: tuple(plan) for ident, plan in plans.items()},
         binary=tuple(binary),
@@ -300,11 +290,11 @@ class Execution:
     count and its peak. Not reusable once the queue drains.
 
     step() and run() drive the same loop, _drain, and may be mixed.
-    discipline, queue and partials are read-only; queue and partials are
-    views built on request (a tuple of Elements, and a view with len(),
-    max_size and pending()); elements_created is elements_processed +
-    len(queue), since every created element is queued and every
-    processed one was popped.
+    discipline, max_steps, queue and partials are read-only; queue and
+    partials are views built on request (a tuple of Elements, and a view
+    with len(), max_size and pending()); elements_created is
+    elements_processed + len(queue), since every created element is
+    queued and every processed one was popped.
 
     discipline picks the ready-queue order: "fifo" (default) or "lifo".
     Quiescent totals are order-independent; the discipline toggle exists
@@ -325,9 +315,12 @@ class Execution:
         self.program = program
         self._discipline = discipline
         self.trace = trace
-        self.max_steps = max_steps
+        self._max_steps = max_steps
         self._queue: deque[tuple] = deque(program.initial_elements)
         self._joins: dict[int, dict] = {rid: {} for rid in program._compiled.binary}
+        # the loop's fixed context, which _drain unpacks in one step
+        self._loop = (self._queue, discipline == "fifo", program._compiled.plans,
+                      self._joins, self._queue.append)
         self._parked = 0
         self._max_parked = 0
         self.outputs: dict[tuple[int, ...], int] = {}
@@ -337,6 +330,10 @@ class Execution:
     @property
     def discipline(self) -> str:
         return self._discipline
+
+    @property
+    def max_steps(self) -> int:
+        return self._max_steps
 
     @property
     def queue(self) -> tuple[Element, ...]:
@@ -358,9 +355,9 @@ class Execution:
         """
         if not self._queue:
             return False
-        if self.elements_processed >= self.max_steps:
-            raise SimulationLimitError(f"exceeded {self.max_steps} steps")
-        self._drain(self.elements_processed + 1)
+        if self.elements_processed >= self._max_steps:
+            raise SimulationLimitError(f"exceeded {self._max_steps} steps")
+        self._drain((self.elements_processed + 1,))
         return True
 
     def run(self) -> RunResult:
@@ -369,9 +366,9 @@ class Execution:
         Raises SimulationLimitError once max_steps elements are processed
         with more still queued. Cyclic GC is off while the loop runs.
         """
-        _without_gc(self._drain, self.max_steps)
+        _without_gc(self._drain, range(self.elements_processed + 1, self._max_steps + 1))
         if self._queue:
-            raise SimulationLimitError(f"exceeded {self.max_steps} steps")
+            raise SimulationLimitError(f"exceeded {self._max_steps} steps")
         return self._finish()
 
     def _finish(self) -> RunResult:
@@ -385,26 +382,25 @@ class Execution:
             max_partial_depth=self._max_parked,
         )
 
-    def _drain(self, stop: int) -> None:
-        """The element loop: process elements until stop of them have been
-        processed in all, or the queue is empty.
+    def _drain(self, counts) -> None:
+        """The element loop: process one element for each number in
+        counts, the elements processed in all once it is done, until
+        counts or the queue runs out.
 
-        The count costs nothing per element: the loop iterates a range
-        that ends at stop. A join pops its partner from its parked dict
+        The count costs nothing per element: step() passes a 1-tuple, and
+        run() a range that ends at max_steps. A join pops its partner from its parked dict
         or parks the element tuple itself. The trace payloads (Elements,
         the Relation looked up by rid, ordered operands) are built only
         when a hook is set. Only the counters are written back on the way
         out, also when the loop raises; the queue and the parked dicts
-        are the state itself.
+        are the state itself. trace and outputs are read on every call,
+        since a caller may assign either between calls.
         """
-        queue = self._queue
-        fifo = self._discipline == "fifo"
-        plans = self.program._compiled.plans
-        joins = self._joins
+        queue, fifo, plans, joins, append = self._loop
         outputs = self.outputs
-        append = queue.append
         trace = self.trace
-        emit = self._emit
+        if trace is not None:
+            emit = self._emit
         hi, lo = INT64_MAX, INT64_MIN
         processed = self.elements_processed
         max_queue = self.max_queue_depth
@@ -412,7 +408,7 @@ class Execution:
         max_partial = self._max_parked
 
         try:
-            for processed in range(processed + 1, stop + 1):
+            for processed in counts:
                 if not queue:
                     processed -= 1
                     break

@@ -104,7 +104,7 @@ class TestFrozenProgram:
 
 class TestProgramValidation:
     def test_unregistered_relation_input(self):
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError, match=r"^relation 0 input 5 unregistered$"):
             tiny_program(
                 [],
                 [Relation((5,), Operation.NEGATE, (), 1, IndexTransform.keep())],
@@ -112,7 +112,7 @@ class TestProgramValidation:
             )
 
     def test_unregistered_relation_output(self):
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError, match=r"^relation 0 output 5 unregistered$"):
             tiny_program(
                 [],
                 [Relation((0,), Operation.NEGATE, (), 5, IndexTransform.keep())],
@@ -120,11 +120,13 @@ class TestProgramValidation:
             )
 
     def test_unregistered_result_identifier(self):
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError,
+                           match=r"^result identifier has no registered arity$"):
             tiny_program([], [], {0: 0}, result=3)
 
     def test_transform_arity_mismatch(self):
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError,
+                           match=r"^relation 0 produces arity 1 but 1 is registered at 2$"):
             tiny_program(
                 [],
                 [Relation((0,), Operation.NEGATE, (), 1, IndexTransform.drop(0))],
@@ -132,7 +134,7 @@ class TestProgramValidation:
             )
 
     def test_binary_inputs_must_share_arity(self):
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError, match=r"^relation 0 joins arities 2 and 1$"):
             tiny_program(
                 [],
                 [Relation((0, 2), Operation.MUL_PAIR, (), 1, IndexTransform.keep())],
@@ -142,13 +144,15 @@ class TestProgramValidation:
     def test_sum_step_result_arity(self):
         rel = Relation((0, 2), Operation.SUM_STEP, (3, 1),
                        0, IndexTransform.increment_last())
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError, match=r"^SumStep result arity must be one "
+                                               r"less than its input$"):
             tiny_program([], [rel], {0: 2, 1: 2, 2: 2})  # result must be arity 1
 
     def test_sum_step_result_unregistered(self):
         rel = Relation((0, 2), Operation.SUM_STEP, (3, 9),
                        0, IndexTransform.increment_last())
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError,
+                           match=r"^SumStep result identifier 9 unregistered$"):
             tiny_program([], [rel], {0: 2, 1: 1, 2: 2})
 
     @pytest.mark.parametrize("relations", [
@@ -157,20 +161,69 @@ class TestProgramValidation:
     ])
     def test_increment_last_needs_an_index(self, relations):
         # rejected when built, not with an IndexError in run()
-        with pytest.raises(ProgramError, match="IncrementLast needs at least one index"):
+        with pytest.raises(ProgramError, match=r"^IncrementLast needs at least one index$"):
             tiny_program([Element(0, (), 5)], relations, {0: 0, 1: 0, 2: 0})
 
     def test_initial_element_arity(self):
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError, match=r"^initial element Element\(identifier=0, "
+                                               r"indices=\(1,\), value=5\) has arity 1, "
+                                               r"expected 0$"):
             tiny_program([Element(0, (1,), 5)], [], {0: 0, 1: 0})
 
     def test_initial_element_value_range(self):
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError, match=r"^initial value 9223372036854775808 "
+                                               r"outside 64-bit range$"):
             tiny_program([Element(0, (), 1 << 63)], [], {0: 0, 1: 0})
 
     def test_initial_element_negative_index(self):
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError, match=r"^initial indices must be non-negative$"):
             tiny_program([Element(0, (-1,), 5)], [], {0: 1, 1: 1})
+
+    # Each case has two or more faults (unregistered identifiers 5 and 7,
+    # an arity of -1, an operation that is not an Operation), and the
+    # message names the one whose check fires first: arities, then the result
+    # identifier, then each relation in rid order and each check of a
+    # relation in turn, then each initial element, and an unknown
+    # operation last.
+    @pytest.mark.parametrize("initial, relations, arities, result, message", [
+        ([], [], {0: -1}, 3, "arities must be non-negative"),
+        ([], [Relation((5,), Operation.NEGATE, (), 1, IndexTransform.keep())],
+         {0: 0}, 3, "result identifier has no registered arity"),
+        ([], [Relation((0, 2), Operation.MUL_PAIR, (), 5, IndexTransform.keep())],
+         {0: 2, 1: 2, 2: 1}, 1, "relation 0 joins arities 2 and 1"),
+        ([], [Relation((5, 7), Operation.MUL_PAIR, (), 1, IndexTransform.keep())],
+         {0: 0, 1: 0}, 1, "relation 0 input 5 unregistered"),
+        ([], [Relation((0,), Operation.NEGATE, (), 5, IndexTransform.keep()),
+              Relation((7,), Operation.SINK, (), 7, IndexTransform.keep())],
+         {0: 0, 1: 0}, 1, "relation 0 output 5 unregistered"),
+        ([], [Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()),
+              Relation((7,), Operation.SINK, (), 7, IndexTransform.keep()),
+              Relation((0,), Operation.NEGATE, (), 5, IndexTransform.keep())],
+         {0: 0, 1: 0}, 1, "relation 1 input 7 unregistered"),
+        ([], [Relation((0, 2), Operation.SUM_STEP, (3, 9), 1,
+                       IndexTransform.increment_last())],
+         {0: 2, 1: 3, 2: 2}, 1, "relation 0 produces arity 2 but 1 is registered at 3"),
+        ([Element(0, (0,), 5)],
+         [Relation((5,), Operation.NEGATE, (), 1, IndexTransform.keep())],
+         {0: 0, 1: 0}, 1, "relation 0 input 5 unregistered"),
+        ([Element(7, (), 5)], [Relation((0,), "bogus", (), 1, IndexTransform.keep())],
+         {0: 0, 1: 0}, 1, "initial element identifier 7 unregistered"),
+        ([], [Relation((0,), "bogus", (), 1, IndexTransform.keep()),
+              Relation((5,), Operation.NEGATE, (), 1, IndexTransform.keep())],
+         {0: 0, 1: 0}, 1, "relation 1 input 5 unregistered"),
+        ([], [Relation((0,), "bogus", (), 1, IndexTransform.keep()),
+              Relation((1,), "other", (), 1, IndexTransform.keep())],
+         {0: 0, 1: 0}, 1, "unknown operation 'bogus'"),
+        ([Element(0, (-1,), 1 << 63), Element(7, (), 5)], [], {0: 0, 1: 0}, 1,
+         "initial element Element(identifier=0, indices=(-1,), "
+         "value=9223372036854775808) has arity 1, expected 0"),
+        ([Element(0, (-1,), 1 << 63)], [], {0: 1, 1: 0}, 1,
+         "initial value 9223372036854775808 outside 64-bit range"),
+    ])
+    def test_first_failing_check_names_the_error(self, initial, relations, arities,
+                                                 result, message):
+        with pytest.raises(ProgramError, match=f"^{re.escape(message)}$"):
+            tiny_program(initial, relations, arities, result=result)
 
 
 class TestDemos:
@@ -283,8 +336,50 @@ class TestStepRunEquivalence:
         assert result.outputs == {(0,): 6, (1,): 35}
         assert result.elements_processed == result.elements_created == 6
 
+    @pytest.mark.parametrize("steps", [1, 7, 20, 43, 44])
+    @pytest.mark.parametrize("discipline", ["fifo", "lifo"])
+    def test_steps_then_run_match_one_run(self, discipline, steps):
+        program = matmul_program(Matrix.from_rows([[1, 2], [3, 4]]),
+                                 Matrix.from_rows([[5, 6], [7, 8]]))
+        whole = Execution(program, discipline).run()
+        mixed = Execution(program, discipline)
+        for _ in range(steps):
+            assert mixed.step()
+        result = mixed.run()
+        assert result == whole
+        assert mixed.partials.max_size == whole.max_partial_depth
+
+    def test_outputs_assigned_after_construction(self):
+        # step() reads outputs on every call, as run() does
+        ex = Execution(build_negate_demo())
+        ex.step()
+        ex.outputs = outputs = {}
+        assert ex.step()
+        assert outputs == {(): -5}
+        assert ex.run().outputs is outputs
+
 
 class TestTrace:
+    def test_hook_assigned_after_construction(self):
+        # step() and run() both read trace on every call
+        stepped, ran = [], []
+        ex = Execution(single_join_program([(2, 3)]))
+        ex.trace = lambda kind, *args: stepped.append(kind)
+        ex.step()
+        ex.step()
+        ex.trace = lambda kind, *args: ran.append(kind)
+        ex.run()
+        assert stepped == ["pop", "pop", "apply", "create"]
+        assert ran == ["pop", "apply", "output"]
+
+    def test_hook_removed_after_construction(self):
+        events = []
+        ex = Execution(build_negate_demo(), trace=lambda kind, *args: events.append(kind))
+        ex.step()
+        ex.trace = None
+        assert ex.run().outputs == {(): -5}
+        assert events == ["pop", "apply", "create"]
+
     def test_event_order_for_negate(self):
         events = []
         run(build_negate_demo(), trace=lambda kind, *args: events.append((kind,) + args))
@@ -735,6 +830,13 @@ class TestStepBudget:
         with pytest.raises(SimulationLimitError, match=r"^exceeded 0 steps$"):
             ex.step()
         assert ex.elements_processed == 0
+
+    def test_budget_is_read_only(self):
+        ex = Execution(build_negate_demo(), max_steps=5)
+        with pytest.raises(AttributeError):
+            ex.max_steps = 2.5
+        assert ex.max_steps == 5
+        assert ex.run().outputs == {(): -5}
 
     def test_steps_count_against_run(self):
         ex = Execution(_cyclic_program(), max_steps=5)
