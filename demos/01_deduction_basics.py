@@ -55,8 +55,20 @@ while ex.step():
 print(f"outputs: {ex.outputs}")
 
 print("\n=== fan-out: Replicate turns one element into n ===")
-rep = Relation((0,), Operation.REPLICATE, (3,), 1, IndexTransform.insert_varied(0, 3))
-from aridem import apply_relation
+store = RelationStore()
+store.add(Relation((0,), Operation.REPLICATE, (3,), 1, IndexTransform.insert_varied(0, 3)))
+store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
+fan_out = Program(
+    relations=store,
+    initial_elements=[Element(0, (5,), 42)],
+    arities={0: 1, 1: 2},
+    result_identifier=1,
+)
 
-for out in apply_relation(rep, Element(0, (5,), 42)):
-    print(f"  {out}")
+
+def show_created(kind, *args):
+    if kind == "create":
+        print(f"  {args[0]}")
+
+
+Execution(fan_out, trace=show_created).run()

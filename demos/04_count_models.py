@@ -13,9 +13,7 @@ from aridem import (
     CostModel,
     MachineConfig,
     build_matmul_program,
-    element_count_reference,
     fit_count_model,
-    instruction_count,
     ratio_report,
     simulate,
     simulate_instruction_model,
@@ -27,15 +25,15 @@ print(f"elements:     {ELEMENT_COUNT_MODEL}")
 print(f"{'n':>6} {'instructions':>16} {'elements':>14} {'ratio':>8}")
 for n in (10, 40, 60, 80, 100, 1000):
     r = float(ratio_report(n))
-    print(f"{n:>6} {instruction_count(n):>16,}"
-          f" {element_count_reference(n):>14,} {r:>8.4f}")
+    print(f"{n:>6} {INSTRUCTION_COUNT_MODEL.count(n):>16,}"
+          f" {ELEMENT_COUNT_MODEL.count(n):>14,} {r:>8.4f}")
 
 limit = Fraction(40, 14)
 print(f"\nthe ratio drifts down toward 40/14 = {float(limit):.4f}"
       " and sits in [2.85, 3.0] for n >= 40")
 
 print("\n=== the models are two-point fits, not decrees ===")
-pts = {40: instruction_count(40), 100: instruction_count(100)}
+pts = {n: INSTRUCTION_COUNT_MODEL.count(n) for n in (40, 100)}
 print(f"refit from {sorted(pts.items())}: {fit_count_model(pts)}")
 
 print("\n=== both machines on the same problem ===")

@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
 
-from .core import _check_int64
+from .core import INT64_MAX, INT64_MIN, _overflow
 from .machine import CostModel, Metrics
 from .programs import Matrix, generate_matrix
 
@@ -104,19 +104,9 @@ def fit_count_model(points: dict[int, int]) -> CountModel:
     return model
 
 
-def instruction_count(n: int, model: CountModel = INSTRUCTION_COUNT_MODEL) -> int:
-    """Instructions a conventional machine spends on an n x n matmul."""
-    return model.count(n)
-
-
-def element_count_reference(n: int) -> int:
-    """Published element total for the n x n matmul (14n^3 + 10n^2)."""
-    return ELEMENT_COUNT_MODEL.count(n)
-
-
 def ratio_report(n: int) -> Fraction:
     """Exact instructions-per-element ratio (40n + 107) / (14n + 10)."""
-    return Fraction(instruction_count(n), element_count_reference(n))
+    return Fraction(INSTRUCTION_COUNT_MODEL.count(n), ELEMENT_COUNT_MODEL.count(n))
 
 
 def matmul_oracle(a: Matrix, b: Matrix) -> Matrix:
@@ -134,7 +124,8 @@ def matmul_oracle(a: Matrix, b: Matrix) -> Matrix:
     for i, row in enumerate(rows):
         for j, column in enumerate(columns):
             acc = sum(map(mul, row, column))
-            _check_int64(acc, f"product cell ({i}, {j})")
+            if acc > INT64_MAX or acc < INT64_MIN:
+                raise _overflow(f"product cell ({i}, {j})", acc)
             out.append(acc)
     return Matrix(n, tuple(out))
 
@@ -152,15 +143,14 @@ def _seeded_outputs(n: int, seed: int) -> MappingProxyType:
 
 def simulate_instruction_model(n: int, workers: int,
                                costs: CostModel = CostModel(),
-                               seed: int = 0,
-                               model: CountModel = INSTRUCTION_COUNT_MODEL) -> Metrics:
+                               seed: int = 0) -> Metrics:
     """Master/slave instruction machine on the same matmul workload.
 
     The master broadcasts B and a block of ceil(n / workers) rows of A to
     every slave (remainder rows trail off, so late slaves may sit empty),
     each slave computes its block, and one message returns it: three
     messages per slave, total 3 * workers. Slave s spends its share of
-    the model's instruction count, one instruction per t_proc tick, and
+    INSTRUCTION_COUNT_MODEL's count, one instruction per t_proc tick, and
     finishes at 3 * t_msg + work_s * t_proc; the run takes the longest
     slave's finish time. Outputs are the true product for the seeded
     matrices, so checksums line up with the element machine.
@@ -172,6 +162,7 @@ def simulate_instruction_model(n: int, workers: int,
 
     block = -(-n // workers)  # ceil
     rows = [max(0, min(block, n - block * s)) for s in range(workers)]
+    model = INSTRUCTION_COUNT_MODEL
     work = [model.cubic * n * n * r + model.quadratic * n * r for r in rows]
     busy = [w * costs.t_proc for w in work]
     sim_time = 3 * costs.t_msg + max(busy)

@@ -3,8 +3,9 @@
 An element is an (identifier, index list, value) triple and is consumed
 exactly once. Relations map input elements to output elements through a
 small closed operation set. Binary relations pair their two operands
-through a PartialStore keyed on (relation, index list): the first operand
-to show up waits, the second releases the pair.
+on (relation, index list): the first operand to show up waits, the
+second releases the pair. This module defines the model and checks each
+relation when it is built; engine and machine execute it.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ _NEGATE, _SQUARE, _REPLICATE = Operation.NEGATE, Operation.SQUARE, Operation.REP
 _MUL_PAIR, _SUM_STEP, _SINK = Operation.MUL_PAIR, Operation.SUM_STEP, Operation.SINK
 _KEEP, _DROP, _TRUNCATE = TransformKind.KEEP, TransformKind.DROP, TransformKind.TRUNCATE
 _INSERT_VARIED, _INCREMENT_LAST = TransformKind.INSERT_VARIED, TransformKind.INCREMENT_LAST
-BINARY_OPERATIONS = frozenset({_MUL_PAIR, _SUM_STEP})
 
 
 @dataclass(frozen=True)
@@ -159,30 +159,6 @@ class IndexTransform:
             return self.count
         raise ProgramError(f"unknown transform kind {kind!r}")
 
-    def apply(self, indices: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """All output index lists for one input index list.
-
-        Every kind yields exactly one list except INSERT_VARIED, which
-        yields count of them.
-        """
-        kind = self.kind
-        if kind is _KEEP:
-            return [indices]
-        if kind is _DROP:
-            p = self.position
-            return [indices[:p] + indices[p + 1 :]]
-        if kind is _INSERT_VARIED:
-            p = self.position
-            head, tail = indices[:p], indices[p:]
-            return [head + (j,) + tail for j in range(self.count)]
-        if kind is _INCREMENT_LAST:
-            if not indices:
-                raise ProgramError("IncrementLast needs at least one index")
-            return [indices[:-1] + (indices[-1] + 1,)]
-        if kind is _TRUNCATE:
-            return [indices[: self.count]]
-        raise ProgramError(f"unknown transform kind {kind!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class Relation:
@@ -191,8 +167,9 @@ class Relation:
     Unary relations fire on every element of their single input
     identifier. Binary relations (MUL_PAIR, SUM_STEP) fire once both
     operands with the same index list have arrived; input_identifiers
-    order fixes which identifier is the left operand. A Relation is
-    frozen; RelationStore.add sets its rid, once.
+    order fixes which identifier is the left operand. input_identifiers
+    and parameters must be tuples. A Relation is frozen;
+    RelationStore.add sets its rid, once.
     """
 
     input_identifiers: tuple[int, ...]
@@ -204,6 +181,8 @@ class Relation:
 
     def __post_init__(self) -> None:
         ids = self.input_identifiers
+        if type(ids) is not tuple or type(self.parameters) is not tuple:
+            raise ProgramError("input identifiers and parameters must be tuples")
         op = self.operation
         if (ids and min(ids) < 0) or self.output_identifier < 0:
             raise ProgramError("identifiers must be non-negative")
@@ -237,19 +216,6 @@ class Relation:
             if kind is _INSERT_VARIED:
                 raise ProgramError(f"{op.name} cannot use an InsertVaried transform")
 
-    def is_binary(self) -> bool:
-        op = self.operation
-        return op is _MUL_PAIR or op is _SUM_STEP
-
-    def operand_slot(self, identifier: int) -> int:
-        """Position (0 = left) of identifier among this relation's inputs."""
-        try:
-            return self.input_identifiers.index(identifier)
-        except ValueError:
-            raise ProgramError(
-                f"identifier {identifier} is not an operand of relation {self.rid}"
-            ) from None
-
 
 class RelationStore:
     """Registry of relations; a relation's rid is its position in it."""
@@ -273,44 +239,6 @@ class RelationStore:
         return iter(self.relations)
 
 
-class PartialStore:
-    """Holds the first-arriving operand of each binary match.
-
-    Keys are (relation id, index list). offer() either parks an element
-    and returns None, or pops the waiting partner and returns the ordered
-    (left, right) pair. A second arrival for an already-filled slot is a
-    program bug and raises DuplicateOperandError.
-    """
-
-    def __init__(self) -> None:
-        self._waiting: dict[tuple[int, tuple[int, ...]], tuple[int, Element]] = {}
-        self.max_size = 0
-
-    def offer(self, relation: Relation, element: Element):
-        if relation.rid < 0:
-            raise ProgramError("relation was never added to a RelationStore")
-        slot = relation.operand_slot(element.identifier)
-        key = (relation.rid, element.indices)
-        hit = self._waiting.get(key)
-        if hit is None:
-            self._waiting[key] = (slot, element)
-            if len(self._waiting) > self.max_size:
-                self.max_size = len(self._waiting)
-            return None
-        other_slot, other = hit
-        if other_slot == slot:
-            raise _duplicate_operand(slot, relation.rid, element.indices)
-        del self._waiting[key]
-        return (other, element) if other_slot == 0 else (element, other)
-
-    def __len__(self) -> int:
-        return len(self._waiting)
-
-    def pending(self) -> list[Element]:
-        """Elements still waiting for a partner (diagnostic order: insertion)."""
-        return [elem for _, elem in self._waiting.values()]
-
-
 def _overflow(name: str, value: int) -> IntegerOverflowError:
     """The error every executor raises when name produces an out-of-range value."""
     return IntegerOverflowError(f"{name} produced {value}, outside 64-bit range")
@@ -322,66 +250,3 @@ def _duplicate_operand(slot: int, rid: int,
     return DuplicateOperandError(
         f"two elements for slot {slot} of relation {rid} at indices {indices}"
     )
-
-
-def _check_int64(value: int, context: str) -> int:
-    if value > INT64_MAX or value < INT64_MIN:
-        raise _overflow(context, value)
-    return value
-
-
-def apply_relation(relation: Relation, operands) -> list[Element]:
-    """Perform one relation on fully gathered operands.
-
-    operands is a single Element for unary relations and an ordered
-    (left, right) pair for binary ones. Returns the created elements:
-    exactly parameters[0] for Replicate, none for Sink, one otherwise.
-    """
-    op = relation.operation
-    out_id = relation.output_identifier
-    transform = relation.index_transform
-
-    if op is _MUL_PAIR or op is _SUM_STEP:
-        left, right = operands
-        if (left.identifier, right.identifier) != relation.input_identifiers:
-            raise ProgramError(
-                f"operands ({left.identifier}, {right.identifier}) do not match "
-                f"relation inputs {relation.input_identifiers}"
-            )
-        if left.indices != right.indices:
-            raise ProgramError("binary operands must share one index list")
-        if op is _MUL_PAIR:
-            value = _check_int64(left.value * right.value, "MulPair")
-            indices = transform.apply(left.indices)[0]
-            return [Element(out_id, indices, value)]
-        # SUM_STEP: running sum advances the last index until the limit,
-        # then the total moves to the result identifier with that index gone.
-        limit, result_id = relation.parameters
-        if not left.indices:
-            raise ProgramError("SumStep operands need at least one index")
-        value = _check_int64(left.value + right.value, "SumStep")
-        nxt = left.indices[-1] + 1
-        if nxt == limit:
-            return [Element(result_id, left.indices[:-1], value)]
-        return [Element(out_id, left.indices[:-1] + (nxt,), value)]
-
-    element = operands
-    if element.identifier != relation.input_identifiers[0]:
-        raise ProgramError(
-            f"operand {element.identifier} does not match relation input "
-            f"{relation.input_identifiers[0]}"
-        )
-    if op is _SINK:
-        return []
-    if op is _REPLICATE:
-        return [
-            Element(out_id, indices, element.value)
-            for indices in transform.apply(element.indices)
-        ]
-    if op is _NEGATE:
-        value = _check_int64(-element.value, "Negate")
-    elif op is _SQUARE:
-        value = _check_int64(element.value * element.value, "Square")
-    else:
-        raise ProgramError(f"unknown operation {op!r}")
-    return [Element(out_id, transform.apply(element.indices)[0], value)]

@@ -11,7 +11,7 @@ of them, traced or not. Parked operands are listed in (relation id,
 index list) order, which no processing order can change, so every
 executor names the same first one when a run deadlocks. machine.simulate
 executes the same plans. The paths are tested against each other and
-against a reference loop over core.apply_relation and PartialStore.offer.
+against a reference loop that the test suite keeps.
 """
 
 from __future__ import annotations

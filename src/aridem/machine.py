@@ -12,11 +12,10 @@ Message accounting per unit: 1 for the dispatch plus max(1, outputs) for
 the return, so a unit that deduces nothing still sends one completion.
 
 The master expands elements into units on the plans the Program was
-compiled to when it was built (the per-identifier opcode tuples that
-Execution._drain executes), not through apply_relation and
-PartialStore. MulPair and SumStep plans share one shape, so one join
-branch parks, matches and checks for a duplicate operand before the
-arithmetic of either; Negate and Square share one unary branch. A unit
+compiled to when it was built, the per-identifier opcode tuples that
+Execution._drain executes. MulPair and SumStep plans share one shape, so
+one join branch parks, matches and checks for a duplicate operand before
+the arithmetic of either; Negate and Square share one unary branch. A unit
 is (operand count, created): created is the one element a unit deduces,
 a list for Replicate, and None for a sink, whose unit carries the output
 record as a third item (None unless it sinks the result). A join parks

@@ -13,10 +13,8 @@ from aridem import (
     Matrix,
     baseline,
     build_matmul_program,
-    element_count_reference,
     fit_count_model,
     generate_matrix,
-    instruction_count,
     matmul_oracle,
     ratio_report,
     simulate,
@@ -30,15 +28,16 @@ SIZES = (40, 60, 80, 100)
 class TestCountModels:
     def test_instruction_totals_match_reference(self):
         for n in SIZES:
-            assert instruction_count(n) == REFERENCE_TABLES.instruction_counts[n]
+            expected = REFERENCE_TABLES.instruction_counts[n]
+            assert INSTRUCTION_COUNT_MODEL.count(n) == expected
 
     def test_element_totals_match_reference(self):
         for n in SIZES:
-            assert element_count_reference(n) == REFERENCE_TABLES.element_counts[n]
+            assert ELEMENT_COUNT_MODEL.count(n) == REFERENCE_TABLES.element_counts[n]
 
     def test_specific_values(self):
-        assert instruction_count(60) == 9_025_200
-        assert element_count_reference(60) == 3_060_000
+        assert INSTRUCTION_COUNT_MODEL.count(60) == 9_025_200
+        assert ELEMENT_COUNT_MODEL.count(60) == 3_060_000
 
     def test_count_model_validation(self):
         with pytest.raises(ValueError):
@@ -48,10 +47,9 @@ class TestCountModels:
 
     def test_pure_cubic_model(self):
         assert CountModel(1, 0).count(10) == 1000
-        assert instruction_count(10, CountModel(1, 0)) == 1000
 
     def test_smallest_size(self):
-        assert element_count_reference(1) == 24
+        assert ELEMENT_COUNT_MODEL.count(1) == 24
 
 
 class TestFit:

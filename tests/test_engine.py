@@ -17,7 +17,6 @@ from aridem import (
     MachineConfig,
     Matrix,
     Operation,
-    PartialStore,
     Program,
     ProgramError,
     Relation,
@@ -864,18 +863,6 @@ class TestCompiledOnce:
         Execution(program).step()
         simulate(program, MachineConfig(workers=3))
         assert len(compiled) == 1
-
-    def test_step_runs_on_the_plans_alone(self, monkeypatch):
-        program = single_join_program([(2, 3), (5, 7)], left_first=False)
-
-        def unused(*args):
-            raise AssertionError("step() left its compiled plans")
-
-        monkeypatch.setattr(PartialStore, "offer", unused)
-        monkeypatch.setattr(Relation, "is_binary", unused)
-        ex = Execution(program)
-        _step_all(ex)
-        assert ex.outputs == {(0,): 6, (1,): 35}
 
     def test_program_pickles(self):
         program = fanout_chain_program(2, 3)
