@@ -9,27 +9,25 @@ checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
 
-from .core import INT64_MAX, INT64_MIN, _overflow
+from .core import INT64_MAX, INT64_MIN, _Frozen, _overflow
 from .machine import CostModel, Metrics
 from .programs import Matrix, generate_matrix
 
 
-@dataclass(frozen=True)
-class CountModel:
+class CountModel(_Frozen):
     """Operation count of the form cubic*n^3 + quadratic*n^2."""
 
-    cubic: int
-    quadratic: int
+    _fields = ("cubic", "quadratic")
 
-    def __post_init__(self) -> None:
-        if self.cubic < 1 or self.quadratic < 0:
+    def __init__(self, cubic: int, quadratic: int) -> None:
+        if cubic < 1 or quadratic < 0:
             raise ValueError("cubic term must be positive, quadratic non-negative")
+        self.__dict__.update(cubic=cubic, quadratic=quadratic)
 
     def count(self, n: int) -> int:
         return self.cubic * n ** 3 + self.quadratic * n ** 2
@@ -40,15 +38,20 @@ INSTRUCTION_COUNT_MODEL = CountModel(40, 107)
 ELEMENT_COUNT_MODEL = CountModel(14, 10)
 
 
-@dataclass(frozen=True)
-class ReferenceTables:
+class ReferenceTables(_Frozen):
     """Published measurements: totals by n, wall-clock ms by (n, processors)."""
 
-    sizes: tuple[int, ...]
-    instruction_counts: dict[int, int]
-    element_counts: dict[int, int]
-    instruction_model_ms: dict[int, dict[int, float]]
-    element_model_ms: dict[int, dict[int, float]]
+    _fields = ("sizes", "instruction_counts", "element_counts", "instruction_model_ms",
+               "element_model_ms")
+
+    def __init__(self, sizes: tuple[int, ...], instruction_counts: dict[int, int],
+                 element_counts: dict[int, int],
+                 instruction_model_ms: dict[int, dict[int, float]],
+                 element_model_ms: dict[int, dict[int, float]]) -> None:
+        self.__dict__.update(sizes=sizes, instruction_counts=instruction_counts,
+                             element_counts=element_counts,
+                             instruction_model_ms=instruction_model_ms,
+                             element_model_ms=element_model_ms)
 
 
 REFERENCE_TABLES = ReferenceTables(

@@ -12,15 +12,19 @@ index list) order, which no processing order can change, so every
 executor names the same first one when a run deadlocks. machine.simulate
 executes the same plans. The paths are tested against each other and
 against a reference loop that the test suite keeps.
+
+Program is a plain frozen class on core's _Frozen base, with its methods
+in the source rather than generated by @dataclass at every import (see
+core). RunResult stays a dataclass: callers use dataclasses.replace on it.
 """
 
 from __future__ import annotations
 
 import gc
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .core import (
     INT64_MAX,
@@ -32,6 +36,7 @@ from .core import (
     Relation,
     SimulationLimitError,
     _duplicate_operand,
+    _Frozen,
     _overflow,
 )
 from .core import _DROP, _INCREMENT_LAST, _KEEP, _TRUNCATE
@@ -48,8 +53,7 @@ def _check_budget(name: str, value) -> None:
         raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(_Frozen):
     """A complete element program: relations, seed elements, and metadata.
 
     arities registers the index-list length of every identifier; the
@@ -61,23 +65,20 @@ class Program:
     Program is frozen: it keeps the relations of its RelationStore as a
     tuple (relations added to the store later are not seen), the initial
     elements as a tuple, and read-only copies of arities and names, and
-    assigning any field raises.
+    assigning any field raises. The compiled plans, _compiled, are left
+    out of its repr and equality.
     """
 
-    relations: tuple[Relation, ...]
-    initial_elements: tuple[Element, ...]
-    arities: Mapping[int, int]
-    result_identifier: int
-    names: Mapping[int, str] = field(default_factory=dict)
-    _compiled: _Compiled = field(init=False, repr=False, compare=False)
+    _fields = ("relations", "initial_elements", "arities", "result_identifier", "names")
 
-    def __post_init__(self) -> None:
-        for name, value in (("relations", tuple(self.relations)),
-                            ("initial_elements", tuple(self.initial_elements)),
-                            ("arities", MappingProxyType(dict(self.arities))),
-                            ("names", MappingProxyType(dict(self.names)))):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_compiled", _compile_plans(self))
+    def __init__(self, relations: Iterable[Relation], initial_elements: Iterable[Element],
+                 arities: Mapping[int, int], result_identifier: int,
+                 names: Mapping[int, str] = MappingProxyType({})) -> None:
+        d = self.__dict__
+        d.update(relations=tuple(relations), initial_elements=tuple(initial_elements),
+                 arities=MappingProxyType(dict(arities)),
+                 result_identifier=result_identifier, names=MappingProxyType(dict(names)))
+        d["_compiled"] = _compile_plans(self)
 
     def __reduce__(self):
         # the plans hold closures; pickle and copy rebuild them instead

@@ -48,13 +48,16 @@ either fills all idle workers or runs out of work, and a finish brings
 no work, so a finish that leads to a dispatch has freed the only idle
 worker. The freed worker therefore stays out of the idle list, which is
 not scanned for it, and goes back in only when the pass finds no work.
+
+MachineConfig and CostModel are plain frozen classes and Metrics a plain
+mutable one, on core's _Frozen and _Value bases: @dataclass compiled
+their methods from source text at every import (see core).
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
 
 from .core import (
     INT64_MAX,
@@ -62,7 +65,9 @@ from .core import (
     DuplicateOutputError,
     SimulationLimitError,
     _duplicate_operand,
+    _Frozen,
     _overflow,
+    _Value,
 )
 from .engine import (
     _OP_NEGATE,
@@ -78,8 +83,7 @@ from .engine import (
 DEFAULT_EVENT_LIMIT = 100_000_000
 
 
-@dataclass(frozen=True)
-class MachineConfig:
+class MachineConfig(_Frozen):
     """Worker count and dispatch policy.
 
     dispatch "idle" always picks the lowest-numbered idle worker;
@@ -87,54 +91,59 @@ class MachineConfig:
     deterministic.
     """
 
-    workers: int
-    dispatch: str = "idle"
+    _fields = ("workers", "dispatch")
 
-    def __post_init__(self) -> None:
-        if type(self.workers) is not int:
-            raise ValueError(f"workers must be an integer, not {self.workers!r}")
-        if self.workers < 1:
+    def __init__(self, workers: int, dispatch: str = "idle") -> None:
+        if type(workers) is not int:
+            raise ValueError(f"workers must be an integer, not {workers!r}")
+        if workers < 1:
             raise ValueError("need at least one worker")
-        if self.dispatch not in ("idle", "roundrobin"):
-            raise ValueError(f"unknown dispatch policy {self.dispatch!r}")
+        if dispatch not in ("idle", "roundrobin"):
+            raise ValueError(f"unknown dispatch policy {dispatch!r}")
+        self.__dict__.update(workers=workers, dispatch=dispatch)
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(_Frozen):
     """Integer time costs: per-unit compute, per-message latency, and the
     master's bookkeeping charge per dispatch."""
 
-    t_proc: int = 1
-    t_msg: int = 10
-    t_master: int = 0
+    _fields = ("t_proc", "t_msg", "t_master")
 
-    def __post_init__(self) -> None:
-        for name in ("t_proc", "t_msg", "t_master"):
-            v = getattr(self, name)
+    def __init__(self, t_proc: int = 1, t_msg: int = 10, t_master: int = 0) -> None:
+        for name, v in (("t_proc", t_proc), ("t_msg", t_msg), ("t_master", t_master)):
             if type(v) is not int or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
-        if self.t_proc == 0 and self.t_msg == 0 and self.t_master == 0:
+        if t_proc == 0 and t_msg == 0 and t_master == 0:
             raise ValueError("at least one cost must be positive")
+        self.__dict__.update(t_proc=t_proc, t_msg=t_msg, t_master=t_master)
 
 
-@dataclass
-class Metrics:
+class Metrics(_Value):
     """Aggregate counters from one simulated run.
 
     per_worker_processed counts the operands of the units each worker ran
     (a join unit has two); operands_processed is their exact total,
-    counted where the units are formed.
+    counted where the units are formed. Metrics are mutable and
+    unhashable; outputs defaults to a new empty dict.
     """
 
-    elements_processed: int
-    operands_processed: int
-    messages: int
-    sim_time: int
-    idle_time_total: int
-    per_worker_processed: list[int]
-    per_worker_busy: list[int]
-    result_checksum: int
-    outputs: dict[tuple[int, ...], int] = field(default_factory=dict)
+    _fields = ("elements_processed", "operands_processed", "messages", "sim_time",
+               "idle_time_total", "per_worker_processed", "per_worker_busy",
+               "result_checksum", "outputs")
+
+    def __init__(self, elements_processed: int, operands_processed: int, messages: int,
+                 sim_time: int, idle_time_total: int, per_worker_processed: list[int],
+                 per_worker_busy: list[int], result_checksum: int,
+                 outputs: dict[tuple[int, ...], int] | None = None) -> None:
+        self.elements_processed = elements_processed
+        self.operands_processed = operands_processed
+        self.messages = messages
+        self.sim_time = sim_time
+        self.idle_time_total = idle_time_total
+        self.per_worker_processed = per_worker_processed
+        self.per_worker_busy = per_worker_busy
+        self.result_checksum = result_checksum
+        self.outputs = {} if outputs is None else outputs
 
 
 def validate_metrics(metrics: Metrics) -> Metrics:

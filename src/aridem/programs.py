@@ -7,9 +7,8 @@ closed-form, which is what the benchmark comparisons lean on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Element, IndexTransform, Operation, ProgramError, Relation, RelationStore
+from .core import (Element, IndexTransform, Operation, ProgramError, Relation,
+                   RelationStore, _Frozen)
 from .engine import Program
 
 LCG_MULTIPLIER = 6364136223846793005
@@ -52,18 +51,17 @@ class Lcg64:
         return (self.next_raw() >> 33) % 10
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(_Frozen):
     """Dense square integer matrix, row-major entries."""
 
-    n: int
-    entries: tuple[int, ...]
+    _fields = ("n", "entries")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, entries: tuple[int, ...]) -> None:
+        if n < 1:
             raise ValueError("matrix size must be positive")
-        if len(self.entries) != self.n * self.n:
-            raise ValueError(f"expected {self.n * self.n} entries, got {len(self.entries)}")
+        if len(entries) != n * n:
+            raise ValueError(f"expected {n * n} entries, got {len(entries)}")
+        self.__dict__.update(n=n, entries=entries)
 
     def at(self, row: int, col: int) -> int:
         return self.entries[row * self.n + col]

@@ -2,6 +2,7 @@
 semantics in reference.py that the executors are checked against."""
 
 import pickle
+import re
 
 import pytest
 
@@ -92,6 +93,35 @@ class TestIndexTransform:
         with pytest.raises(ProgramError):
             IndexTransform.drop(-1)
 
+    # Each of these built before, and run() then raised a bare TypeError
+    # on the slice, mid-run.
+    @pytest.mark.parametrize("make", [
+        lambda: IndexTransform.drop(0.5),
+        lambda: IndexTransform.truncate_to(1.0),
+        lambda: IndexTransform.drop(True),
+        lambda: IndexTransform.insert_varied(0, 2.0),
+        lambda: IndexTransform.drop("1"),
+    ], ids=["drop-float", "truncate-float", "drop-bool", "insert-count-float",
+            "drop-str"])
+    def test_position_and_count_must_be_plain_ints(self, make):
+        with pytest.raises(ProgramError,
+                           match=r"^transform position and count must be plain ints$"):
+            make()
+
+    def test_kind_must_be_a_transform_kind(self):
+        with pytest.raises(ProgramError, match=r"^transform kind 'drop' is not a "
+                                               r"TransformKind$"):
+            IndexTransform("drop", 1)
+        with pytest.raises(ProgramError, match="is not a TransformKind"):
+            IndexTransform(Operation.NEGATE)
+
+    def test_older_checks_fire_first(self):
+        with pytest.raises(ProgramError, match=r"^transform position and count must be "
+                                               r"non-negative$"):
+            IndexTransform.drop(-1.5)
+        with pytest.raises(ProgramError, match=r"^InsertVaried needs a positive count$"):
+            IndexTransform.insert_varied(0, 0.5)
+
 
 class TestRelationValidation:
     def test_binary_needs_two_distinct_inputs(self):
@@ -143,6 +173,45 @@ class TestRelationValidation:
             Relation([0], Operation.NEGATE, (), 1, IndexTransform.keep())
         with pytest.raises(ProgramError, match="must be tuples"):
             Relation((0,), Operation.REPLICATE, [2], 1, IndexTransform.insert_varied(0, 2))
+
+    # Each of these built before: the float limit made run() deadlock, as
+    # the running sum's last index never equals 2.5, and the float fan-out
+    # ran.
+    @pytest.mark.parametrize("args", [
+        ((0, 1), Operation.SUM_STEP, (2.5, 3), 0, IndexTransform.increment_last()),
+        ((0, 1), Operation.SUM_STEP, (3, 2.0), 0, IndexTransform.increment_last()),
+        ((0,), Operation.REPLICATE, (2.0,), 1, IndexTransform.insert_varied(0, 2)),
+        ((True,), Operation.NEGATE, (), 1, IndexTransform.keep()),
+        ((0, 1.0), Operation.MUL_PAIR, (), 2, IndexTransform.keep()),
+        ((0,), Operation.NEGATE, (), True, IndexTransform.keep()),
+        ((0,), Operation.NEGATE, (), 1.0, IndexTransform.keep()),
+        (("0",), Operation.NEGATE, (), 1, IndexTransform.keep()),
+        ((0,), Operation.NEGATE, (), None, IndexTransform.keep()),
+        ((0, 1), Operation.SUM_STEP, (None, 3), 0, IndexTransform.increment_last()),
+    ], ids=["float-limit", "float-result-id", "float-fan-out", "bool-input",
+            "float-input", "bool-output", "float-output", "str-input", "none-output",
+            "none-limit"])
+    def test_items_must_be_plain_ints(self, args):
+        with pytest.raises(ProgramError,
+                           match=r"^identifiers and parameters must be plain ints$"):
+            Relation(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        (((2.5,), Operation.MUL_PAIR, (), 1, IndexTransform.keep()),
+         "MUL_PAIR takes exactly two input identifiers"),
+        (((-1.5,), Operation.NEGATE, (), 1, IndexTransform.keep()),
+         "identifiers must be non-negative"),
+        (((0,), Operation.REPLICATE, (0.5,), 1, IndexTransform.insert_varied(0, 2)),
+         "Replicate takes one positive parameter"),
+        (((0, 1), Operation.SUM_STEP, (2.5, 3), 0, IndexTransform.keep()),
+         "SumStep requires an IncrementLast transform"),
+        (((0,), Operation.NEGATE, (1.0,), True, IndexTransform.keep()),
+         "NEGATE takes no parameters"),
+    ])
+    def test_older_checks_fire_first(self, args, message):
+        # an input the shape checks refused keeps their text
+        with pytest.raises(ProgramError, match=f"^{re.escape(message)}$"):
+            Relation(*args)
 
     def test_operand_slot(self):
         rel = Relation((5, 9), Operation.MUL_PAIR, (), 1, IndexTransform.keep())

@@ -1,0 +1,329 @@
+"""The nine value classes: constructors, reprs, equality, hashing,
+immutability and copies.
+
+Each class is built by keyword, and its repr is pinned as a literal, so
+the behaviour stays the same whichever way the class is written.
+"""
+
+import copy
+import dataclasses
+import importlib
+import inspect
+import pickle
+import pkgutil
+
+import pytest
+
+import aridem
+from aridem import (
+    CostModel,
+    CountModel,
+    IndexTransform,
+    MachineConfig,
+    Matrix,
+    Metrics,
+    Operation,
+    Program,
+    Relation,
+    RelationStore,
+    TransformKind,
+    build_negate_demo,
+    run,
+)
+from aridem.baseline import ReferenceTables
+
+KEEP_REPR = "IndexTransform(kind=<TransformKind.KEEP: 1>, position=0, count=0)"
+
+
+def negate_relation(**changes):
+    fields = dict(input_identifiers=(0,), operation=Operation.NEGATE, parameters=(),
+                  output_identifier=1, index_transform=IndexTransform.keep())
+    fields.update(changes)
+    return Relation(**fields)
+
+
+def metrics(**changes):
+    fields = dict(elements_processed=2, operands_processed=2, messages=4, sim_time=42,
+                  idle_time_total=40, per_worker_processed=[2], per_worker_busy=[2],
+                  result_checksum=4294967291, outputs={(): -5})
+    fields.update(changes)
+    return Metrics(**fields)
+
+
+def tables(**changes):
+    fields = dict(sizes=(40,), instruction_counts={40: 2}, element_counts={40: 3},
+                  instruction_model_ms={40: {2: 1.5}}, element_model_ms={40: {2: 2.5}})
+    fields.update(changes)
+    return ReferenceTables(**fields)
+
+
+# (build by keyword, its repr, a build that differs in one field); Program
+# is checked on its own below, as its relations compare by identity
+CASES = {
+    "IndexTransform": (
+        lambda: IndexTransform(kind=TransformKind.DROP, position=1),
+        "IndexTransform(kind=<TransformKind.DROP: 2>, position=1, count=0)",
+        lambda: IndexTransform(kind=TransformKind.DROP, position=2),
+    ),
+    "Relation": (
+        negate_relation,
+        "Relation(input_identifiers=(0,), operation=<Operation.NEGATE: 1>, "
+        f"parameters=(), output_identifier=1, index_transform={KEEP_REPR}, rid=-1)",
+        lambda: negate_relation(output_identifier=2),
+    ),
+    "MachineConfig": (
+        lambda: MachineConfig(workers=2),
+        "MachineConfig(workers=2, dispatch='idle')",
+        lambda: MachineConfig(workers=2, dispatch="roundrobin"),
+    ),
+    "CostModel": (
+        lambda: CostModel(t_proc=1, t_msg=10),
+        "CostModel(t_proc=1, t_msg=10, t_master=0)",
+        lambda: CostModel(t_proc=1, t_msg=10, t_master=1),
+    ),
+    "Metrics": (
+        metrics,
+        "Metrics(elements_processed=2, operands_processed=2, messages=4, sim_time=42, "
+        "idle_time_total=40, per_worker_processed=[2], per_worker_busy=[2], "
+        "result_checksum=4294967291, outputs={(): -5})",
+        lambda: metrics(per_worker_busy=[3]),
+    ),
+    "Matrix": (
+        lambda: Matrix(n=1, entries=(3,)),
+        "Matrix(n=1, entries=(3,))",
+        lambda: Matrix(n=1, entries=(4,)),
+    ),
+    "CountModel": (
+        lambda: CountModel(cubic=1, quadratic=2),
+        "CountModel(cubic=1, quadratic=2)",
+        lambda: CountModel(cubic=1, quadratic=3),
+    ),
+    "ReferenceTables": (
+        tables,
+        "ReferenceTables(sizes=(40,), instruction_counts={40: 2}, element_counts={40: 3}, "
+        "instruction_model_ms={40: {2: 1.5}}, element_model_ms={40: {2: 2.5}})",
+        lambda: tables(element_counts={40: 4}),
+    ),
+}
+
+# the fields of each frozen class, _compiled too
+FIELDS = {
+    "IndexTransform": ("kind", "position", "count"),
+    "Relation": ("input_identifiers", "operation", "parameters", "output_identifier",
+                 "index_transform", "rid"),
+    "Program": ("relations", "initial_elements", "arities", "result_identifier",
+                "names", "_compiled"),
+    "MachineConfig": ("workers", "dispatch"),
+    "CostModel": ("t_proc", "t_msg", "t_master"),
+    "Matrix": ("n", "entries"),
+    "CountModel": ("cubic", "quadratic"),
+    "ReferenceTables": ("sizes", "instruction_counts", "element_counts",
+                        "instruction_model_ms", "element_model_ms"),
+}
+
+NEGATE_DEMO_REPR = (
+    "Program(relations=(Relation(input_identifiers=(0,), operation=<Operation.NEGATE: 1>, "
+    f"parameters=(), output_identifier=1, index_transform={KEEP_REPR}, rid=0), "
+    "Relation(input_identifiers=(1,), operation=<Operation.SINK: 6>, parameters=(), "
+    f"output_identifier=1, index_transform={KEEP_REPR}, rid=1)), "
+    "initial_elements=(Element(identifier=0, indices=(), value=5),), "
+    "arities=mappingproxy({0: 0, 1: 0}), result_identifier=1, "
+    "names=mappingproxy({0: 'b', 1: 'a'}))"
+)
+
+
+def rebuilt(program):
+    """A second Program over the same relation objects."""
+    return Program(relations=program.relations, initial_elements=program.initial_elements,
+                   arities=program.arities, result_identifier=program.result_identifier,
+                   names=program.names)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_repr(name):
+    make, text, _ = CASES[name]
+    assert repr(make()) == text
+
+
+def test_program_repr_leaves_out_its_plans():
+    assert repr(build_negate_demo()) == NEGATE_DEMO_REPR
+
+
+def test_stored_relation_repr_has_its_rid():
+    store = RelationStore()
+    store.add(negate_relation())
+    rel = store.add(negate_relation(input_identifiers=(1,), operation=Operation.SINK))
+    assert repr(rel) == (
+        "Relation(input_identifiers=(1,), operation=<Operation.SINK: 6>, parameters=(), "
+        f"output_identifier=1, index_transform={KEEP_REPR}, rid=1)")
+
+
+@pytest.mark.parametrize("name", [n for n in CASES if n != "Relation"])
+def test_equality(name):
+    make, _, different = CASES[name]
+    assert make() == make()
+    assert not make() != make()
+    assert make() != different()
+    assert make() != CASES["CostModel" if name != "CostModel" else "Matrix"][0]()
+    assert make() != object()
+    assert make().__eq__((1,)) is NotImplemented
+
+
+def test_relations_compare_by_identity():
+    rel = negate_relation()
+    assert rel == rel
+    assert rel != negate_relation()
+    assert hash(rel) == object.__hash__(rel)
+    assert len({rel, negate_relation()}) == 2
+
+
+def test_program_equality_leaves_out_its_plans():
+    program = build_negate_demo()
+    twin = rebuilt(program)
+    assert twin._compiled is not program._compiled
+    assert twin == program
+    assert program != build_negate_demo()  # other Relation objects
+    assert program != rebuilt(program).relations
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(program)  # its mappings are read-only, not hashable
+
+
+@pytest.mark.parametrize("name", ["IndexTransform", "MachineConfig", "CostModel",
+                                  "Matrix", "CountModel"])
+def test_equal_values_hash_equal(name):
+    make, _, different = CASES[name]
+    assert hash(make()) == hash(make())
+    assert len({make(), make(), different()}) == 2
+
+
+def test_unhashable_values():
+    assert Metrics.__hash__ is None
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(metrics())
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(tables())  # frozen, but its fields are dicts
+
+
+def frozen_values():
+    for name in FIELDS:
+        if name == "Program":
+            yield name, build_negate_demo()
+        else:
+            yield name, CASES[name][0]()
+
+
+@pytest.mark.parametrize("name, value", list(frozen_values()))
+def test_assigning_or_deleting_any_field_raises(name, value):
+    before = repr(value)
+    for field in FIELDS[name]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.extra = 1
+    assert repr(value) == before
+
+
+def test_metrics_are_mutable_with_a_fresh_outputs_dict():
+    m = metrics()
+    m.sim_time = 7
+    m.outputs[(1,)] = 1
+    assert m.sim_time == 7
+    del m.messages
+    assert not hasattr(m, "messages")
+    first = Metrics(1, 1, 2, 1, 0, [1], [1], 0)
+    second = Metrics(1, 1, 2, 1, 0, [1], [1], 0)
+    assert first.outputs == {} and first.outputs is not second.outputs
+
+
+def test_positional_and_keyword_construction_agree():
+    assert IndexTransform(TransformKind.DROP, 1) == CASES["IndexTransform"][0]()
+    assert IndexTransform(TransformKind.KEEP) == IndexTransform(
+        kind=TransformKind.KEEP, position=0, count=0)
+    rel = Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep(), 3)
+    assert (rel.rid, repr(negate_relation(rid=3))) == (3, repr(rel))
+    assert MachineConfig(2) == MachineConfig(workers=2, dispatch="idle")
+    assert CostModel() == CostModel(1, 10, 0) == CASES["CostModel"][0]()
+    assert Metrics(2, 2, 4, 42, 40, [2], [2], 4294967291, {(): -5}) == metrics()
+    assert Matrix(1, (3,)) == CASES["Matrix"][0]()
+    assert CountModel(1, 2) == CASES["CountModel"][0]()
+    assert tables() == ReferenceTables((40,), {40: 2}, {40: 3}, {40: {2: 1.5}},
+                                       {40: {2: 2.5}})
+    program = build_negate_demo()
+    positional = Program(program.relations, program.initial_elements, program.arities,
+                         program.result_identifier)
+    assert positional.names == {}
+    assert positional == Program(relations=program.relations,
+                                 initial_elements=program.initial_elements,
+                                 arities=program.arities,
+                                 result_identifier=program.result_identifier, names={})
+
+
+PARAMETERS = {
+    IndexTransform: ["kind", "position", "count"],
+    Relation: ["input_identifiers", "operation", "parameters", "output_identifier",
+               "index_transform", "rid"],
+    Program: ["relations", "initial_elements", "arities", "result_identifier", "names"],
+    MachineConfig: ["workers", "dispatch"],
+    CostModel: ["t_proc", "t_msg", "t_master"],
+    Metrics: ["elements_processed", "operands_processed", "messages", "sim_time",
+              "idle_time_total", "per_worker_processed", "per_worker_busy",
+              "result_checksum", "outputs"],
+    Matrix: ["n", "entries"],
+    CountModel: ["cubic", "quadratic"],
+    ReferenceTables: ["sizes", "instruction_counts", "element_counts",
+                      "instruction_model_ms", "element_model_ms"],
+}
+
+
+@pytest.mark.parametrize("cls", PARAMETERS, ids=lambda cls: cls.__name__)
+def test_constructor_parameters(cls):
+    assert list(inspect.signature(cls).parameters) == PARAMETERS[cls]
+
+
+@pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)),
+                                        copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+@pytest.mark.parametrize("name", CASES)
+def test_round_trips(name, round_trip):
+    value = CASES[name][0]()
+    back = round_trip(value)
+    assert type(back) is type(value)
+    assert repr(back) == repr(value)
+    if name != "Relation":
+        assert back == value
+
+
+@pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)),
+                                        copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_program_and_stored_relation_round_trips(round_trip):
+    program = build_negate_demo()
+    back = round_trip(program)
+    assert repr(back) == NEGATE_DEMO_REPR
+    assert [rel.rid for rel in back.relations] == [0, 1]
+    assert run(back).outputs == {(): -5}
+    relation = round_trip(program.relations[1])
+    assert relation.rid == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        relation.rid = 0
+
+
+def test_only_run_result_is_a_dataclass():
+    """No class in the package is a dataclass but RunResult.
+
+    @dataclass writes each class's methods as source and compiles them
+    every time the package is imported, and no .pyc caches that code: it
+    made up about two thirds of an `import aridem.cli`. The value classes
+    write their methods out instead. RunResult stays a dataclass because
+    callers use dataclasses.replace on it.
+    """
+    found = []
+    for info in pkgutil.iter_modules(aridem.__path__):
+        module = importlib.import_module(f"aridem.{info.name}")
+        for obj in vars(module).values():
+            if (inspect.isclass(obj) and obj.__module__ == module.__name__
+                    and dataclasses.is_dataclass(obj)):
+                found.append(f"{info.name}.{obj.__qualname__}")
+    assert found == ["engine.RunResult"]
