@@ -19,9 +19,9 @@ from aridem import (
 print("=== negate: the smallest possible program ===")
 program = build_negate_demo()
 print(f"initial element: {program.initial_elements[0].describe(program.names)}")
-for rel in program.relations:
+for rid, rel in enumerate(program.relations):
     inputs = "/".join(program.identifier_name(i) for i in rel.input_identifiers)
-    print(f"relation {rel.rid}: {rel.operation.name} on {inputs}"
+    print(f"relation {rid}: {rel.operation.name} on {inputs}"
           f" -> {program.identifier_name(rel.output_identifier)}")
 
 print("\nstepping to quiescence:")

@@ -4,8 +4,8 @@ An element is an (identifier, index list, value) triple and is consumed
 exactly once. Relations map input elements to output elements through a
 small closed operation set. Binary relations pair their two operands
 on (relation, index list): the first operand to show up waits, the
-second releases the pair. This module defines the model and checks each
-relation when it is built; engine and machine execute it.
+second releases the pair. This module defines the model, whose values
+check only their own fields; engine and machine build and execute it.
 
 The value types here and in the other modules are plain classes on two
 small bases, _Value and _Frozen, whose methods are written out in the
@@ -197,31 +197,6 @@ class IndexTransform(_Frozen):
     def truncate_to(cls, count: int) -> "IndexTransform":
         return cls(_TRUNCATE, count=count)
 
-    def output_arity(self, input_arity: int) -> int:
-        """Arity of each produced index list given the input arity."""
-        kind = self.kind
-        if kind is _KEEP:
-            return input_arity
-        if kind is _INCREMENT_LAST:
-            if input_arity < 1:
-                raise ProgramError("IncrementLast needs at least one index")
-            return input_arity
-        if kind is _DROP:
-            if self.position >= input_arity:
-                raise ProgramError(
-                    f"cannot drop index {self.position} from arity {input_arity}"
-                )
-            return input_arity - 1
-        if kind is _INSERT_VARIED:
-            if self.position > input_arity:
-                raise ProgramError(
-                    f"cannot insert at position {self.position} into arity {input_arity}"
-                )
-            return input_arity + 1
-        if self.count > input_arity:  # TRUNCATE, the one kind left
-            raise ProgramError(f"cannot truncate arity {input_arity} to {self.count}")
-        return self.count
-
 
 class Relation(_Frozen):
     """A deduction rule: consume matching element(s), emit derived element(s).
@@ -231,25 +206,25 @@ class Relation(_Frozen):
     operands with the same index list have arrived; input_identifiers
     order fixes which identifier is the left operand. input_identifiers
     and parameters must be tuples, and they and output_identifier must
-    hold plain ints (a bool is refused). A Relation is frozen;
-    RelationStore.add sets its rid, once. It compares by identity, and
-    its repr shows the rid.
+    hold plain ints (a bool is refused); operation is an Operation and
+    index_transform an IndexTransform. A Relation is a frozen value; the
+    Program that holds it numbers it by position and checks the rest.
     """
 
     _fields = ("input_identifiers", "operation", "parameters", "output_identifier",
-               "index_transform", "rid")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+               "index_transform")
 
     def __init__(self, input_identifiers: tuple[int, ...], operation: Operation,
                  parameters: tuple[int, ...], output_identifier: int,
-                 index_transform: IndexTransform, rid: int = -1) -> None:
+                 index_transform: IndexTransform) -> None:
         ids, op, params = input_identifiers, operation, parameters
         if type(ids) is not tuple or type(params) is not tuple:
             raise ProgramError("input identifiers and parameters must be tuples")
         try:
             if (ids and min(ids) < 0) or output_identifier < 0:
                 raise ProgramError("identifiers must be non-negative")
+            if type(op) is not Operation:
+                raise ProgramError(f"unknown operation {op!r}")
             if op is _MUL_PAIR or op is _SUM_STEP:
                 if len(ids) != 2:
                     raise ProgramError(f"{op.name} takes exactly two input identifiers")
@@ -257,6 +232,8 @@ class Relation(_Frozen):
                     raise ProgramError(f"{op.name} operand identifiers must differ")
             elif len(ids) != 1:
                 raise ProgramError(f"{op.name} takes exactly one input identifier")
+            if type(index_transform) is not IndexTransform:
+                raise ProgramError(f"transform {index_transform!r} is not an IndexTransform")
 
             kind = index_transform.kind
             if op is _REPLICATE:
@@ -293,21 +270,15 @@ class Relation(_Frozen):
         d["parameters"] = params
         d["output_identifier"] = output_identifier
         d["index_transform"] = index_transform
-        d["rid"] = rid
 
 
 class RelationStore:
-    """Registry of relations; a relation's rid is its position in it."""
+    """Relations in order, to build a Program from; a plain list serves too."""
 
     def __init__(self) -> None:
         self.relations: list[Relation] = []
 
     def add(self, relation: Relation) -> Relation:
-        if relation.rid != -1:
-            raise ProgramError(
-                f"relation {relation.rid} is already in a RelationStore"
-            )
-        relation.__dict__["rid"] = len(self.relations)
         self.relations.append(relation)
         return relation
 

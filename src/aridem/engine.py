@@ -2,16 +2,16 @@
 
 Runs a Program to quiescence: pop an element, apply every relation that
 consumes its identifier, push whatever was deduced. When a Program is
-built, one pass over its relations validates each one and compiles it
-into per-identifier plans: flat tuples that name an opcode and its
-operands, in relation order. One loop, Execution._drain, executes those
-plans over plain tuples, which is what keeps large runs affordable in
-pure Python; step() takes one element through it and run() takes all
-of them, traced or not. Parked operands are listed in (relation id,
-index list) order, which no processing order can change, so every
-executor names the same first one when a run deadlocks. machine.simulate
-executes the same plans. The paths are tested against each other and
-against a reference loop that the test suite keeps.
+built, one pass numbers its relations by position, does every check
+that spans values and compiles each relation into per-identifier plans:
+flat tuples that name an opcode and its operands, in relation order. One
+loop, Execution._drain, executes those plans over plain tuples, which
+keeps large runs affordable in pure Python; step() takes one element
+through it and run() takes all of them, traced or not. Parked operands
+are listed in (relation id, index list) order, which no processing order
+can change, so every executor names the same first one when a run
+deadlocks. machine.simulate executes the same plans. The paths are
+tested against each other and a reference loop kept by the tests.
 
 Program is a plain frozen class on core's _Frozen base, with its methods
 in the source rather than generated by @dataclass at every import (see
@@ -39,12 +39,14 @@ from .core import (
     _Frozen,
     _overflow,
 )
-from .core import _DROP, _INCREMENT_LAST, _KEEP, _TRUNCATE
+from .core import _DROP, _INCREMENT_LAST, _INSERT_VARIED, _KEEP
 from .core import _MUL_PAIR, _NEGATE, _REPLICATE, _SINK, _SQUARE, _SUM_STEP
 
 TraceFn = Callable[..., None]
 
 DEFAULT_STEP_LIMIT = 100_000_000
+
+_ARITIES_NOT_INT = "arities must map plain ints to plain ints"
 
 
 def _check_budget(name: str, value) -> None:
@@ -60,13 +62,14 @@ class Program(_Frozen):
     result_identifier is the one whose sink records final outputs. names
     is optional and only used for display.
 
-    One pass over the relations validates and compiles the program, once,
-    when it is built; every executor runs the compiled plans. A built
-    Program is frozen: it keeps the relations of its RelationStore as a
-    tuple (relations added to the store later are not seen), the initial
-    elements as a tuple, and read-only copies of arities and names, and
-    assigning any field raises. The compiled plans, _compiled, are left
-    out of its repr and equality.
+    relations is any iterable of Relations, such as a list or a
+    RelationStore; a relation's rid is its position. One pass over the
+    relations validates and compiles the program, once, when it is
+    built; every executor runs the compiled plans. A built Program is
+    frozen: it keeps the relations and initial elements as tuples and
+    read-only copies of arities and names, and assigning any field
+    raises. Programs built from equal parts compare equal; the compiled
+    plans, _compiled, are left out of its repr and equality.
     """
 
     _fields = ("relations", "initial_elements", "arities", "result_identifier", "names")
@@ -75,9 +78,12 @@ class Program(_Frozen):
                  arities: Mapping[int, int], result_identifier: int,
                  names: Mapping[int, str] = MappingProxyType({})) -> None:
         d = self.__dict__
-        d.update(relations=tuple(relations), initial_elements=tuple(initial_elements),
-                 arities=MappingProxyType(dict(arities)),
-                 result_identifier=result_identifier, names=MappingProxyType(dict(names)))
+        try:
+            d.update(relations=tuple(relations), initial_elements=tuple(initial_elements),
+                     arities=MappingProxyType(dict(arities)),
+                     result_identifier=result_identifier, names=MappingProxyType(dict(names)))
+        except (TypeError, ValueError) as error:  # a field of the wrong container
+            raise ProgramError(f"cannot read the program's fields: {error}") from None
         d["_compiled"] = _compile_plans(self)
 
     def __reduce__(self):
@@ -115,20 +121,29 @@ _OP_NEGATE = 4
 _OP_SQUARE = 5
 
 
-def _compile_transform(transform) -> Callable | None:
-    """Single-output transform as a tuple->tuple callable, None for identity."""
-    kind = transform.kind
+def _compile_transform(t, in_arity: int) -> tuple[int, Callable | None]:
+    """The arity t makes of in_arity indices, and t as a tuple->tuple callable:
+    None for KEEP, and for INSERT_VARIED, whose fields Replicate's plan holds."""
+    kind = t.kind
     if kind is _KEEP:
-        return None
-    if kind is _DROP:
-        p = transform.position
-        return lambda idx: idx[:p] + idx[p + 1 :]
+        return in_arity, None
     if kind is _INCREMENT_LAST:
-        return lambda idx: idx[:-1] + (idx[-1] + 1,)
-    if kind is _TRUNCATE:
-        k = transform.count
-        return lambda idx: idx[:k]
-    raise ProgramError(f"transform {kind!r} has no single-output form")
+        if in_arity < 1:
+            raise ProgramError("IncrementLast needs at least one index")
+        return in_arity, lambda idx: idx[:-1] + (idx[-1] + 1,)
+    p = t.position
+    if kind is _DROP:
+        if p >= in_arity:
+            raise ProgramError(f"cannot drop index {p} from arity {in_arity}")
+        return in_arity - 1, lambda idx: idx[:p] + idx[p + 1 :]
+    if kind is _INSERT_VARIED:
+        if p > in_arity:
+            raise ProgramError(f"cannot insert at position {p} into arity {in_arity}")
+        return in_arity + 1, None
+    k = t.count  # TRUNCATE, the one kind left
+    if k > in_arity:
+        raise ProgramError(f"cannot truncate arity {in_arity} to {k}")
+    return k, lambda idx: idx[:k]
 
 
 class _Compiled:
@@ -148,26 +163,27 @@ class _Compiled:
 
 
 def _compile_plans(program: Program) -> _Compiled:
-    """Check program and compile its plans in one walk over its relations.
-    The checks fire in order: arities, result identifier, each relation,
-    each initial element, and last an operation that is not an Operation."""
+    """Check program and compile its plans in one walk over its relations,
+    each numbered by its position. The checks fire in order: arities, the
+    result identifier, each relation, each initial element."""
     arities = program.arities
-    if arities and min(arities.values()) < 0:
-        raise ProgramError("arities must be non-negative")
+    try:
+        if arities and min(arities.values()) < 0:
+            raise ProgramError("arities must be non-negative")
+    except TypeError:  # a value that does not compare with an int
+        raise ProgramError(_ARITIES_NOT_INT) from None
+    for ident, arity in arities.items():
+        if type(ident) is not int or type(arity) is not int:
+            raise ProgramError(_ARITIES_NOT_INT)
     result = program.result_identifier
-    if result not in arities:
+    if type(result) is not int or result not in arities:
         raise ProgramError("result identifier has no registered arity")
 
     plans: dict[int, list[tuple]] = {ident: [] for ident in arities}
     binary = []
-    unknown = None
-    for position, rel in enumerate(program.relations):
-        rid = rel.rid
-        if rid != position:
-            raise ProgramError(
-                f"relation {position} has rid {rid}: add relations "
-                f"through one RelationStore"
-            )
+    for rid, rel in enumerate(program.relations):
+        if type(rel) is not Relation:
+            raise ProgramError(f"relation {rid} is not a Relation")
         ids = rel.input_identifiers
         for ident in ids:
             if ident not in arities:
@@ -184,7 +200,7 @@ def _compile_plans(program: Program) -> _Compiled:
         out_id, t = rel.output_identifier, rel.index_transform
         if out_id not in arities:
             raise ProgramError(f"relation {rid} output {out_id} unregistered")
-        out_arity = t.output_arity(in_arity)
+        out_arity, tf = _compile_transform(t, in_arity)
         if arities[out_id] != out_arity:
             raise ProgramError(
                 f"relation {rid} produces arity {out_arity} but "
@@ -200,32 +216,42 @@ def _compile_plans(program: Program) -> _Compiled:
                         "SumStep result arity must be one less than its input"
                     )
             else:
-                code, arg, result_id = _OP_MUL, _compile_transform(t), None
+                code, arg, result_id = _OP_MUL, tf, None
             binary.append(rid)
             for slot, ident in enumerate(ids):
                 plans[ident].append((code, slot, out_id, arg, result_id, rid))
         elif op is _REPLICATE:
             plans[first].append((_OP_REPLICATE, out_id, t.position, t.count, rid))
-        elif op is _NEGATE or op is _SQUARE:
+        else:  # _NEGATE or _SQUARE
             code = _OP_NEGATE if op is _NEGATE else _OP_SQUARE
-            plans[first].append((code, out_id, _compile_transform(t), rid))
-        elif unknown is None:
-            unknown = ProgramError(f"unknown operation {op!r}")
+            plans[first].append((code, out_id, tf, rid))
 
     for elem in program.initial_elements:
-        if elem.identifier not in arities:
-            raise ProgramError(f"initial element identifier {elem.identifier} unregistered")
-        if len(elem.indices) != arities[elem.identifier]:
-            raise ProgramError(
-                f"initial element {elem} has arity {len(elem.indices)}, "
-                f"expected {arities[elem.identifier]}"
-            )
-        if elem.value > INT64_MAX or elem.value < INT64_MIN:
-            raise ProgramError(f"initial value {elem.value} outside 64-bit range")
-        if elem.indices and min(elem.indices) < 0:
-            raise ProgramError("initial indices must be non-negative")
-    if unknown is not None:
-        raise unknown
+        if type(elem) is not Element:
+            raise ProgramError(f"initial element {elem!r} is not an Element")
+        ident, idx, val = elem
+        try:
+            if ident not in arities:
+                raise ProgramError(f"initial element identifier {ident} unregistered")
+            if len(idx) != arities[ident]:
+                raise ProgramError(
+                    f"initial element {elem} has arity {len(idx)}, "
+                    f"expected {arities[ident]}"
+                )
+            if val > INT64_MAX or val < INT64_MIN:
+                raise ProgramError(f"initial value {val} outside 64-bit range")
+            plain = type(ident) is int and type(idx) is tuple and type(val) is int
+            for i in idx:
+                if i < 0:
+                    raise ProgramError("initial indices must be non-negative")
+                if type(i) is not int:
+                    plain = False
+        except TypeError:  # a part unhashable, without a length, or not comparable
+            plain = False
+        # after the checks above, so each element they refuse keeps their text
+        if not plain:
+            raise ProgramError(f"initial element {elem} must hold plain ints, "
+                               f"its indices in a tuple")
     return _Compiled(
         plans={ident: tuple(plan) for ident, plan in plans.items()},
         binary=tuple(binary),

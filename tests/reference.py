@@ -59,20 +59,21 @@ def apply_transform(transform, indices: tuple[int, ...]) -> list[tuple[int, ...]
     raise ProgramError(f"unknown transform kind {kind!r}")
 
 
-def operand_slot(relation, identifier: int) -> int:
-    """Position (0 = left) of identifier among relation's inputs."""
+def operand_slot(rid: int, relation, identifier: int) -> int:
+    """Position (0 = left) of identifier among the inputs of relation rid."""
     try:
         return relation.input_identifiers.index(identifier)
     except ValueError:
         raise ProgramError(
-            f"identifier {identifier} is not an operand of relation {relation.rid}"
+            f"identifier {identifier} is not an operand of relation {rid}"
         ) from None
 
 
 class PartialStore:
     """Holds the first-arriving operand of each binary match.
 
-    Keys are (relation id, index list). offer() either parks an element
+    Keys are (relation id, index list); a relation's id is its position
+    in its Program. offer() either parks an element
     and returns None, or pops the waiting partner and returns the ordered
     (left, right) pair. A second arrival for an already-filled slot is a
     program bug and raises DuplicateOperandError.
@@ -82,11 +83,9 @@ class PartialStore:
         self._waiting: dict[tuple[int, tuple[int, ...]], tuple[int, Element]] = {}
         self.max_size = 0
 
-    def offer(self, relation, element: Element):
-        if relation.rid < 0:
-            raise ProgramError("relation was never added to a RelationStore")
-        slot = operand_slot(relation, element.identifier)
-        key = (relation.rid, element.indices)
+    def offer(self, rid: int, relation, element: Element):
+        slot = operand_slot(rid, relation, element.identifier)
+        key = (rid, element.indices)
         hit = self._waiting.get(key)
         if hit is None:
             self._waiting[key] = (slot, element)
@@ -95,7 +94,7 @@ class PartialStore:
             return None
         other_slot, other = hit
         if other_slot == slot:
-            raise _duplicate_operand(slot, relation.rid, element.indices)
+            raise _duplicate_operand(slot, rid, element.indices)
         del self._waiting[key]
         return (other, element) if other_slot == 0 else (element, other)
 
@@ -182,17 +181,18 @@ def run_reference(program, apply=apply_relation):
     parked at quiescence raise JoinDeadlockError.
     """
     consumers = {}
-    for rel in program.relations:
+    for rid, rel in enumerate(program.relations):
         for ident in rel.input_identifiers:
-            consumers.setdefault(ident, []).append(rel)
+            consumers.setdefault(ident, []).append((rid, rel))
     queue = deque(program.initial_elements)
     partials, outputs = PartialStore(), {}
     processed, created = 0, len(queue)
     while queue:
         element = queue.popleft()
         processed += 1
-        for rel in consumers.get(element.identifier, ()):
-            operands = partials.offer(rel, element) if rel.operation in JOINS else element
+        for rid, rel in consumers.get(element.identifier, ()):
+            operands = (partials.offer(rid, rel, element) if rel.operation in JOINS
+                        else element)
             if operands is None:
                 continue
             if rel.operation is not Operation.SINK:

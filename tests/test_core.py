@@ -19,6 +19,7 @@ from aridem import (
     ProgramError,
     Relation,
     RelationStore,
+    TransformKind,
     build_negate_demo,
     run,
 )
@@ -36,33 +37,59 @@ def negate_relation(src=0, dst=1, transform=None):
                     transform or IndexTransform.keep())
 
 
+def build_one(transform, in_arity, out_arity):
+    """A Program whose one relation takes transform from identifier 0,
+    registered at in_arity, to identifier 1, registered at out_arity."""
+    if transform.kind is TransformKind.INSERT_VARIED:
+        rel = Relation((0,), Operation.REPLICATE, (transform.count,), 1, transform)
+    else:
+        rel = negate_relation(0, 1, transform)
+    return Program([rel], [], {0: in_arity, 1: out_arity}, 1)
+
+
+def built_arity(transform, in_arity):
+    """The one output arity at which a Program build accepts transform on
+    in_arity indices; a build at any other arity fails."""
+    built = []
+    for out_arity in range(in_arity + 3):
+        try:
+            build_one(transform, in_arity, out_arity)
+        except ProgramError as error:
+            assert str(error).startswith("relation 0 produces arity ")
+        else:
+            built.append(out_arity)
+    (arity,) = built
+    return arity
+
+
 class TestIndexTransform:
     def test_keep(self):
         t = IndexTransform.keep()
         assert apply_transform(t, (1, 2, 3)) == [(1, 2, 3)]
-        assert t.output_arity(3) == 3
+        assert built_arity(t, 3) == 3
 
     def test_drop(self):
         t = IndexTransform.drop(1)
         assert apply_transform(t, (4, 5, 6)) == [(4, 6)]
-        assert t.output_arity(3) == 2
+        assert built_arity(t, 3) == 2
 
     def test_drop_out_of_range(self):
-        with pytest.raises(ProgramError):
-            IndexTransform.drop(2).output_arity(2)
+        with pytest.raises(ProgramError, match=r"^cannot drop index 2 from arity 2$"):
+            build_one(IndexTransform.drop(2), 2, 1)
 
     def test_insert_varied(self):
         t = IndexTransform.insert_varied(1, 3)
         assert apply_transform(t, (0, 2)) == [(0, 0, 2), (0, 1, 2), (0, 2, 2)]
-        assert t.output_arity(2) == 3
+        assert built_arity(t, 2) == 3
 
     def test_insert_at_end(self):
         t = IndexTransform.insert_varied(2, 2)
         assert apply_transform(t, (7, 8)) == [(7, 8, 0), (7, 8, 1)]
 
     def test_insert_beyond_arity(self):
-        with pytest.raises(ProgramError):
-            IndexTransform.insert_varied(3, 2).output_arity(2)
+        with pytest.raises(ProgramError,
+                           match=r"^cannot insert at position 3 into arity 2$"):
+            build_one(IndexTransform.insert_varied(3, 2), 2, 3)
 
     def test_insert_needs_positive_count(self):
         with pytest.raises(ProgramError):
@@ -71,23 +98,23 @@ class TestIndexTransform:
     def test_increment_last(self):
         t = IndexTransform.increment_last()
         assert apply_transform(t, (3, 9)) == [(3, 10)]
-        assert t.output_arity(2) == 2
+        assert built_arity(t, 2) == 2
 
     def test_increment_last_needs_indices(self):
         with pytest.raises(ProgramError):
             apply_transform(IndexTransform.increment_last(), ())
-        with pytest.raises(ProgramError, match="IncrementLast needs at least one index"):
-            IndexTransform.increment_last().output_arity(0)
+        with pytest.raises(ProgramError, match="^IncrementLast needs at least one index$"):
+            build_one(IndexTransform.increment_last(), 0, 0)
 
     def test_truncate(self):
         t = IndexTransform.truncate_to(1)
         assert apply_transform(t, (5, 6, 7)) == [(5,)]
-        assert t.output_arity(3) == 1
+        assert built_arity(t, 3) == 1
         assert apply_transform(IndexTransform.truncate_to(0), (1,)) == [()]
 
     def test_truncate_beyond_arity(self):
-        with pytest.raises(ProgramError):
-            IndexTransform.truncate_to(3).output_arity(2)
+        with pytest.raises(ProgramError, match=r"^cannot truncate arity 2 to 3$"):
+            build_one(IndexTransform.truncate_to(3), 2, 3)
 
     def test_negative_position_rejected(self):
         with pytest.raises(ProgramError):
@@ -207,101 +234,139 @@ class TestRelationValidation:
          "SumStep requires an IncrementLast transform"),
         (((0,), Operation.NEGATE, (1.0,), True, IndexTransform.keep()),
          "NEGATE takes no parameters"),
+        # an operation or transform of the wrong type is checked later
+        (([0], "bogus", (), 1, None), "input identifiers and parameters must be tuples"),
+        (((-1,), "bogus", (), 1, None), "identifiers must be non-negative"),
+        (((0, 1), Operation.NEGATE, (), 2, None),
+         "NEGATE takes exactly one input identifier"),
+        (((0,), Operation.MUL_PAIR, (), 2, "keep"),
+         "MUL_PAIR takes exactly two input identifiers"),
     ])
     def test_older_checks_fire_first(self, args, message):
         # an input the shape checks refused keeps their text
         with pytest.raises(ProgramError, match=f"^{re.escape(message)}$"):
             Relation(*args)
 
+    # Each of these built and failed only when its Program was built, last
+    # of all its checks, or raised a bare AttributeError when it was made.
+    @pytest.mark.parametrize("args, message", [
+        (((0,), "bogus", (), 1, IndexTransform.keep()), "unknown operation 'bogus'"),
+        (((0, 1), "bogus", (), 1, IndexTransform.keep()), "unknown operation 'bogus'"),
+        (((0,), "other", (1,), 1, IndexTransform.keep()), "unknown operation 'other'"),
+        (((0,), TransformKind.KEEP, (), 1, IndexTransform.keep()),
+         "unknown operation <TransformKind.KEEP: 1>"),
+        (((0,), Operation.NEGATE, (), 1, None),
+         "transform None is not an IndexTransform"),
+        (((0,), Operation.SINK, (1,), 1, "keep"),
+         "transform 'keep' is not an IndexTransform"),
+        (((0,), Operation.REPLICATE, (2,), 1, TransformKind.INSERT_VARIED),
+         "transform <TransformKind.INSERT_VARIED: 3> is not an IndexTransform"),
+    ], ids=["bogus", "bogus-two-inputs", "other-with-parameter", "transform-kind",
+            "no-transform", "str-transform", "kind-as-transform"])
+    def test_operation_and_transform_must_have_their_types(self, args, message):
+        with pytest.raises(ProgramError, match=f"^{re.escape(message)}$"):
+            Relation(*args)
+
     def test_operand_slot(self):
         rel = Relation((5, 9), Operation.MUL_PAIR, (), 1, IndexTransform.keep())
-        assert operand_slot(rel, 5) == 0
-        assert operand_slot(rel, 9) == 1
-        with pytest.raises(ProgramError):
-            operand_slot(rel, 7)
+        assert operand_slot(3, rel, 5) == 0
+        assert operand_slot(3, rel, 9) == 1
+        with pytest.raises(ProgramError,
+                           match=r"^identifier 7 is not an operand of relation 3$"):
+            operand_slot(3, rel, 7)
 
 
 class TestRelationStore:
     def test_rid_assignment_and_order(self):
+        # a relation's rid is its position in the Program: every plan ends
+        # with it
         store = RelationStore()
         r1 = store.add(negate_relation(0, 1))
         r2 = store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
-        assert (r1.rid, r2.rid) == (0, 1)
         assert len(store) == 2
         assert list(store) == [r1, r2]
+        program = Program(store, [], {0: 0, 1: 0}, 1)
+        assert program.relations == (r1, r2)
+        assert [plan[-1] for plan in program._compiled.plans[0]] == [0]
+        assert [plan[-1] for plan in program._compiled.plans[1]] == [1]
 
     def test_added_relation_keeps_its_rid(self):
-        # adding relation 1 of a built program to a new store would renumber
-        # it to 0, and the program would no longer pickle
+        # relation 1 of a built program, added to a new store, is relation 0
+        # of a program built from that store, and still relation 1 of its
+        # own, through a pickle round trip too
         program = build_negate_demo()
         sink = program.relations[1]
-        with pytest.raises(ProgramError, match="relation 1 is already in a RelationStore"):
-            RelationStore().add(sink)
-        assert sink.rid == 1
-        assert pickle.loads(pickle.dumps(program)).relations[1].rid == 1
+        store = RelationStore()
+        assert store.add(sink) is sink
+        other = Program(store, [Element(1, (), 4)], {1: 0}, 1)
+        assert [plan[-1] for plan in other._compiled.plans[1]] == [0]
+        for built in (program, pickle.loads(pickle.dumps(program))):
+            assert built.relations[1] == sink
+            assert [plan[-1] for plan in built._compiled.plans[1]] == [1]
+        assert run(other).outputs == {(): 4}
+        assert run(program).outputs == {(): -5}
 
 
 class TestPartialStore:
     def setup_method(self):
-        self.rel = RelationStore().add(
-            Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()))
+        self.rel = Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep())
 
     def test_first_arrival_waits(self):
         store = PartialStore()
-        assert store.offer(self.rel, Element(0, (0, 0), 3)) is None
+        assert store.offer(0, self.rel, Element(0, (0, 0), 3)) is None
         assert len(store) == 1
 
     def test_second_arrival_pairs_in_input_order(self):
         store = PartialStore()
         left = Element(0, (1,), 3)
         right = Element(1, (1,), 4)
-        store.offer(self.rel, right)
-        assert store.offer(self.rel, left) == (left, right)
+        store.offer(0, self.rel, right)
+        assert store.offer(0, self.rel, left) == (left, right)
         assert len(store) == 0
 
     def test_pair_removal_shrinks_store_by_one(self):
         store = PartialStore()
-        store.offer(self.rel, Element(0, (0,), 1))
-        store.offer(self.rel, Element(0, (1,), 2))
+        store.offer(0, self.rel, Element(0, (0,), 1))
+        store.offer(0, self.rel, Element(0, (1,), 2))
         assert len(store) == 2
-        store.offer(self.rel, Element(1, (1,), 5))
+        store.offer(0, self.rel, Element(1, (1,), 5))
         assert len(store) == 1
         assert store.max_size == 2
 
     def test_different_indices_do_not_match(self):
         store = PartialStore()
-        store.offer(self.rel, Element(0, (0,), 1))
-        assert store.offer(self.rel, Element(1, (1,), 2)) is None
+        store.offer(0, self.rel, Element(0, (0,), 1))
+        assert store.offer(0, self.rel, Element(1, (1,), 2)) is None
         assert len(store) == 2
 
     def test_duplicate_slot_rejected(self):
         store = PartialStore()
-        store.offer(self.rel, Element(0, (0,), 1))
+        store.offer(0, self.rel, Element(0, (0,), 1))
         with pytest.raises(DuplicateOperandError):
-            store.offer(self.rel, Element(0, (0,), 9))
+            store.offer(0, self.rel, Element(0, (0,), 9))
 
     def test_size_tracks_stored_minus_matched(self):
         store = PartialStore()
         stored = matched = 0
         for i in range(10):
-            if store.offer(self.rel, Element(0, (i,), i)) is None:
+            if store.offer(0, self.rel, Element(0, (i,), i)) is None:
                 stored += 1
             assert len(store) == stored - matched
         for i in range(0, 10, 2):
-            if store.offer(self.rel, Element(1, (i,), i)) is not None:
+            if store.offer(0, self.rel, Element(1, (i,), i)) is not None:
                 matched += 1
             assert len(store) == stored - matched
         assert matched == 5
 
-    def test_unregistered_relation_rejected(self):
-        rel = Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep())
-        with pytest.raises(ProgramError):
-            PartialStore().offer(rel, Element(0, (0,), 1))
+    def test_non_operand_rejected(self):
+        with pytest.raises(ProgramError,
+                           match=r"^identifier 2 is not an operand of relation 4$"):
+            PartialStore().offer(4, self.rel, Element(2, (0,), 1))
 
     def test_pending_lists_waiting_elements(self):
         store = PartialStore()
         e = Element(0, (7,), 1)
-        store.offer(self.rel, e)
+        store.offer(0, self.rel, e)
         assert store.pending() == [e]
 
 

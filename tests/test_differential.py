@@ -70,7 +70,8 @@ def programs(draw):
     def add(inputs, operation, parameters, transform, indices, clean):
         out = len(arities)
         store.add(Relation(inputs, operation, parameters, out, transform))
-        arities[out] = transform.output_arity(arities[inputs[0]])
+        # every output index list of one input list has the same arity
+        arities[out] = len(apply_transform(transform, (0,) * arities[inputs[0]])[0])
         index_lists[out] = indices
         if clean:
             distinct.append(out)
@@ -317,6 +318,105 @@ def test_deadlock_text_is_the_same_everywhere(program):
         executors.append(lambda p, config=config, costs=costs: simulate(p, config, costs))
     for execute in executors:
         assert outcome(execute, program, text=True) == expected
+
+
+def parts_of(program):
+    """program as plain nested tuples: each relation as its five fields,
+    its transform as (kind, position, count), and arities as (identifier,
+    arity) pairs."""
+    relations = tuple(
+        (rel.input_identifiers, rel.operation, rel.parameters, rel.output_identifier,
+         (rel.index_transform.kind, rel.index_transform.position,
+          rel.index_transform.count))
+        for rel in program.relations)
+    return (relations, program.initial_elements, tuple(program.arities.items()),
+            program.result_identifier)
+
+
+def nodes(node, path=()):
+    """Every part of node, node itself first, each with its path."""
+    yield path, node
+    if type(node) in (tuple, Element):
+        for i, item in enumerate(node):
+            yield from nodes(item, path + (i,))
+
+
+def replaced(node, path, new):
+    """node with its part at path replaced by new."""
+    if not path:
+        return new
+    items = list(node)
+    items[path[0]] = replaced(items[path[0]], path[1:], new)
+    return Element._make(items) if type(node) is Element else tuple(items)
+
+
+def corruptions(node):
+    """node changed in its type, its sign or its container."""
+    if type(node) is int:
+        return [float(node), bool(node), str(node), None, -node - 1]
+    if isinstance(node, (Operation, TransformKind)):
+        other = TransformKind.KEEP if type(node) is Operation else Operation.NEGATE
+        return [node.name, other, None]
+    return [list(node), None] + ([tuple(node)] if type(node) is Element else [])
+
+
+def build(parts):
+    """The Program parts describe. Only a part left a tuple becomes a
+    Relation or an IndexTransform; a part corrupted into something else
+    goes in as it is, and the arity pairs go in as pairs."""
+    relations, initial, arities, result = parts
+
+    def relation(fields):
+        if type(fields) is not tuple:
+            return fields
+        *fields, t = fields
+        return Relation(*fields, IndexTransform(*t) if type(t) is tuple else t)
+
+    if relations is not None:
+        relations = [relation(fields) for fields in relations]
+    return Program(relations, initial, arities, result)
+
+
+@st.composite
+def corrupted_parts(draw):
+    """A generated program's parts with one of them corrupted."""
+    parts = parts_of(draw(programs()))
+    path, node = draw(st.sampled_from([(path, node) for path, node in nodes(parts)
+                                       if path]))
+    return replaced(parts, path, draw(st.sampled_from(corruptions(node))))
+
+
+def test_corrupted_programs_fail_at_build_or_run_as_the_reference():
+    """Corrupt one part of a valid program: a type, a sign or a container.
+    Its build then raises an ElementModelError, or every executor runs it
+    to the reference's outcome, with plain-int outputs. No bare exception
+    either way. Both happen: a value may change sign, and a list may hold
+    the relations or the initial elements."""
+    seen = set()
+
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(corrupted_parts())
+    def check(parts):
+        try:
+            program = build(parts)
+        except ElementModelError:
+            seen.add("refused")
+            return
+        seen.add("built")
+        totals = ("elements_processed", "elements_created")
+        expected = outcome(run_reference, program, totals)
+        for execute in (run, lambda p: run(p, discipline="lifo"), stepped("fifo")):
+            assert outcome(execute, program, totals) == expected
+        for config in (MachineConfig(workers=1), MachineConfig(workers=3)):
+            got = outcome(lambda p: simulate(p, config), program)
+            assert got == (expected if isinstance(expected, type) else expected[:2])
+        if not isinstance(expected, type):
+            for indices, value in expected[0].items():
+                assert type(value) is int and type(indices) is tuple
+                assert all(type(i) is int for i in indices)
+
+    check()
+    assert seen == {"refused", "built"}
 
 
 def test_generated_programs_reach_every_outcome():

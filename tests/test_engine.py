@@ -88,18 +88,26 @@ class TestFrozenProgram:
     def test_relations_are_frozen(self):
         program = build_negate_demo()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            program.relations[1].rid = 0
+            program.relations[1].output_identifier = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             program.relations[0].operation = Operation.SQUARE
-        assert program.relations[1].rid == 1
+        assert program.relations[1].output_identifier == 1
         assert run(pickle.loads(pickle.dumps(program))).outputs == {(): -5}
 
-    def test_relations_need_their_store_rids(self):
+    def test_relations_may_come_in_any_iterable(self):
         loose = [Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()),
                  Relation((1,), Operation.SINK, (), 1, IndexTransform.keep())]
-        with pytest.raises(ProgramError, match="RelationStore"):
-            Program(relations=loose, initial_elements=[], arities={0: 0, 1: 0},
-                    result_identifier=1)
+        store = RelationStore()
+        for rel in loose:
+            store.add(rel)
+        built = [Program(relations=relations, initial_elements=[Element(0, (), 5)],
+                         arities={0: 0, 1: 0}, result_identifier=1)
+                 for relations in (loose, tuple(loose), iter(loose), store)]
+        for program in built:
+            assert program == built[0]
+            assert program.relations == tuple(loose)
+            assert program._compiled.plans == built[0]._compiled.plans
+            assert run(program).outputs == {(): -5}
 
 
 class TestProgramValidation:
@@ -179,12 +187,54 @@ class TestProgramValidation:
         with pytest.raises(ProgramError, match=r"^initial indices must be non-negative$"):
             tiny_program([Element(0, (-1,), 5)], [], {0: 1, 1: 1})
 
+    # Each of these built, and run() and simulate() then raised a bare
+    # TypeError (indices in a list) or ran on it (2.5 ran to an output of
+    # 10.0, True as 1, an index of 1.5 too), or the build raised a bare
+    # TypeError or AttributeError; only the result identifier "2" was
+    # refused, with the same text.
+    @pytest.mark.parametrize("fields, message", [
+        (dict(initial_elements=[Element(0, [1], 3)]),
+         "initial element Element(identifier=0, indices=[1], value=3) must hold "
+         "plain ints, its indices in a tuple"),
+        *[(dict(initial_elements=[elem]),
+           f"initial element {elem} must hold plain ints, its indices in a tuple")
+          for elem in (Element(0, (1,), 2.5), Element(0, (1,), True),
+                       Element(0, (1.5,), 3), Element(0, (True,), 3),
+                       Element(1.0, (1,), 3), Element([0], (1,), 3), Element(0, None, 3),
+                       Element(0, ("a",), 3), Element(0, (1,), "3"))],
+        (dict(initial_elements=[(0, (1,), 3)]),
+         "initial element (0, (1,), 3) is not an Element"),
+        (dict(initial_elements=[[0, (1,), 3]]),
+         "initial element [0, (1,), 3] is not an Element"),
+        *[(dict(arities=arities), "arities must map plain ints to plain ints")
+          for arities in ({0: 1, 1: 1, 2: "1"}, {0: 1, 1: 1, 2: 1.0},
+                          {0: 1, 1: True, 2: 1}, {0: 1, 1: 1, 2: 1, "3": 0})],
+        *[(dict(result_identifier=result), "result identifier has no registered arity")
+          for result in (2.0, True, [2], "2")],
+        (dict(relations=[("not", "a", "relation")]), "relation 0 is not a Relation"),
+        (dict(relations=None), "cannot read the program's fields: "
+         "'NoneType' object is not iterable"),
+        (dict(initial_elements=5), "cannot read the program's fields: "
+         "'int' object is not iterable"),
+        (dict(arities=[0, 1]), "cannot read the program's fields: "
+         "cannot convert dictionary update sequence element #0 to a sequence"),
+        (dict(names=None), "cannot read the program's fields: "
+         "'NoneType' object is not iterable"),
+    ])
+    def test_malformed_parts_fail_at_build(self, fields, message):
+        program = single_join_program([(6, 7)])
+        parts = dict(relations=program.relations, initial_elements=program.initial_elements,
+                     arities=program.arities, result_identifier=2, names={})
+        parts.update(fields)
+        with pytest.raises(ProgramError, match=f"^{re.escape(message)}$"):
+            Program(**parts)
+
     # Each case has two or more faults (unregistered identifiers 5 and 7,
-    # an arity of -1, an operation that is not an Operation), and the
-    # message names the one whose check fires first: arities, then the result
+    # an arity of -1, a part that is not a plain int), and the message
+    # names the one whose check fires first: arities, then the result
     # identifier, then each relation in rid order and each check of a
-    # relation in turn, then each initial element, and an unknown
-    # operation last.
+    # relation in turn, then each initial element and each check of an
+    # element in turn, the plain-int checks last.
     @pytest.mark.parametrize("initial, relations, arities, result, message", [
         ([], [], {0: -1}, 3, "arities must be non-negative"),
         ([], [Relation((5,), Operation.NEGATE, (), 1, IndexTransform.keep())],
@@ -206,14 +256,13 @@ class TestProgramValidation:
         ([Element(0, (0,), 5)],
          [Relation((5,), Operation.NEGATE, (), 1, IndexTransform.keep())],
          {0: 0, 1: 0}, 1, "relation 0 input 5 unregistered"),
-        ([Element(7, (), 5)], [Relation((0,), "bogus", (), 1, IndexTransform.keep())],
-         {0: 0, 1: 0}, 1, "initial element identifier 7 unregistered"),
-        ([], [Relation((0,), "bogus", (), 1, IndexTransform.keep()),
-              Relation((5,), Operation.NEGATE, (), 1, IndexTransform.keep())],
-         {0: 0, 1: 0}, 1, "relation 1 input 5 unregistered"),
-        ([], [Relation((0,), "bogus", (), 1, IndexTransform.keep()),
-              Relation((1,), "other", (), 1, IndexTransform.keep())],
-         {0: 0, 1: 0}, 1, "unknown operation 'bogus'"),
+        ([Element(0, (), 2.5), Element(7, (), 5)], [], {0: 0, 1: 0}, 1,
+         "initial element Element(identifier=0, indices=(), value=2.5) must hold "
+         "plain ints, its indices in a tuple"),
+        ([Element(0, [-1], 1 << 63)], [], {0: 1, 1: 0}, 1,
+         "initial value 9223372036854775808 outside 64-bit range"),
+        ([], [Relation((5,), Operation.NEGATE, (), 1, IndexTransform.keep())],
+         {0: -1, 1: 0.5}, 7, "arities must be non-negative"),
         ([Element(0, (-1,), 1 << 63), Element(7, (), 5)], [], {0: 0, 1: 0}, 1,
          "initial element Element(identifier=0, indices=(-1,), "
          "value=9223372036854775808) has arity 1, expected 0"),
@@ -877,11 +926,10 @@ class TestCompiledOnce:
              Relation((1, 2), Operation.MUL_PAIR, (), 3, IndexTransform.keep())],
             {0: 0, 1: 0, 2: 0, 3: 0},
         )
-        negate, square, mul = program.relations
         plans = program._compiled.plans
-        # every plan ends with its relation's rid
-        assert [plan[-1] for plan in plans[0]] == [negate.rid, square.rid]
-        assert [plan[-1] for plan in plans[1]] == [mul.rid]
-        assert [plan[-1] for plan in plans[2]] == [mul.rid]
+        # every plan ends with its relation's rid, its position
+        assert [plan[-1] for plan in plans[0]] == [0, 1]
+        assert [plan[-1] for plan in plans[1]] == [2]
+        assert [plan[-1] for plan in plans[2]] == [2]
         assert plans[3] == ()
-        assert program._compiled.binary == (mul.rid,)
+        assert program._compiled.binary == (2,)

@@ -27,6 +27,7 @@ from aridem import (
     Relation,
     RelationStore,
     TransformKind,
+    build_matmul_program,
     build_negate_demo,
     run,
 )
@@ -58,7 +59,7 @@ def tables(**changes):
 
 
 # (build by keyword, its repr, a build that differs in one field); Program
-# is checked on its own below, as its relations compare by identity
+# is checked on its own below, as it is unhashable
 CASES = {
     "IndexTransform": (
         lambda: IndexTransform(kind=TransformKind.DROP, position=1),
@@ -68,7 +69,7 @@ CASES = {
     "Relation": (
         negate_relation,
         "Relation(input_identifiers=(0,), operation=<Operation.NEGATE: 1>, "
-        f"parameters=(), output_identifier=1, index_transform={KEEP_REPR}, rid=-1)",
+        f"parameters=(), output_identifier=1, index_transform={KEEP_REPR})",
         lambda: negate_relation(output_identifier=2),
     ),
     "MachineConfig": (
@@ -110,7 +111,7 @@ CASES = {
 FIELDS = {
     "IndexTransform": ("kind", "position", "count"),
     "Relation": ("input_identifiers", "operation", "parameters", "output_identifier",
-                 "index_transform", "rid"),
+                 "index_transform"),
     "Program": ("relations", "initial_elements", "arities", "result_identifier",
                 "names", "_compiled"),
     "MachineConfig": ("workers", "dispatch"),
@@ -123,9 +124,9 @@ FIELDS = {
 
 NEGATE_DEMO_REPR = (
     "Program(relations=(Relation(input_identifiers=(0,), operation=<Operation.NEGATE: 1>, "
-    f"parameters=(), output_identifier=1, index_transform={KEEP_REPR}, rid=0), "
+    f"parameters=(), output_identifier=1, index_transform={KEEP_REPR}), "
     "Relation(input_identifiers=(1,), operation=<Operation.SINK: 6>, parameters=(), "
-    f"output_identifier=1, index_transform={KEEP_REPR}, rid=1)), "
+    f"output_identifier=1, index_transform={KEEP_REPR})), "
     "initial_elements=(Element(identifier=0, indices=(), value=5),), "
     "arities=mappingproxy({0: 0, 1: 0}), result_identifier=1, "
     "names=mappingproxy({0: 'b', 1: 'a'}))"
@@ -133,7 +134,7 @@ NEGATE_DEMO_REPR = (
 
 
 def rebuilt(program):
-    """A second Program over the same relation objects."""
+    """A second Program over the same parts."""
     return Program(relations=program.relations, initial_elements=program.initial_elements,
                    arities=program.arities, result_identifier=program.result_identifier,
                    names=program.names)
@@ -149,16 +150,19 @@ def test_program_repr_leaves_out_its_plans():
     assert repr(build_negate_demo()) == NEGATE_DEMO_REPR
 
 
-def test_stored_relation_repr_has_its_rid():
+def test_stored_relation_is_left_as_it_was():
     store = RelationStore()
     store.add(negate_relation())
-    rel = store.add(negate_relation(input_identifiers=(1,), operation=Operation.SINK))
-    assert repr(rel) == (
+    rel = negate_relation(input_identifiers=(1,), operation=Operation.SINK)
+    before = repr(rel)
+    assert store.add(rel) is rel
+    assert repr(rel) == before == (
         "Relation(input_identifiers=(1,), operation=<Operation.SINK: 6>, parameters=(), "
-        f"output_identifier=1, index_transform={KEEP_REPR}, rid=1)")
+        f"output_identifier=1, index_transform={KEEP_REPR})")
+    assert rel == negate_relation(input_identifiers=(1,), operation=Operation.SINK)
 
 
-@pytest.mark.parametrize("name", [n for n in CASES if n != "Relation"])
+@pytest.mark.parametrize("name", CASES)
 def test_equality(name):
     make, _, different = CASES[name]
     assert make() == make()
@@ -169,27 +173,20 @@ def test_equality(name):
     assert make().__eq__((1,)) is NotImplemented
 
 
-def test_relations_compare_by_identity():
-    rel = negate_relation()
-    assert rel == rel
-    assert rel != negate_relation()
-    assert hash(rel) == object.__hash__(rel)
-    assert len({rel, negate_relation()}) == 2
-
-
 def test_program_equality_leaves_out_its_plans():
     program = build_negate_demo()
     twin = rebuilt(program)
     assert twin._compiled is not program._compiled
     assert twin == program
-    assert program != build_negate_demo()  # other Relation objects
+    assert program == build_negate_demo()  # equal relations, built anew
+    assert program != build_negate_demo(value=6)
     assert program != rebuilt(program).relations
     with pytest.raises(TypeError, match="unhashable"):
         hash(program)  # its mappings are read-only, not hashable
 
 
-@pytest.mark.parametrize("name", ["IndexTransform", "MachineConfig", "CostModel",
-                                  "Matrix", "CountModel"])
+@pytest.mark.parametrize("name", ["IndexTransform", "Relation", "MachineConfig",
+                                  "CostModel", "Matrix", "CountModel"])
 def test_equal_values_hash_equal(name):
     make, _, different = CASES[name]
     assert hash(make()) == hash(make())
@@ -241,8 +238,7 @@ def test_positional_and_keyword_construction_agree():
     assert IndexTransform(TransformKind.DROP, 1) == CASES["IndexTransform"][0]()
     assert IndexTransform(TransformKind.KEEP) == IndexTransform(
         kind=TransformKind.KEEP, position=0, count=0)
-    rel = Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep(), 3)
-    assert (rel.rid, repr(negate_relation(rid=3))) == (3, repr(rel))
+    assert Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()) == negate_relation()
     assert MachineConfig(2) == MachineConfig(workers=2, dispatch="idle")
     assert CostModel() == CostModel(1, 10, 0) == CASES["CostModel"][0]()
     assert Metrics(2, 2, 4, 42, 40, [2], [2], 4294967291, {(): -5}) == metrics()
@@ -263,7 +259,7 @@ def test_positional_and_keyword_construction_agree():
 PARAMETERS = {
     IndexTransform: ["kind", "position", "count"],
     Relation: ["input_identifiers", "operation", "parameters", "output_identifier",
-               "index_transform", "rid"],
+               "index_transform"],
     Program: ["relations", "initial_elements", "arities", "result_identifier", "names"],
     MachineConfig: ["workers", "dispatch"],
     CostModel: ["t_proc", "t_msg", "t_master"],
@@ -291,8 +287,7 @@ def test_round_trips(name, round_trip):
     back = round_trip(value)
     assert type(back) is type(value)
     assert repr(back) == repr(value)
-    if name != "Relation":
-        assert back == value
+    assert back == value
 
 
 @pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)),
@@ -302,12 +297,27 @@ def test_program_and_stored_relation_round_trips(round_trip):
     program = build_negate_demo()
     back = round_trip(program)
     assert repr(back) == NEGATE_DEMO_REPR
-    assert [rel.rid for rel in back.relations] == [0, 1]
+    assert back == program
+    assert back._compiled.plans == program._compiled.plans
     assert run(back).outputs == {(): -5}
     relation = round_trip(program.relations[1])
-    assert relation.rid == 1
+    assert relation == program.relations[1]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        relation.rid = 0
+        relation.output_identifier = 0
+
+
+def test_programs_built_alike_are_equal():
+    """Two builds of one matmul program are equal, and so are its pickle
+    and deepcopy round trips: a program is plain data, relations
+    included."""
+    program = build_matmul_program(4, 0)
+    assert build_matmul_program(4, 0) == program
+    assert build_matmul_program(4, 1) != program
+    for back in (pickle.loads(pickle.dumps(program)), copy.deepcopy(program)):
+        assert back == program
+        assert back.relations == program.relations
+        assert back._compiled.binary == program._compiled.binary
+    assert len(set(program.relations)) == len(program.relations)
 
 
 def test_only_run_result_is_a_dataclass():
