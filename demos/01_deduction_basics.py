@@ -49,7 +49,7 @@ pairs = Program(
 )
 ex = Execution(pairs)
 while ex.step():
-    peak = ex.partials.max_size
+    peak = ex.max_partial_depth
     print(f"  after step {ex.elements_processed}: "
           f"{len(ex.partials)} waiting (peak {peak})")
 print(f"outputs: {ex.outputs}")

@@ -300,3 +300,8 @@ def _duplicate_operand(slot: int, rid: int,
     return DuplicateOperandError(
         f"two elements for slot {slot} of relation {rid} at indices {indices}"
     )
+
+
+def _duplicate_output(indices: tuple[int, ...]) -> DuplicateOutputError:
+    """The error for a second result element at indices."""
+    return DuplicateOutputError(f"result indices {indices} produced twice")

@@ -29,13 +29,13 @@ from typing import Callable, Iterable, Mapping
 from .core import (
     INT64_MAX,
     INT64_MIN,
-    DuplicateOutputError,
     Element,
     JoinDeadlockError,
     ProgramError,
     Relation,
     SimulationLimitError,
     _duplicate_operand,
+    _duplicate_output,
     _Frozen,
     _overflow,
 )
@@ -69,7 +69,7 @@ class Program(_Frozen):
     frozen: it keeps the relations and initial elements as tuples and
     read-only copies of arities and names, and assigning any field
     raises. Programs built from equal parts compare equal; the compiled
-    plans, _compiled, are left out of its repr and equality.
+    plans, _plans and _binary, are left out of its repr and equality.
     """
 
     _fields = ("relations", "initial_elements", "arities", "result_identifier", "names")
@@ -84,7 +84,7 @@ class Program(_Frozen):
                      result_identifier=result_identifier, names=MappingProxyType(dict(names)))
         except (TypeError, ValueError) as error:  # a field of the wrong container
             raise ProgramError(f"cannot read the program's fields: {error}") from None
-        d["_compiled"] = _compile_plans(self)
+        d["_plans"], d["_binary"] = _compile_plans(self)
 
     def __reduce__(self):
         # the plans hold closures; pickle and copy rebuild them instead
@@ -146,26 +146,13 @@ def _compile_transform(t, in_arity: int) -> tuple[int, Callable | None]:
     return k, lambda idx: idx[:k]
 
 
-class _Compiled:
-    """A Program's plans, built once by _compile_plans when it is built.
-
-    plans maps every registered identifier to its plan tuples in rid
-    order; binary holds the rids of the join relations. (A plain class:
-    a NamedTuple here cost 0.4 ms of every package import.)
-    """
-
-    __slots__ = ("plans", "binary")
-
-    def __init__(self, plans: dict[int, tuple[tuple, ...]],
-                 binary: tuple[int, ...]) -> None:
-        self.plans = plans
-        self.binary = binary
-
-
-def _compile_plans(program: Program) -> _Compiled:
-    """Check program and compile its plans in one walk over its relations,
-    each numbered by its position. The checks fire in order: arities, the
-    result identifier, each relation, each initial element."""
+def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tuple[int, ...]]:
+    """Check program and compile it in one walk over its relations, each
+    numbered by its position: the plans of every registered identifier in
+    rid order, and the rids of the join relations. The checks fire in
+    order: arities, the result identifier, each relation, each initial
+    element, and last a negative identifier, so a program that an
+    earlier check refuses keeps that check's text."""
     arities = program.arities
     try:
         if arities and min(arities.values()) < 0:
@@ -252,10 +239,9 @@ def _compile_plans(program: Program) -> _Compiled:
         if not plain:
             raise ProgramError(f"initial element {elem} must hold plain ints, "
                                f"its indices in a tuple")
-    return _Compiled(
-        plans={ident: tuple(plan) for ident, plan in plans.items()},
-        binary=tuple(binary),
-    )
+    if min(arities, default=0) < 0:  # Relation refuses these too
+        raise ProgramError("identifiers must be non-negative")
+    return {ident: tuple(plan) for ident, plan in plans.items()}, tuple(binary)
 
 
 def _without_gc(fn: Callable, *args):
@@ -272,11 +258,11 @@ def _without_gc(fn: Callable, *args):
             gc.enable()
 
 
-def _parked_operands(joins: dict[int, dict]) -> list[Element]:
+def _parked_operands(joins: dict[int, dict]) -> tuple[Element, ...]:
     """The operands parked in a run's join dicts, in (relation id, index
     list) order."""
-    return [Element._make(store[idx]) for _, store in sorted(joins.items())
-            for idx in sorted(store)]
+    return tuple([Element._make(store[idx]) for _, store in sorted(joins.items())
+                  for idx in sorted(store)])
 
 
 def _deadlock_error(joins: dict[int, dict], names: Mapping[int, str],
@@ -290,47 +276,28 @@ def _deadlock_error(joins: dict[int, dict], names: Mapping[int, str],
     )
 
 
-class _Partials:
-    """Read-only view of an Execution's parked operands."""
-
-    __slots__ = ("_execution",)
-
-    def __init__(self, execution: Execution) -> None:
-        self._execution = execution
-
-    def __len__(self) -> int:
-        return self._execution._parked
-
-    @property
-    def max_size(self) -> int:
-        return self._execution._max_parked
-
-    def pending(self) -> list[Element]:
-        """Operands still waiting for a partner, in (relation id, index
-        list) order."""
-        return _parked_operands(self._execution._joins)
-
-
 class Execution:
     """State of one run: plain (identifier, indices, value) tuples in a
     deque, one parked dict per join keyed by the index list, the park
     count and its peak. Not reusable once the queue drains.
 
     step() and run() drive the same loop, _drain, and may be mixed.
-    discipline, max_steps, queue and partials are read-only; queue and
-    partials are views built on request (a tuple of Elements, and a view
-    with len(), max_size and pending()); elements_created is
+    queue and partials are tuples of Elements built on request: the
+    ready elements in queue order, and the operands still waiting for a
+    partner in (relation id, index list) order. max_queue_depth and
+    max_partial_depth are their peaks so far; elements_created is
     elements_processed + len(queue), since every created element is
     queued and every processed one was popped.
 
     discipline picks the ready-queue order: "fifo" (default) or "lifo".
     Quiescent totals are order-independent; the discipline toggle exists
     so tests can prove that. trace, when given, is called with
-    ("pop", element), ("apply", relation, operands), ("create", element)
-    and ("output", indices, value), where operands is an ordered
-    (left, right) pair for a join. max_steps, a non-negative int, bounds
-    the elements processed, as max_events bounds simulate(): a program
-    that would process more raises SimulationLimitError.
+    ("pop", element), ("apply", relation, operands, rid), ("create",
+    element) and ("output", indices, value), where operands is an ordered
+    (left, right) pair for a join and rid the relation's position in the
+    program. max_steps, a non-negative int, bounds the elements
+    processed, as max_events bounds simulate(): a program that would
+    process more raises SimulationLimitError.
     """
 
     def __init__(self, program: Program, discipline: str = "fifo",
@@ -340,23 +307,18 @@ class Execution:
             raise ValueError(f"unknown discipline {discipline!r}")
         _check_budget("max_steps", max_steps)
         self.program = program
-        self._discipline = discipline
         self.trace = trace
         self._max_steps = max_steps
         self._queue: deque[tuple] = deque(program.initial_elements)
-        self._joins: dict[int, dict] = {rid: {} for rid in program._compiled.binary}
+        self._joins: dict[int, dict] = {rid: {} for rid in program._binary}
         # the loop's fixed context, which _drain unpacks in one step
-        self._loop = (self._queue, discipline == "fifo", program._compiled.plans,
+        self._loop = (self._queue, discipline == "fifo", program._plans,
                       self._joins, self._queue.append)
         self._parked = 0
-        self._max_parked = 0
         self.outputs: dict[tuple[int, ...], int] = {}
         self.elements_processed = 0
         self.max_queue_depth = len(self._queue)
-
-    @property
-    def discipline(self) -> str:
-        return self._discipline
+        self.max_partial_depth = 0
 
     @property
     def max_steps(self) -> int:
@@ -367,8 +329,8 @@ class Execution:
         return tuple(map(Element._make, self._queue))
 
     @property
-    def partials(self) -> _Partials:
-        return _Partials(self)
+    def partials(self) -> tuple[Element, ...]:
+        return _parked_operands(self._joins)
 
     @property
     def elements_created(self) -> int:
@@ -406,7 +368,7 @@ class Execution:
             elements_processed=self.elements_processed,
             elements_created=self.elements_created,
             max_queue_depth=self.max_queue_depth,
-            max_partial_depth=self._max_parked,
+            max_partial_depth=self.max_partial_depth,
         )
 
     def _drain(self, counts) -> None:
@@ -432,7 +394,7 @@ class Execution:
         processed = self.elements_processed
         max_queue = self.max_queue_depth
         psize = self._parked
-        max_partial = self._max_parked
+        max_partial = self.max_partial_depth
 
         try:
             for processed in counts:
@@ -494,9 +456,7 @@ class Execution:
                             emit(plan[2], shown, ())
                         if plan[1]:
                             if idx in outputs:
-                                raise DuplicateOutputError(
-                                    f"result indices {idx} produced twice"
-                                )
+                                raise _duplicate_output(idx)
                             outputs[idx] = val
                             if trace is not None:
                                 trace("output", idx, val)
@@ -517,13 +477,13 @@ class Execution:
             self.elements_processed = processed
             self.max_queue_depth = max_queue
             self._parked = psize
-            self._max_parked = max_partial
+            self.max_partial_depth = max_partial
 
     def _emit(self, rid: int, operands, created) -> None:
         """The traced path of one application: report relation rid and
         its operands, then queue and report each created element."""
         trace = self.trace
-        trace("apply", self.program.relations[rid], operands)
+        trace("apply", self.program.relations[rid], operands, rid)
         for out in created:
             self._queue.append(out)
             trace("create", Element._make(out))

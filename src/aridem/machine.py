@@ -62,9 +62,9 @@ from collections import deque
 from .core import (
     INT64_MAX,
     INT64_MIN,
-    DuplicateOutputError,
     SimulationLimitError,
     _duplicate_operand,
+    _duplicate_output,
     _Frozen,
     _overflow,
     _Value,
@@ -220,8 +220,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     roundrobin = machine.dispatch == "roundrobin"
     hi, lo = INT64_MAX, INT64_MIN
 
-    plans = program._compiled.plans
-    joins = {rid: {} for rid in program._compiled.binary}
+    plans = program._plans
+    joins = {rid: {} for rid in program._binary}
     queue = deque(program.initial_elements)
     pop_element = queue.popleft
     push_element = queue.append
@@ -364,7 +364,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                 if record is not None:
                     key = record[0]
                     if key in outputs:
-                        raise DuplicateOutputError(f"result indices {key} produced twice")
+                        raise _duplicate_output(key)
                     outputs[key] = record[1]
             else:
                 push_elements(created)

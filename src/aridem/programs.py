@@ -88,32 +88,26 @@ def generate_matrix(n: int, seed: int, stream_tag: int) -> Matrix:
     return Matrix(n, tuple(rng.next_digit() for _ in range(n * n)))
 
 
-def build_negate_demo(value: int = 5) -> Program:
-    """Two relations: negate one input element, then sink the result."""
-    store = RelationStore()
-    store.add(Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()))
-    store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
+def _unary_demo(operation: Operation, value: int, names: dict[int, str]) -> Program:
+    """Apply operation to one input element, then sink the result."""
     return Program(
-        relations=store,
+        relations=[Relation((0,), operation, (), 1, IndexTransform.keep()),
+                   Relation((1,), Operation.SINK, (), 1, IndexTransform.keep())],
         initial_elements=[Element(0, (), value)],
         arities={0: 0, 1: 0},
         result_identifier=1,
-        names={0: "b", 1: "a"},
+        names=names,
     )
+
+
+def build_negate_demo(value: int = 5) -> Program:
+    """Two relations: negate one input element, then sink the result."""
+    return _unary_demo(Operation.NEGATE, value, {0: "b", 1: "a"})
 
 
 def build_square_demo(length: int = 5) -> Program:
     """Square a side length into an area, then sink it."""
-    store = RelationStore()
-    store.add(Relation((0,), Operation.SQUARE, (), 1, IndexTransform.keep()))
-    store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
-    return Program(
-        relations=store,
-        initial_elements=[Element(0, (), length)],
-        arities={0: 0, 1: 0},
-        result_identifier=1,
-        names={0: "length", 1: "square_area"},
-    )
+    return _unary_demo(Operation.SQUARE, length, {0: "length", 1: "square_area"})
 
 
 def matmul_program(a: Matrix, b: Matrix) -> Program:

@@ -287,8 +287,8 @@ class TestRelationStore:
         assert list(store) == [r1, r2]
         program = Program(store, [], {0: 0, 1: 0}, 1)
         assert program.relations == (r1, r2)
-        assert [plan[-1] for plan in program._compiled.plans[0]] == [0]
-        assert [plan[-1] for plan in program._compiled.plans[1]] == [1]
+        assert [plan[-1] for plan in program._plans[0]] == [0]
+        assert [plan[-1] for plan in program._plans[1]] == [1]
 
     def test_added_relation_keeps_its_rid(self):
         # relation 1 of a built program, added to a new store, is relation 0
@@ -299,10 +299,10 @@ class TestRelationStore:
         store = RelationStore()
         assert store.add(sink) is sink
         other = Program(store, [Element(1, (), 4)], {1: 0}, 1)
-        assert [plan[-1] for plan in other._compiled.plans[1]] == [0]
+        assert [plan[-1] for plan in other._plans[1]] == [0]
         for built in (program, pickle.loads(pickle.dumps(program))):
             assert built.relations[1] == sink
-            assert [plan[-1] for plan in built._compiled.plans[1]] == [1]
+            assert [plan[-1] for plan in built._plans[1]] == [1]
         assert run(other).outputs == {(): 4}
         assert run(program).outputs == {(): -5}
 

@@ -45,7 +45,7 @@ class TestFrozenProgram:
     def test_assigning_any_field_raises(self):
         program = build_negate_demo()
         for name in ("relations", "initial_elements", "arities", "result_identifier",
-                     "names", "_compiled"):
+                     "names", "_plans", "_binary"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(program, name, getattr(program, name))
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -106,7 +106,7 @@ class TestFrozenProgram:
         for program in built:
             assert program == built[0]
             assert program.relations == tuple(loose)
-            assert program._compiled.plans == built[0]._compiled.plans
+            assert program._plans == built[0]._plans
             assert run(program).outputs == {(): -5}
 
 
@@ -220,6 +220,12 @@ class TestProgramValidation:
          "cannot convert dictionary update sequence element #0 to a sequence"),
         (dict(names=None), "cannot read the program's fields: "
          "'NoneType' object is not iterable"),
+        # negative identifiers, which Relation refuses: each built, and
+        # run() and simulate() ran on it
+        (dict(relations=[], initial_elements=[Element(-1, (), 5)], arities={-1: 0},
+              result_identifier=-1), "identifiers must be non-negative"),
+        (dict(relations=[], initial_elements=[], arities={0: 0, -2: 1},
+              result_identifier=0), "identifiers must be non-negative"),
     ])
     def test_malformed_parts_fail_at_build(self, fields, message):
         program = single_join_program([(6, 7)])
@@ -234,7 +240,8 @@ class TestProgramValidation:
     # names the one whose check fires first: arities, then the result
     # identifier, then each relation in rid order and each check of a
     # relation in turn, then each initial element and each check of an
-    # element in turn, the plain-int checks last.
+    # element in turn, the plain-int checks last, and a negative
+    # identifier last of all.
     @pytest.mark.parametrize("initial, relations, arities, result, message", [
         ([], [], {0: -1}, 3, "arities must be non-negative"),
         ([], [Relation((5,), Operation.NEGATE, (), 1, IndexTransform.keep())],
@@ -268,6 +275,14 @@ class TestProgramValidation:
          "value=9223372036854775808) has arity 1, expected 0"),
         ([Element(0, (-1,), 1 << 63)], [], {0: 1, 1: 0}, 1,
          "initial value 9223372036854775808 outside 64-bit range"),
+        ([], [], {-1: 0, 0: 0}, 5, "result identifier has no registered arity"),
+        ([], [Relation((5,), Operation.NEGATE, (), 1, IndexTransform.keep())],
+         {-1: 0, 0: 0, 1: 0}, 1, "relation 0 input 5 unregistered"),
+        ([Element(-1, (), 5), Element(0, (1,), 5)], [], {-1: 0, 0: 0, 1: 0}, 1,
+         "initial element Element(identifier=0, indices=(1,), value=5) has arity 1, "
+         "expected 0"),
+        ([Element(-1, (), 5)], [], {-1: 0, 0: 0, 1: 0, 2: 0.5}, 1,
+         "arities must map plain ints to plain ints"),
     ])
     def test_first_failing_check_names_the_error(self, initial, relations, arities,
                                                  result, message):
@@ -374,7 +389,7 @@ class TestStepRunEquivalence:
         assert stepped.elements_processed == fast_result.elements_processed
         assert stepped.elements_created == fast_result.elements_created
         assert stepped.max_queue_depth == fast_result.max_queue_depth
-        assert stepped.partials.max_size == fast_result.max_partial_depth
+        assert stepped.max_partial_depth == fast_result.max_partial_depth
 
     def test_mixed_stepping_then_run(self):
         program = single_join_program([(2, 3), (5, 7)])
@@ -396,7 +411,7 @@ class TestStepRunEquivalence:
             assert mixed.step()
         result = mixed.run()
         assert result == whole
-        assert mixed.partials.max_size == whole.max_partial_depth
+        assert mixed.max_partial_depth == whole.max_partial_depth
 
     def test_outputs_assigned_after_construction(self):
         # step() reads outputs on every call, as run() does
@@ -459,15 +474,26 @@ class TestTrace:
         l0, r0, l1, r1 = (Element(0, (0,), 2), Element(1, (0,), 3),
                           Element(0, (1,), 4), Element(1, (1,), 5))
         assert events == [
-            ("pop", l0), ("pop", r0), ("apply", mul, (l0, r0)),
+            ("pop", l0), ("pop", r0), ("apply", mul, (l0, r0), 0),
             ("create", Element(2, (0,), 6)),
-            ("pop", r1), ("pop", l1), ("apply", mul, (l1, r1)),
+            ("pop", r1), ("pop", l1), ("apply", mul, (l1, r1), 0),
             ("create", Element(2, (1,), 20)),
-            ("pop", Element(2, (0,), 6)), ("apply", sink, Element(2, (0,), 6)),
+            ("pop", Element(2, (0,), 6)), ("apply", sink, Element(2, (0,), 6), 1),
             ("output", (0,), 6),
-            ("pop", Element(2, (1,), 20)), ("apply", sink, Element(2, (1,), 20)),
+            ("pop", Element(2, (1,), 20)), ("apply", sink, Element(2, (1,), 20), 1),
             ("output", (1,), 20),
         ]
+
+
+    def test_equal_relations_traced_apart_by_rid(self):
+        # two equal Negate relations: each applies once, under its own rid
+        negate = Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep())
+        program = tiny_program([Element(0, (0,), 3)], [negate, negate],
+                               {0: 1, 1: 1}, result=0)
+        applied = []
+        run(program, trace=lambda kind, *args: kind == "apply" and applied.append(args))
+        assert applied == [(negate, Element(0, (0,), 3), 0),
+                           (negate, Element(0, (0,), 3), 1)]
 
 
 class TestErrors:
@@ -653,8 +679,8 @@ class TestFastPathLeavesElements:
         ex = Execution(program)
         with pytest.raises(JoinDeadlockError, match=r"first neg\(0\) = -3"):
             ex.run()
-        assert ex.partials.pending() == [Element(2, (0,), -3)]
-        assert all(type(e) is Element for e in ex.partials.pending())
+        assert ex.partials == (Element(2, (0,), -3),)
+        assert all(type(e) is Element for e in ex.partials)
 
     def test_queue_holds_elements_after_a_raise(self):
         program = _collapsing_program(3, 4, 5)
@@ -684,8 +710,8 @@ class TestFastPathLeavesElements:
                                r"operand\(s\), first id0\(0\) = 2$") as from_run:
                 fast.run()
             assert str(from_run.value) == str(from_step.value)
-            assert fast.partials.pending() == stepped.partials.pending() == [
-                initial[1], initial[0], initial[2]]
+            assert fast.partials == stepped.partials == (
+                initial[1], initial[0], initial[2])
 
     def test_operands_parked_by_step_sort_with_the_rest(self):
         # step() parks id 2 in the second join, then run() parks id 0 at
@@ -695,7 +721,7 @@ class TestFastPathLeavesElements:
         ex.step()
         with pytest.raises(JoinDeadlockError, match=r"first id0\(0\) = 3"):
             ex.run()
-        assert ex.partials.pending() == initial[::-1]
+        assert ex.partials == tuple(initial[::-1])
 
 
 def _parking_cycle_program(initial):
@@ -727,17 +753,17 @@ class TestViewsAndReplay:
         a = self.ARRIVALS
         ex = Execution(_two_join_program(a + [Element(3, (1,), 5)]))
         ex.step()
-        assert ex.partials.pending() == a[:1]
+        assert ex.partials == tuple(a[:1])
         ex.step()
         ex.step()
-        assert ex.partials.pending() == [a[1], a[2], a[0]]
+        assert ex.partials == (a[1], a[2], a[0])
         with pytest.raises(JoinDeadlockError, match=r"^quiescent with 4 unmatched "
                            r"operand\(s\), first id0\(0\) = 4$"):
             ex.run()
         # id 3 at (1,) joined id 2 at (1,), the first to arrive
-        assert ex.partials.pending() == [a[4], a[1], a[3], a[2]]
+        assert ex.partials == (a[4], a[1], a[3], a[2])
         assert len(ex.partials) == 4
-        assert ex.partials.max_size == 5
+        assert ex.max_partial_depth == 5
 
     @pytest.mark.parametrize("path", ["run", "step"])
     def test_pending_after_a_duplicate_operand(self, path):
@@ -745,7 +771,7 @@ class TestViewsAndReplay:
         with pytest.raises(DuplicateOperandError):
             ex.run() if path == "run" else _step_all(ex)
         # the operand put back after the duplicate keeps its place
-        assert ex.partials.pending() == [Element(0, (0,), 2), Element(2, (0,), 1)]
+        assert ex.partials == (Element(0, (0,), 2), Element(2, (0,), 1))
         assert ex.elements_processed == 3
 
     @pytest.mark.parametrize("path", ["run", "step"])
@@ -754,7 +780,7 @@ class TestViewsAndReplay:
         ex = Execution(_parking_cycle_program(initial), max_steps=10)
         with pytest.raises(SimulationLimitError):
             ex.run() if path == "run" else _step_all(ex)
-        assert ex.partials.pending() == [Element(1, (0,), 6), Element(2, (1,), 5)]
+        assert ex.partials == (Element(1, (0,), 6), Element(2, (1,), 5))
 
     def test_pending_lists_this_runs_operands_after_a_trace_hook_raises(self):
         # the hook fails on the pop of id 1, so id 0 stays parked beside id 2
@@ -767,7 +793,7 @@ class TestViewsAndReplay:
         with pytest.raises(RuntimeError):
             ex.run()
         assert len(ex.partials) == 2
-        assert ex.partials.pending() == [initial[1], initial[0]]
+        assert ex.partials == (initial[1], initial[0])
 
     @pytest.mark.parametrize("program, error, max_steps", [
         (_collapsing_program(3, 4, 5), DuplicateOutputError, None),
@@ -791,7 +817,7 @@ class TestViewsAndReplay:
         assert ex.elements_created == ex.elements_processed + len(ex.queue)
 
     @pytest.mark.parametrize("name", ["queue", "partials", "elements_created",
-                                      "discipline"])
+                                      "max_steps"])
     def test_views_are_read_only(self, name):
         ex = Execution(build_negate_demo())
         with pytest.raises(AttributeError):
@@ -810,7 +836,7 @@ class TestFifoMatmulDepths:
         while stepped.step():
             pass
         assert stepped.max_queue_depth == fast.max_queue_depth
-        assert stepped.partials.max_size == fast.max_partial_depth
+        assert stepped.max_partial_depth == fast.max_partial_depth
 
 
 def _cyclic_program():
@@ -926,10 +952,10 @@ class TestCompiledOnce:
              Relation((1, 2), Operation.MUL_PAIR, (), 3, IndexTransform.keep())],
             {0: 0, 1: 0, 2: 0, 3: 0},
         )
-        plans = program._compiled.plans
+        plans = program._plans
         # every plan ends with its relation's rid, its position
         assert [plan[-1] for plan in plans[0]] == [0, 1]
         assert [plan[-1] for plan in plans[1]] == [2]
         assert [plan[-1] for plan in plans[2]] == [2]
         assert plans[3] == ()
-        assert program._compiled.binary == (2,)
+        assert program._binary == (2,)

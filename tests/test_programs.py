@@ -205,4 +205,4 @@ class TestDemoBuilders:
 
         ex = Execution(build_negate_demo())
         ex.run()
-        assert ex.partials.max_size == 0
+        assert ex.max_partial_depth == 0

@@ -107,13 +107,13 @@ CASES = {
     ),
 }
 
-# the fields of each frozen class, _compiled too
+# the fields of each frozen class, the compiled plans too
 FIELDS = {
     "IndexTransform": ("kind", "position", "count"),
     "Relation": ("input_identifiers", "operation", "parameters", "output_identifier",
                  "index_transform"),
     "Program": ("relations", "initial_elements", "arities", "result_identifier",
-                "names", "_compiled"),
+                "names", "_plans", "_binary"),
     "MachineConfig": ("workers", "dispatch"),
     "CostModel": ("t_proc", "t_msg", "t_master"),
     "Matrix": ("n", "entries"),
@@ -176,7 +176,7 @@ def test_equality(name):
 def test_program_equality_leaves_out_its_plans():
     program = build_negate_demo()
     twin = rebuilt(program)
-    assert twin._compiled is not program._compiled
+    assert twin._plans is not program._plans
     assert twin == program
     assert program == build_negate_demo()  # equal relations, built anew
     assert program != build_negate_demo(value=6)
@@ -298,7 +298,7 @@ def test_program_and_stored_relation_round_trips(round_trip):
     back = round_trip(program)
     assert repr(back) == NEGATE_DEMO_REPR
     assert back == program
-    assert back._compiled.plans == program._compiled.plans
+    assert back._plans == program._plans
     assert run(back).outputs == {(): -5}
     relation = round_trip(program.relations[1])
     assert relation == program.relations[1]
@@ -316,7 +316,7 @@ def test_programs_built_alike_are_equal():
     for back in (pickle.loads(pickle.dumps(program)), copy.deepcopy(program)):
         assert back == program
         assert back.relations == program.relations
-        assert back._compiled.binary == program._compiled.binary
+        assert back._binary == program._binary
     assert len(set(program.relations)) == len(program.relations)
 
 
