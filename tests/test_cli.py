@@ -29,6 +29,10 @@ SWEEP_GOLDEN_FLAGS = {
     "roundrobin-tmaster2": ("--dispatch", "roundrobin", "--t-master", "2"),
 }
 
+# Byte-exact `aridem demo NAME` outputs. To rewrite one after an intended change:
+#   PYTHONPATH=src python -m aridem demo NAME > tests/cli_golden/demo-NAME.txt
+DEMO_GOLDEN_DIR = Path(__file__).with_name("cli_golden")
+
 
 def aridem(*args, check=True):
     proc = subprocess.run(CMD + list(args), capture_output=True, text=True)
@@ -58,6 +62,11 @@ class TestDemo:
 
     def test_unknown_name_is_usage_error(self):
         assert aridem("demo", "cube", check=False).returncode == 2
+
+    @pytest.mark.parametrize("name", ["negate", "square"])
+    def test_output_matches_golden(self, name):
+        out = subprocess.run(CMD + ["demo", name], capture_output=True, check=True).stdout
+        assert out == (DEMO_GOLDEN_DIR / f"demo-{name}.txt").read_bytes()
 
 
 class TestRun:
