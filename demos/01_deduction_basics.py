@@ -12,7 +12,6 @@ from aridem import (
     Operation,
     Program,
     Relation,
-    RelationStore,
     build_negate_demo,
 )
 
@@ -25,7 +24,7 @@ for rid, rel in enumerate(program.relations):
           f" -> {program.identifier_name(rel.output_identifier)}")
 
 print("\nstepping to quiescence:")
-ex = Execution(program, trace=lambda kind, *a: print(f"  {kind}: {a}"))
+ex = Execution(program, on_event=lambda e: print(f"  {e[0]}: {e[1:]}"))
 while ex.step():
     pass
 print(f"outputs: {ex.outputs}")
@@ -34,11 +33,9 @@ print(f"processed {ex.elements_processed}, created {ex.elements_created}")
 print("\n=== a binary join: multiply two streams pairwise ===")
 # MulPair fires once both operands with the same index list have arrived.
 # Whichever shows up first waits in the partial store.
-store = RelationStore()
-store.add(Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()))
-store.add(Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()))
 pairs = Program(
-    relations=store,
+    relations=[Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()),
+               Relation((2,), Operation.SINK, (), 2, IndexTransform.keep())],
     initial_elements=[
         Element(0, (0,), 6), Element(0, (1,), 7),
         Element(1, (1,), 10), Element(1, (0,), 10),
@@ -55,20 +52,19 @@ while ex.step():
 print(f"outputs: {ex.outputs}")
 
 print("\n=== fan-out: Replicate turns one element into n ===")
-store = RelationStore()
-store.add(Relation((0,), Operation.REPLICATE, (3,), 1, IndexTransform.insert_varied(0, 3)))
-store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
 fan_out = Program(
-    relations=store,
+    relations=[Relation((0,), Operation.REPLICATE, (3,), 1,
+                        IndexTransform.insert_varied(0, 3)),
+               Relation((1,), Operation.SINK, (), 1, IndexTransform.keep())],
     initial_elements=[Element(0, (5,), 42)],
     arities={0: 1, 1: 2},
     result_identifier=1,
 )
 
 
-def show_created(kind, *args):
-    if kind == "create":
-        print(f"  {args[0]}")
+def show_created(event):
+    if event[0] == "create":
+        print(f"  {event[1]}")
 
 
-Execution(fan_out, trace=show_created).run()
+Execution(fan_out, on_event=show_created).run()

@@ -20,7 +20,7 @@ from .baseline import (
     ratio_report,
     simulate_instruction_model,
 )
-from .core import ElementModelError
+from .core import Element, ElementModelError
 from .engine import run as run_program
 from .machine import (
     CostModel,
@@ -171,24 +171,21 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     program = build_negate_demo() if args.name == "negate" else build_square_demo()
-    names = program.names
     lines: list[str] = []
 
-    def trace(kind: str, *payload) -> None:
-        if kind == "pop":
-            lines.append(f"pop {payload[0].describe(names)}")
-        elif kind == "apply":
-            lines.append(f"  apply {payload[0].operation.name.lower()}")
-        elif kind == "create":
-            lines.append(f"  -> {payload[0].describe(names)}")
-        elif kind == "output":
+    def on_event(event: tuple) -> None:
+        if event[0] == "pop":
+            lines.append(f"pop {event[1].describe(program.names)}")
+        elif event[0] == "apply":
+            lines.append(f"  apply {event[1].operation.name.lower()}")
+        elif event[0] == "create":
+            lines.append(f"  -> {event[1].describe(program.names)}")
+        elif event[0] == "output":
             lines.append("  -> result recorded")
 
-    result = run_program(program, trace=trace)
-    result_name = program.identifier_name(program.result_identifier)
-    for indices, value in sorted(result.outputs.items()):
-        suffix = "(" + ",".join(map(str, indices)) + ")" if indices else ""
-        lines.append(f"{result_name}{suffix} = {value}")
+    outputs = run_program(program, on_event=on_event).outputs
+    for indices, value in sorted(outputs.items()):
+        lines.append(Element(program.result_identifier, indices, value).describe(program.names))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

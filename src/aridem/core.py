@@ -273,7 +273,8 @@ class Relation(_Frozen):
 
 
 class RelationStore:
-    """Relations in order, to build a Program from; a plain list serves too."""
+    """Relations in order, to build a Program from; a plain list serves too.
+    The package builds plain lists; this stays for bench/progen.py."""
 
     def __init__(self) -> None:
         self.relations: list[Relation] = []

@@ -13,6 +13,15 @@ can change, so every executor names the same first one when a run
 deadlocks. machine.simulate executes the same plans. The paths are
 tested against each other and a reference loop kept by the tests.
 
+Both executors call one hook, on_event, with one tuple per event, kind
+first. step() and run() send ("pop", element), ("apply", relation,
+operands, rid), ("create", element) and ("output", indices, value),
+operands being a join's (left, right) pair or the one element and rid
+the relation's position; machine.simulate sends ("dispatch", time,
+worker, operands), ("finish", time, worker), ("arrival", time, worker,
+outputs) and ("idle_state", time, queued, idle_workers, pending_units)
+once each event settles, operands and outputs being counts.
+
 Program is a plain frozen class on core's _Frozen base, with its methods
 in the source rather than generated by @dataclass at every import (see
 core). RunResult stays a dataclass: callers use dataclasses.replace on it.
@@ -42,8 +51,6 @@ from .core import (
 from .core import _DROP, _INCREMENT_LAST, _INSERT_VARIED, _KEEP
 from .core import _MUL_PAIR, _NEGATE, _REPLICATE, _SINK, _SQUARE, _SUM_STEP
 
-TraceFn = Callable[..., None]
-
 DEFAULT_STEP_LIMIT = 100_000_000
 
 _ARITIES_NOT_INT = "arities must map plain ints to plain ints"
@@ -60,7 +67,7 @@ class Program(_Frozen):
 
     arities registers the index-list length of every identifier; the
     result_identifier is the one whose sink records final outputs. names
-    is optional and only used for display.
+    is optional and only used for display; each name must be a str.
 
     relations is any iterable of Relations, such as a list or a
     RelationStore; a relation's rid is its position. One pass over the
@@ -151,8 +158,8 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
     numbered by its position: the plans of every registered identifier in
     rid order, and the rids of the join relations. The checks fire in
     order: arities, the result identifier, each relation, each initial
-    element, and last a negative identifier, so a program that an
-    earlier check refuses keeps that check's text."""
+    element, a negative identifier and last the names, so a program that
+    an earlier check refuses keeps that check's text."""
     arities = program.arities
     try:
         if arities and min(arities.values()) < 0:
@@ -241,6 +248,8 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
                                f"its indices in a tuple")
     if min(arities, default=0) < 0:  # Relation refuses these too
         raise ProgramError("identifiers must be non-negative")
+    if not all(isinstance(name, str) for name in program.names.values()):
+        raise ProgramError("names must be strings")  # or describe() fails mid-run
     return {ident: tuple(plan) for ident, plan in plans.items()}, tuple(binary)
 
 
@@ -291,23 +300,20 @@ class Execution:
 
     discipline picks the ready-queue order: "fifo" (default) or "lifo".
     Quiescent totals are order-independent; the discipline toggle exists
-    so tests can prove that. trace, when given, is called with
-    ("pop", element), ("apply", relation, operands, rid), ("create",
-    element) and ("output", indices, value), where operands is an ordered
-    (left, right) pair for a join and rid the relation's position in the
-    program. max_steps, a non-negative int, bounds the elements
+    so tests can prove that. on_event gets the events the module
+    docstring lists. max_steps, a non-negative int, bounds the elements
     processed, as max_events bounds simulate(): a program that would
     process more raises SimulationLimitError.
     """
 
-    def __init__(self, program: Program, discipline: str = "fifo",
-                 trace: TraceFn | None = None, *,
+    def __init__(self, program: Program, discipline: str = "fifo", *,
+                 on_event: Callable[[tuple], None] | None = None,
                  max_steps: int = DEFAULT_STEP_LIMIT) -> None:
         if discipline not in ("fifo", "lifo"):
             raise ValueError(f"unknown discipline {discipline!r}")
         _check_budget("max_steps", max_steps)
         self.program = program
-        self.trace = trace
+        self.on_event = on_event
         self._max_steps = max_steps
         self._queue: deque[tuple] = deque(program.initial_elements)
         self._joins: dict[int, dict] = {rid: {} for rid in program._binary}
@@ -378,17 +384,17 @@ class Execution:
 
         The count costs nothing per element: step() passes a 1-tuple, and
         run() a range that ends at max_steps. A join pops its partner from its parked dict
-        or parks the element tuple itself. The trace payloads (Elements,
+        or parks the element tuple itself. The event payloads (Elements,
         the Relation looked up by rid, ordered operands) are built only
         when a hook is set. Only the counters are written back on the way
         out, also when the loop raises; the queue and the parked dicts
-        are the state itself. trace and outputs are read on every call,
-        since a caller may assign either between calls.
+        are the state itself. on_event and outputs are read at the start
+        of every call, so a caller may assign either between calls.
         """
         queue, fifo, plans, joins, append = self._loop
         outputs = self.outputs
-        trace = self.trace
-        if trace is not None:
+        on_event = self.on_event
+        if on_event is not None:
             emit = self._emit
         hi, lo = INT64_MAX, INT64_MIN
         processed = self.elements_processed
@@ -402,9 +408,9 @@ class Execution:
                     processed -= 1
                     break
                 element = queue.popleft() if fifo else queue.pop()
-                if trace is not None:
+                if on_event is not None:
                     shown = Element._make(element)
-                    trace("pop", shown)
+                    on_event(("pop", shown))
                 ident, idx, val = element
                 for plan in plans[ident]:
                     code = plan[0]
@@ -437,29 +443,29 @@ class Execution:
                         if value > hi or value < lo:
                             raise _overflow(
                                 "SumStep" if code == _OP_SUM else "MulPair", value)
-                        if trace is None:
+                        if on_event is None:
                             append(out)
                         else:
                             pair = (shown, Element._make(hit))
-                            emit(rid, pair if slot == 0 else pair[::-1], (out,))
+                            emit(on_event, rid, pair if slot == 0 else pair[::-1], (out,))
                     elif code == _OP_REPLICATE:
                         _, out_id, pos, count, rid = plan
                         head, tail = idx[:pos], idx[pos:]
-                        if trace is None:
+                        if on_event is None:
                             for j in range(count):
                                 append((out_id, head + (j,) + tail, val))
                         else:
-                            emit(rid, shown, [(out_id, head + (j,) + tail, val)
-                                              for j in range(count)])
+                            emit(on_event, rid, shown, [(out_id, head + (j,) + tail, val)
+                                                        for j in range(count)])
                     elif code == _OP_SINK:
-                        if trace is not None:
-                            emit(plan[2], shown, ())
+                        if on_event is not None:
+                            emit(on_event, plan[2], shown, ())
                         if plan[1]:
                             if idx in outputs:
                                 raise _duplicate_output(idx)
                             outputs[idx] = val
-                            if trace is not None:
-                                trace("output", idx, val)
+                            if on_event is not None:
+                                on_event(("output", idx, val))
                     else:  # _OP_NEGATE or _OP_SQUARE
                         value = -val if code == _OP_NEGATE else val * val
                         if value > hi or value < lo:
@@ -467,10 +473,10 @@ class Execution:
                                 "Negate" if code == _OP_NEGATE else "Square", value)
                         _, out_id, tf, rid = plan
                         out = (out_id, idx if tf is None else tf(idx), value)
-                        if trace is None:
+                        if on_event is None:
                             append(out)
                         else:
-                            emit(rid, shown, (out,))
+                            emit(on_event, rid, shown, (out,))
                 if len(queue) > max_queue:
                     max_queue = len(queue)
         finally:
@@ -479,19 +485,18 @@ class Execution:
             self._parked = psize
             self.max_partial_depth = max_partial
 
-    def _emit(self, rid: int, operands, created) -> None:
-        """The traced path of one application: report relation rid and
-        its operands, then queue and report each created element."""
-        trace = self.trace
-        trace("apply", self.program.relations[rid], operands, rid)
+    def _emit(self, on_event, rid: int, operands, created) -> None:
+        """The traced path of one application: report relation rid and its
+        operands to on_event, then queue and report each created element."""
+        on_event(("apply", self.program.relations[rid], operands, rid))
         for out in created:
             self._queue.append(out)
-            trace("create", Element._make(out))
+            on_event(("create", Element._make(out)))
 
 
-def run(program: Program, discipline: str = "fifo",
-        trace: TraceFn | None = None, *,
+def run(program: Program, discipline: str = "fifo", *,
+        on_event: Callable[[tuple], None] | None = None,
         max_steps: int = DEFAULT_STEP_LIMIT) -> RunResult:
     """Run a program to quiescence and return its RunResult."""
-    return Execution(program, discipline=discipline, trace=trace,
+    return Execution(program, discipline=discipline, on_event=on_event,
                      max_steps=max_steps).run()

@@ -189,13 +189,10 @@ def simulate(program: Program, machine: MachineConfig,
              on_event=None) -> Metrics:
     """Run program on the simulated machine and return its Metrics.
 
-    on_event, when given, receives ("dispatch", time, worker, operands),
-    ("finish", time, worker), ("arrival", time, worker, outputs) and an
-    ("idle_state", time, queued, idle_workers, pending_units) snapshot
-    after each event settles; the snapshots let tests audit that no
-    worker idles while dispatchable work exists. A run that ends with
-    operands still parked raises JoinDeadlockError with run()'s text,
-    prefixed "machine ".
+    on_event gets the events the engine module docstring lists; the
+    idle_state snapshots let tests audit that no worker idles while
+    dispatchable work exists. A run that ends with operands still parked
+    raises JoinDeadlockError with run()'s text, prefixed "machine ".
 
     max_events must be a non-negative int. Cyclic GC is off for the whole
     call, as in Execution.run: the live set of queued and parked elements

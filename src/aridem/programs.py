@@ -7,8 +7,7 @@ closed-form, which is what the benchmark comparisons lean on.
 
 from __future__ import annotations
 
-from .core import (Element, IndexTransform, Operation, ProgramError, Relation,
-                   RelationStore, _Frozen)
+from .core import Element, IndexTransform, Operation, ProgramError, Relation, _Frozen
 from .engine import Program
 
 LCG_MULTIPLIER = 6364136223846793005
@@ -123,17 +122,17 @@ def matmul_program(a: Matrix, b: Matrix) -> Program:
     if b.n != n:
         raise ProgramError(f"matrix sizes differ: {a.n} vs {b.n}")
 
-    store = RelationStore()
-    store.add(Relation((MM_LEFT,), Operation.REPLICATE, (n,), MM_LEFT_REP,
-                       IndexTransform.insert_varied(1, n)))
-    store.add(Relation((MM_RIGHT,), Operation.REPLICATE, (n,), MM_RIGHT_REP,
-                       IndexTransform.insert_varied(0, n)))
-    store.add(Relation((MM_LEFT_REP, MM_RIGHT_REP), Operation.MUL_PAIR, (),
-                       MM_PRODUCT, IndexTransform.keep()))
-    store.add(Relation((MM_PARTIAL, MM_PRODUCT), Operation.SUM_STEP, (n, MM_RESULT),
-                       MM_PARTIAL, IndexTransform.increment_last()))
-    store.add(Relation((MM_RESULT,), Operation.SINK, (), MM_RESULT,
-                       IndexTransform.keep()))
+    relations = [
+        Relation((MM_LEFT,), Operation.REPLICATE, (n,), MM_LEFT_REP,
+                 IndexTransform.insert_varied(1, n)),
+        Relation((MM_RIGHT,), Operation.REPLICATE, (n,), MM_RIGHT_REP,
+                 IndexTransform.insert_varied(0, n)),
+        Relation((MM_LEFT_REP, MM_RIGHT_REP), Operation.MUL_PAIR, (),
+                 MM_PRODUCT, IndexTransform.keep()),
+        Relation((MM_PARTIAL, MM_PRODUCT), Operation.SUM_STEP, (n, MM_RESULT),
+                 MM_PARTIAL, IndexTransform.increment_last()),
+        Relation((MM_RESULT,), Operation.SINK, (), MM_RESULT, IndexTransform.keep()),
+    ]
 
     initial: list[Element] = []
     for i in range(n):
@@ -147,7 +146,7 @@ def matmul_program(a: Matrix, b: Matrix) -> Program:
             initial.append(Element(MM_PARTIAL, (i, j, 0), 0))
 
     return Program(
-        relations=store,
+        relations=relations,
         initial_elements=initial,
         arities={MM_LEFT: 2, MM_RIGHT: 2, MM_LEFT_REP: 3, MM_RIGHT_REP: 3,
                  MM_PRODUCT: 3, MM_PARTIAL: 3, MM_RESULT: 2},

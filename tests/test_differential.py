@@ -7,6 +7,7 @@ RunResult under the same discipline, or its error text; simulate() is
 checked against run() at every worker count and dispatch policy, on
 outputs, elements processed and error text, and its totals, which it
 derives at quiescence, against counts taken from its on_event stream.
+run()'s own on_event stream must account for its counters and outputs.
 Where equal-time finishes may reorder the machine's queue, its overflow
 text must be one of the first overflows the reference lists. A
 deadlock gives one text on every executor, discipline, worker count,
@@ -45,6 +46,7 @@ from aridem import (
     Relation,
     RelationStore,
     TransformKind,
+    build_matmul_program,
     run,
     simulate,
     validate_metrics,
@@ -148,8 +150,11 @@ def programs(draw):
 
     result = draw(st.sampled_from(distinct))
     store.add(Relation((result,), Operation.SINK, (), result, IndexTransform.keep()))
+    # the first few identifiers get names, the rest show as id<n>
+    named = draw(st.integers(0, len(arities)))
     return Program(relations=store, initial_elements=initial,
-                   arities=arities, result_identifier=result)
+                   arities=arities, result_identifier=result,
+                   names={ident: f"v{ident}" for ident in range(named)})
 
 
 def outcome(execute, program, counters=("elements_processed",), text=False):
@@ -177,7 +182,7 @@ def stepped(discipline, steps=None):
 
 
 def traced(program):
-    return run(program, trace=lambda *event: None)
+    return run(program, on_event=lambda event: None)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -207,7 +212,41 @@ def test_step_and_trace_match_run_exactly(program, discipline):
     expected = exact(lambda p: run(p, discipline=discipline))
     assert exact(stepped(discipline)) == expected
     assert exact(lambda p: run(p, discipline=discipline,
-                               trace=lambda *event: None)) == expected
+                               on_event=lambda event: None)) == expected
+
+
+ENGINE_EVENT_LENGTHS = {"pop": 2, "apply": 4, "create": 2, "output": 3}
+
+
+def check_engine_events(program):
+    """Run program with one events.append hook: every event is a tuple of
+    a documented kind, one pop per element processed, one create per
+    element created after the initial ones, and the output events rebuild
+    outputs, also when the run raises."""
+    events = []
+    execution = Execution(program, on_event=events.append)
+    try:
+        execution.run()
+    except ElementModelError:
+        pass
+    for event in events:
+        assert type(event) is tuple and len(event) == ENGINE_EVENT_LENGTHS[event[0]]
+    kinds = [event[0] for event in events]
+    assert kinds.count("pop") == execution.elements_processed
+    assert (kinds.count("create")
+            == execution.elements_created - len(program.initial_elements))
+    assert {e[1]: e[2] for e in events if e[0] == "output"} == execution.outputs
+    assert kinds.count("output") == len(execution.outputs)
+
+
+def test_engine_events_match_counters_on_matmul():
+    check_engine_events(build_matmul_program(3, 0))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(programs())
+def test_engine_events_match_counters(program):
+    check_engine_events(program)
 
 
 def audited(config, costs):
@@ -322,15 +361,15 @@ def test_deadlock_text_is_the_same_everywhere(program):
 
 def parts_of(program):
     """program as plain nested tuples: each relation as its five fields,
-    its transform as (kind, position, count), and arities as (identifier,
-    arity) pairs."""
+    its transform as (kind, position, count), and arities and names as
+    (identifier, arity) and (identifier, name) pairs."""
     relations = tuple(
         (rel.input_identifiers, rel.operation, rel.parameters, rel.output_identifier,
          (rel.index_transform.kind, rel.index_transform.position,
           rel.index_transform.count))
         for rel in program.relations)
     return (relations, program.initial_elements, tuple(program.arities.items()),
-            program.result_identifier)
+            program.result_identifier, tuple(program.names.items()))
 
 
 def nodes(node, path=()):
@@ -354,6 +393,8 @@ def corruptions(node):
     """node changed in its type, its sign or its container."""
     if type(node) is int:
         return [float(node), bool(node), str(node), None, -node - 1]
+    if type(node) is str:
+        return [len(node), None, node.encode()]
     if isinstance(node, (Operation, TransformKind)):
         other = TransformKind.KEEP if type(node) is Operation else Operation.NEGATE
         return [node.name, other, None]
@@ -363,8 +404,8 @@ def corruptions(node):
 def build(parts):
     """The Program parts describe. Only a part left a tuple becomes a
     Relation or an IndexTransform; a part corrupted into something else
-    goes in as it is, and the arity pairs go in as pairs."""
-    relations, initial, arities, result = parts
+    goes in as it is, and the arity and name pairs go in as pairs."""
+    relations, initial, arities, result, names = parts
 
     def relation(fields):
         if type(fields) is not tuple:
@@ -374,7 +415,7 @@ def build(parts):
 
     if relations is not None:
         relations = [relation(fields) for fields in relations]
-    return Program(relations, initial, arities, result)
+    return Program(relations, initial, arities, result, names)
 
 
 @st.composite
@@ -387,11 +428,12 @@ def corrupted_parts(draw):
 
 
 def test_corrupted_programs_fail_at_build_or_run_as_the_reference():
-    """Corrupt one part of a valid program: a type, a sign or a container.
-    Its build then raises an ElementModelError, or every executor runs it
-    to the reference's outcome, with plain-int outputs. No bare exception
-    either way. Both happen: a value may change sign, and a list may hold
-    the relations or the initial elements."""
+    """Corrupt one part of a valid program, its names included: a type, a
+    sign or a container. Its build then raises an ElementModelError, or
+    every executor runs it to the reference's outcome, with plain-int
+    outputs, and every identifier can be described by its name. No bare
+    exception either way. Both happen: a value may change
+    sign, and a list may hold the relations or the initial elements."""
     seen = set()
 
     @settings(max_examples=250, deadline=None, database=None)
@@ -403,6 +445,8 @@ def test_corrupted_programs_fail_at_build_or_run_as_the_reference():
             seen.add("refused")
             return
         seen.add("built")
+        for ident in program.arities:
+            Element(ident, (0,), 0).describe(program.names)
         totals = ("elements_processed", "elements_created")
         expected = outcome(run_reference, program, totals)
         for execute in (run, lambda p: run(p, discipline="lifo"), stepped("fifo")):

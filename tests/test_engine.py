@@ -226,6 +226,12 @@ class TestProgramValidation:
               result_identifier=-1), "identifiers must be non-negative"),
         (dict(relations=[], initial_elements=[], arities={0: 0, -2: 1},
               result_identifier=0), "identifiers must be non-negative"),
+        # names that are not strings: each built, and run() and simulate()
+        # raised a bare TypeError as they named a parked operand
+        *[(dict(initial_elements=[Element(0, (0,), 6)], names={0: name}),
+           "names must be strings") for name in (5, None, b"x")],
+        (dict(arities={0: 1, 1: 1, 2: 1, -2: 1}, names={0: 5}),
+         "identifiers must be non-negative"),
     ])
     def test_malformed_parts_fail_at_build(self, fields, message):
         program = single_join_program([(6, 7)])
@@ -424,29 +430,48 @@ class TestStepRunEquivalence:
 
 
 class TestTrace:
+    @pytest.mark.parametrize("execute", [Execution, run])
+    def test_hook_is_keyword_only(self, execute):
+        with pytest.raises(TypeError):
+            execute(build_negate_demo(), "fifo", lambda event: None)
+
     def test_hook_assigned_after_construction(self):
-        # step() and run() both read trace on every call
+        # step() and run() both read on_event on every call
         stepped, ran = [], []
         ex = Execution(single_join_program([(2, 3)]))
-        ex.trace = lambda kind, *args: stepped.append(kind)
+        ex.on_event = lambda event: stepped.append(event[0])
         ex.step()
         ex.step()
-        ex.trace = lambda kind, *args: ran.append(kind)
+        ex.on_event = lambda event: ran.append(event[0])
         ex.run()
         assert stepped == ["pop", "pop", "apply", "create"]
         assert ran == ["pop", "apply", "output"]
 
     def test_hook_removed_after_construction(self):
         events = []
-        ex = Execution(build_negate_demo(), trace=lambda kind, *args: events.append(kind))
+        ex = Execution(build_negate_demo(), on_event=lambda event: events.append(event[0]))
         ex.step()
-        ex.trace = None
+        ex.on_event = None
         assert ex.run().outputs == {(): -5}
         assert events == ["pop", "apply", "create"]
 
+    def test_hook_removed_by_itself_during_a_run(self):
+        # run() reads on_event once: the hook gets the rest of the run's
+        # events (the call after its removal raised a bare TypeError)
+        kinds = []
+        ex = Execution(build_negate_demo())
+
+        def hook(event):
+            kinds.append(event[0])
+            ex.on_event = None
+
+        ex.on_event = hook
+        assert ex.run().outputs == {(): -5}
+        assert kinds == ["pop", "apply", "create", "pop", "apply", "output"]
+
     def test_event_order_for_negate(self):
         events = []
-        run(build_negate_demo(), trace=lambda kind, *args: events.append((kind,) + args))
+        run(build_negate_demo(), on_event=events.append)
         kinds = [e[0] for e in events]
         assert kinds == ["pop", "apply", "create", "pop", "apply", "output"]
         assert events[0][1] == Element(0, (), 5)
@@ -461,7 +486,7 @@ class TestTrace:
             {0: 1, 1: 2},
         )
         events = []
-        Execution(program, trace=lambda kind, *args: events.append((kind,) + args)).step()
+        Execution(program, on_event=events.append).step()
         assert [e[1] for e in events if e[0] == "create"] == [
             Element(1, (5, 0), 7), Element(1, (5, 1), 7), Element(1, (5, 2), 7)]
 
@@ -470,7 +495,7 @@ class TestTrace:
         program = single_join_program([(2, 3), (4, 5)], left_first=False)
         mul, sink = program.relations
         events = []
-        run(program, trace=lambda kind, *args: events.append((kind,) + args))
+        run(program, on_event=events.append)
         l0, r0, l1, r1 = (Element(0, (0,), 2), Element(1, (0,), 3),
                           Element(0, (1,), 4), Element(1, (1,), 5))
         assert events == [
@@ -491,7 +516,7 @@ class TestTrace:
         program = tiny_program([Element(0, (0,), 3)], [negate, negate],
                                {0: 1, 1: 1}, result=0)
         applied = []
-        run(program, trace=lambda kind, *args: kind == "apply" and applied.append(args))
+        run(program, on_event=lambda event: event[0] == "apply" and applied.append(event[1:]))
         assert applied == [(negate, Element(0, (0,), 3), 0),
                            (negate, Element(0, (0,), 3), 1)]
 
@@ -784,12 +809,12 @@ class TestViewsAndReplay:
 
     def test_pending_lists_this_runs_operands_after_a_trace_hook_raises(self):
         # the hook fails on the pop of id 1, so id 0 stays parked beside id 2
-        def hook(kind, *args):
-            if args == (Element(1, (0,), 5),):
+        def hook(event):
+            if event == ("pop", Element(1, (0,), 5)):
                 raise RuntimeError("hook failed")
 
         initial = [Element(2, (0,), 1), Element(0, (0,), 6), Element(1, (0,), 5)]
-        ex = Execution(_two_join_program(initial), trace=hook)
+        ex = Execution(_two_join_program(initial), on_event=hook)
         with pytest.raises(RuntimeError):
             ex.run()
         assert len(ex.partials) == 2
@@ -807,7 +832,7 @@ class TestViewsAndReplay:
     @pytest.mark.parametrize("path", ["run", "step"])
     def test_created_count_after_a_raise(self, program, error, max_steps, path):
         creates = []
-        ex = Execution(program, trace=lambda kind, *args: creates.append(kind == "create"),
+        ex = Execution(program, on_event=lambda event: creates.append(event[0] == "create"),
                        max_steps=max_steps or engine.DEFAULT_STEP_LIMIT)
         with pytest.raises(error):
             if path == "step":
@@ -861,7 +886,7 @@ class TestStepBudget:
 
     @pytest.mark.parametrize("execute", [
         lambda p: run(p, max_steps=10),
-        lambda p: run(p, trace=lambda *event: None, max_steps=10),
+        lambda p: run(p, on_event=lambda event: None, max_steps=10),
         lambda p: _step_all(Execution(p, max_steps=10)),
         lambda p: simulate(p, MachineConfig(workers=2), max_events=10),
     ], ids=["run", "traced", "step", "simulate"])
@@ -879,18 +904,18 @@ class TestStepBudget:
         assert list(ex.queue) == [Element(0, (), 1)]
         assert type(ex.queue[0]) is Element
 
-    @pytest.mark.parametrize("trace", [None, lambda *event: None])
-    def test_budget_is_inclusive(self, trace):
+    @pytest.mark.parametrize("on_event", [None, lambda event: None])
+    def test_budget_is_inclusive(self, on_event):
         # the negate demo processes exactly two elements
-        assert run(build_negate_demo(), trace=trace, max_steps=2).outputs == {(): -5}
+        assert run(build_negate_demo(), on_event=on_event, max_steps=2).outputs == {(): -5}
         with pytest.raises(SimulationLimitError, match=r"^exceeded 1 steps$"):
-            run(build_negate_demo(), trace=trace, max_steps=1)
+            run(build_negate_demo(), on_event=on_event, max_steps=1)
 
     @pytest.mark.parametrize("budget", [2.5, True, False, "10", None, -1])
     @pytest.mark.parametrize("make", [
         lambda p, budget: Execution(p, max_steps=budget),
         lambda p, budget: run(p, max_steps=budget),
-        lambda p, budget: run(p, trace=lambda *event: None, max_steps=budget),
+        lambda p, budget: run(p, on_event=lambda event: None, max_steps=budget),
     ], ids=["Execution", "run", "traced"])
     def test_budget_checked_when_the_run_is_set_up(self, make, budget):
         # 2.5 used to raise a bare TypeError mid-run, True ran one step
@@ -935,7 +960,7 @@ class TestCompiledOnce:
         program = matmul_program(Matrix.identity(2), Matrix.identity(2))
         assert len(compiled) == 1 and compiled[0] is program
         run(program)
-        run(program, discipline="lifo", trace=lambda *event: None)
+        run(program, discipline="lifo", on_event=lambda event: None)
         Execution(program).step()
         simulate(program, MachineConfig(workers=3))
         assert len(compiled) == 1

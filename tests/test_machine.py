@@ -412,7 +412,7 @@ class TestErrorMessages:
                for p in (1, 3) for d in ("idle", "roundrobin")]
 
     def check(self, program, error, message, machine_message=None):
-        for execute in (run, _stepped, lambda p: run(p, trace=lambda *e: None)):
+        for execute in (run, _stepped, lambda p: run(p, on_event=lambda event: None)):
             with pytest.raises(error) as from_engine:
                 execute(program)
             assert type(from_engine.value) is error
