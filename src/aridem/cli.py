@@ -267,7 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ElementModelError, ValueError) as exc:
+    except (ElementModelError, ValueError, OSError) as exc:  # OSError: --out unwritable
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

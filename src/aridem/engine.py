@@ -5,13 +5,27 @@ consumes its identifier, push whatever was deduced. When a Program is
 built, one pass numbers its relations by position, does every check
 that spans values and compiles each relation into per-identifier plans:
 flat tuples that name an opcode and its operands, in relation order. One
-loop, Execution._drain, executes those plans over plain tuples, which
-keeps large runs affordable in pure Python; step() takes one element
-through it and run() takes all of them, traced or not. Parked operands
-are listed in (relation id, index list) order, which no processing order
-can change, so every executor names the same first one when a run
-deadlocks. machine.simulate executes the same plans. The paths are
-tested against each other and a reference loop kept by the tests.
+loop, Execution._drain, executes those plans, which keeps large runs
+affordable in pure Python; step() takes one element through it and run()
+takes all of them, traced or not. machine.simulate executes the same
+plans. The paths are tested against each other and a reference loop kept
+by the tests.
+
+Inside both loops an element is a plain (identifier, key, value) tuple.
+The key packs the index list (d0, ..., da-1) into one int in a mixed
+radix R fixed per program: d0*R**(a-1) + ... + da-1. So a join matches
+on an int, and each transform is int arithmetic with powers of R fixed
+per program. R exceeds every index any element can reach, which the
+build bounds: by counting IncrementLasts where no identifier feeds
+itself, else in one fixed-point pass over the relations (see
+_compile_plans and _radix). A program whose indices rise without end,
+through a cycle that increments one, takes its radix from each run's
+budget instead, which bounds them as well (see Program._packing). Keys are decoded back to index tuples only at the
+edges: result outputs as they are sunk, the queue and partials views,
+the error texts and the event payloads. Parked operands are listed in
+(relation id, index list) order, the order of their keys while every
+index is below R, which no processing order can change, so every
+executor names the same first one when a run deadlocks.
 
 Both executors call one hook, on_event, with one tuple per event, kind
 first. step() and run() send ("pop", element), ("apply", relation,
@@ -20,7 +34,8 @@ operands being a join's (left, right) pair or the one element and rid
 the relation's position; machine.simulate sends ("dispatch", time,
 worker, operands), ("finish", time, worker), ("arrival", time, worker,
 outputs) and ("idle_state", time, queued, idle_workers, pending_units)
-once each event settles, operands and outputs being counts.
+once each event settles, operands and outputs being counts. Elements in
+the payloads are Elements, their indices tuples.
 
 Program is a plain frozen class on core's _Frozen base, with its methods
 in the source rather than generated by @dataclass at every import (see
@@ -32,6 +47,7 @@ from __future__ import annotations
 import gc
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -48,7 +64,7 @@ from .core import (
     _Frozen,
     _overflow,
 )
-from .core import _DROP, _INCREMENT_LAST, _INSERT_VARIED, _KEEP
+from .core import _DROP, _INCREMENT_LAST, _INSERT_VARIED, _KEEP, _TRUNCATE
 from .core import _MUL_PAIR, _NEGATE, _REPLICATE, _SINK, _SQUARE, _SUM_STEP
 
 DEFAULT_STEP_LIMIT = 100_000_000
@@ -75,8 +91,10 @@ class Program(_Frozen):
     built; every executor runs the compiled plans. A built Program is
     frozen: it keeps the relations and initial elements as tuples and
     read-only copies of arities and names, and assigning any field
-    raises. Programs built from equal parts compare equal; the compiled
-    plans, _plans and _binary, are left out of its repr and equality.
+    raises. Programs built from equal parts compare equal; what the
+    build derives is left out of its repr and equality: the plans,
+    _plans, the join rids, _binary, the powers of the radix, _places, and
+    the initial elements as (identifier, key, value) tuples, _keys.
     """
 
     _fields = ("relations", "initial_elements", "arities", "result_identifier", "names")
@@ -91,15 +109,35 @@ class Program(_Frozen):
                      result_identifier=result_identifier, names=MappingProxyType(dict(names)))
         except (TypeError, ValueError) as error:  # a field of the wrong container
             raise ProgramError(f"cannot read the program's fields: {error}") from None
-        d["_plans"], d["_binary"] = _compile_plans(self)
+        d["_plans"], d["_binary"], d["_places"], d["_keys"] = _compile_plans(self)
 
     def __reduce__(self):
-        # the plans hold closures; pickle and copy rebuild them instead
+        # pickle and copy rebuild what the build derives
         return (Program, (self.relations, self.initial_elements, dict(self.arities),
                           self.result_identifier, dict(self.names)))
 
     def identifier_name(self, identifier: int) -> str:
         return self.names.get(identifier, f"id{identifier}")
+
+    def _packing(self, budget: int) -> tuple[tuple[tuple, ...], dict[int, int]]:
+        """The initial keys and the powers of the radix for a run that may
+        process budget elements, or take budget events.
+
+        A program whose indices the build bounded has them already. In
+        one the build could not bound, _keys is None and an index rises
+        by at most one per generation: the indices of a created element
+        come from the element processed to make it (a join's partner has
+        the same key), plus one at most, or from a Replicate count. Each
+        step processes one element, and each element the master takes
+        arrived in an event, so no index passes reach + budget + 1, reach
+        being the largest initial index or the build's guess, which is at
+        least the largest Replicate index. The build stores the powers of
+        radix reach + 2; the run's radix is that plus budget.
+        """
+        if self._keys is not None:
+            return self._keys, self._places
+        radix = self._places[1] + budget
+        return _packed(self.initial_elements, radix), _powers(radix, self._places)
 
 
 @dataclass
@@ -115,11 +153,19 @@ class RunResult:
 
 # Plan opcodes. A plan is one flat tuple per (identifier, relation) pair
 # that ends with the relation's rid; the executors dispatch on plan[0]
-# without touching Relation objects. Both joins compile to one shape,
-# (code, slot, out_id, arg, result_id, rid): arg is MulPair's compiled
-# transform or SumStep's limit, and result_id is SumStep's result
-# identifier (None for MulPair). The join codes are the lowest, so
-# code <= _OP_SUM selects the one join branch of each executor.
+# without touching Relation objects. Plans hold no radix: they name its
+# powers by exponent, and each executor looks them up in the program's
+# places, a dict from exponent to power, places[1] being the radix. Both
+# joins compile to one shape, (code, slot, out_id, arg, result_id, rid):
+# arg is MulPair's key transform or SumStep's limit, and result_id is
+# SumStep's result identifier (None for MulPair). The join codes are the
+# lowest, so code <= _OP_SUM selects the one join branch of each
+# executor. A key transform is None for KEEP, or (x, y, add): the new key
+# is key // places[x] * places[y] + key % places[y] + add. Replicate's
+# plan is (code, out_id, e, count, rid): copy j of a key with head
+# key // places[e] and tail key % places[e] is head * places[e + 1] +
+# j * places[e] + tail. A sink's is (code, is_result, arity, rid), arity
+# to decode the result's key with.
 _OP_MUL = 0
 _OP_SUM = 1
 _OP_REPLICATE = 2
@@ -128,21 +174,56 @@ _OP_NEGATE = 4
 _OP_SQUARE = 5
 
 
-def _compile_transform(t, in_arity: int) -> tuple[int, Callable | None]:
-    """The arity t makes of in_arity indices, and t as a tuple->tuple callable:
-    None for KEEP, and for INSERT_VARIED, whose fields Replicate's plan holds."""
+def _key(indices: tuple[int, ...], radix: int) -> int:
+    """indices packed into one int, the first most significant."""
+    key = 0
+    for i in indices:
+        key = key * radix + i
+    return key
+
+
+def _indices(key: int, arity: int, radix: int) -> tuple[int, ...]:
+    """The arity indices that key packs in radix."""
+    if arity < 3:  # divmod gives a pair of indices as a tuple
+        return divmod(key, radix) if arity == 2 else (key,) if arity else ()
+    digits = [0] * arity
+    for p in range(arity - 1, -1, -1):
+        key, digits[p] = divmod(key, radix)
+    return tuple(digits)
+
+
+def _packed(elements: Iterable[Element], radix: int) -> tuple[tuple, ...]:
+    """elements as (identifier, key, value) tuples."""
+    return tuple([(ident, _key(idx, radix), val) for ident, idx, val in elements])
+
+
+def _unpacked(element: tuple, arities: Mapping[int, int], radix: int) -> Element:
+    """The Element that an (identifier, key, value) tuple packs."""
+    ident, key, val = element
+    return Element(ident, _indices(key, arities[ident], radix), val)
+
+
+def _powers(radix: int, exponents: Iterable[int]) -> dict[int, int]:
+    """radix ** e for each of exponents, by e."""
+    return {e: radix ** e for e in exponents}
+
+
+def _compile_transform(t, in_arity: int) -> tuple[int, tuple[int, int, int] | None]:
+    """The arity t makes of in_arity indices, and t as a key transform (see
+    the plan opcodes): None for KEEP, and for INSERT_VARIED, whose fields
+    Replicate's plan holds."""
     kind = t.kind
     if kind is _KEEP:
         return in_arity, None
     if kind is _INCREMENT_LAST:
         if in_arity < 1:
             raise ProgramError("IncrementLast needs at least one index")
-        return in_arity, lambda idx: idx[:-1] + (idx[-1] + 1,)
+        return in_arity, (0, 0, 1)
     p = t.position
     if kind is _DROP:
         if p >= in_arity:
             raise ProgramError(f"cannot drop index {p} from arity {in_arity}")
-        return in_arity - 1, lambda idx: idx[:p] + idx[p + 1 :]
+        return in_arity - 1, (in_arity - p, in_arity - 1 - p, 0)
     if kind is _INSERT_VARIED:
         if p > in_arity:
             raise ProgramError(f"cannot insert at position {p} into arity {in_arity}")
@@ -150,16 +231,92 @@ def _compile_transform(t, in_arity: int) -> tuple[int, Callable | None]:
     k = t.count  # TRUNCATE, the one kind left
     if k > in_arity:
         raise ProgramError(f"cannot truncate arity {in_arity} to {k}")
-    return k, lambda idx: idx[:k]
+    return k, (in_arity - k, 0, 0)
 
 
-def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tuple[int, ...]]:
-    """Check program and compile it in one walk over its relations, each
-    numbered by its position: the plans of every registered identifier in
-    rid order, and the rids of the join relations. The checks fire in
-    order: arities, the result identifier, each relation, each initial
-    element, a negative identifier and last the names, so a program that
-    an earlier check refuses keeps that check's text."""
+def _bound_transform(t) -> Callable | None:
+    """t as it acts on a tuple of per-position bounds, which is as it acts
+    on an index list but for INSERT_VARIED, which inserts its largest
+    index, count - 1; None for KEEP."""
+    kind, p, k = t.kind, t.position, t.count
+    if kind is _INCREMENT_LAST:
+        return lambda b: b[:-1] + (b[-1] + 1,)
+    if kind is _DROP:
+        return lambda b: b[:p] + b[p + 1 :]
+    if kind is _INSERT_VARIED:
+        return lambda b: b[:p] + (k - 1,) + b[p:]
+    if kind is _TRUNCATE:
+        return lambda b: b[:k]
+    return None
+
+
+def _radix(program: Program, top: int) -> int | None:
+    """One more than the largest index any element of a checked program
+    can hold when no initial index passes top; None when a bound still
+    rises after two passes more than there are steps, as through a cycle
+    that increments an index.
+
+    Every identifier that a relation reads or makes starts with top in
+    each position. A relation maps its inputs' bounds to its output's as
+    it maps index lists, a SumStep both to its running sum and, with the
+    last index dropped, to its result. A join's inputs are bounded by
+    the element-wise min of their bounds, as it only matches equal index
+    lists; so a running sum stays within one of its operand's bound.
+    Passes run in relation order, raising each output's bound to the
+    element-wise max, until one changes nothing. The bound of any
+    element then holds its indices: it holds the initial ones, and each
+    relation keeps it.
+    """
+    arities = program.arities
+    steps = []  # (inputs, output, map of the inputs' bound to the output's)
+    for rel in program.relations:
+        op, ids = rel.operation, rel.input_identifiers
+        if op is not _SINK:
+            if op is _SUM_STEP:
+                steps.append((ids, rel.parameters[1], lambda b: b[:-1]))
+            steps.append((ids, rel.output_identifier, _bound_transform(rel.index_transform)))
+    bounds = {ident: (top,) * arities[ident]
+              for ids, out, _ in steps for ident in ids + (out,)}
+    for _ in range(len(steps) + 2):
+        stable = True
+        for ids, out, f in steps:
+            got = bounds[ids[0]]
+            if len(ids) == 2:
+                got = tuple(map(min, got, bounds[ids[1]]))
+            if f is not None:
+                got = f(got)
+            old = bounds[out]
+            if got != old:
+                got = tuple(map(max, old, got))
+                if got != old:
+                    bounds[out] = got
+                    stable = False
+        if stable:
+            return max(chain.from_iterable(bounds.values()), default=top) + 1
+    return None
+
+
+def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tuple[int, ...],
+                                              dict[int, int], tuple[tuple, ...] | None]:
+    """Check program and compile it: the plans of every registered
+    identifier in rid order, the rids of the join relations, the powers
+    of the radix, and the initial elements packed in it (None when only
+    a run's budget bounds the indices, see Program._packing).
+
+    One walk over the relations checks and compiles them, and one over
+    the initial elements checks and packs them in a radix fixed in
+    between: one more than the largest initial index, guessed to be the
+    largest Replicate index (matmul's is) or 15, plus what the relations
+    add. If no relation makes an identifier that it or an earlier
+    relation reads, no identifier feeds itself, so an index gains at most
+    one per IncrementLast; otherwise _radix bounds it. An initial index d past
+    the guess raises the radix by d, which bounds every index again (no
+    relation raises an index by more than its inputs rose), and the
+    elements are packed anew. The checks fire in order: arities, the
+    result identifier, each relation, each initial element, a negative
+    identifier and last the names, so a program that an earlier check
+    refuses keeps that check's text.
+    """
     arities = program.arities
     try:
         if arities and min(arities.values()) < 0:
@@ -175,6 +332,13 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
 
     plans: dict[int, list[tuple]] = {ident: [] for ident in arities}
     binary = []
+    ordered = True  # no relation makes an identifier that it or an earlier one reads
+    rises = 0  # IncrementLast transforms, SumStep's included
+    # the largest index a Replicate makes, and at least 15, which the
+    # indices of small programs stay within, so their elements are packed
+    # once; a radix larger than they need costs nothing
+    guess = 15
+    named = {1}  # the exponents the plans name, 1 for the radix itself
     for rid, rel in enumerate(program.relations):
         if type(rel) is not Relation:
             raise ProgramError(f"relation {rid} is not a Relation")
@@ -189,7 +353,7 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
             if other != in_arity:
                 raise ProgramError(f"relation {rid} joins arities {in_arity} and {other}")
         if op is _SINK:
-            plans[first].append((_OP_SINK, first == result, rid))
+            plans[first].append((_OP_SINK, first == result, in_arity, rid))
             continue
         out_id, t = rel.output_identifier, rel.index_transform
         if out_id not in arities:
@@ -200,6 +364,12 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
                 f"relation {rid} produces arity {out_arity} but "
                 f"{out_id} is registered at {arities[out_id]}"
             )
+        if plans[out_id] or out_id in ids:  # read by an earlier relation or this one
+            ordered = False
+        if tf is not None:
+            named.add(tf[0])
+            named.add(tf[1])
+            rises += tf[2]
         if op is _SUM_STEP or op is _MUL_PAIR:
             if op is _SUM_STEP:
                 code, (arg, result_id) = _OP_SUM, rel.parameters
@@ -209,17 +379,30 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
                     raise ProgramError(
                         "SumStep result arity must be one less than its input"
                     )
+                if plans[result_id] or result_id in ids:
+                    ordered = False
             else:
                 code, arg, result_id = _OP_MUL, tf, None
             binary.append(rid)
             for slot, ident in enumerate(ids):
                 plans[ident].append((code, slot, out_id, arg, result_id, rid))
         elif op is _REPLICATE:
-            plans[first].append((_OP_REPLICATE, out_id, t.position, t.count, rid))
+            e = in_arity - t.position
+            plans[first].append((_OP_REPLICATE, out_id, e, t.count, rid))
+            named.add(e)
+            named.add(e + 1)
+            if t.count - 1 > guess:
+                guess = t.count - 1
         else:  # _NEGATE or _SQUARE
             code = _OP_NEGATE if op is _NEGATE else _OP_SQUARE
             plans[first].append((code, out_id, tf, rid))
 
+    radix = guess + rises + 1 if ordered else _radix(program, guess)
+    # a program bounded only by its runs' budgets packs its elements per run
+    packing = guess + 1 if radix is None else radix
+    keys = []
+    add = keys.append
+    top = 0
     for elem in program.initial_elements:
         if type(elem) is not Element:
             raise ProgramError(f"initial element {elem!r} is not an Element")
@@ -235,10 +418,15 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
             if val > INT64_MAX or val < INT64_MIN:
                 raise ProgramError(f"initial value {val} outside 64-bit range")
             plain = type(ident) is int and type(idx) is tuple and type(val) is int
+            key = 0
             for i in idx:
                 if i < 0:
                     raise ProgramError("initial indices must be non-negative")
-                if type(i) is not int:
+                if type(i) is int:
+                    key = key * packing + i
+                    if i > top:
+                        top = i
+                else:
                     plain = False
         except TypeError:  # a part unhashable, without a length, or not comparable
             plain = False
@@ -246,11 +434,18 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
         if not plain:
             raise ProgramError(f"initial element {elem} must hold plain ints, "
                                f"its indices in a tuple")
+        add((ident, key, val))
     if min(arities, default=0) < 0:  # Relation refuses these too
         raise ProgramError("identifiers must be non-negative")
     if not all(isinstance(name, str) for name in program.names.values()):
         raise ProgramError("names must be strings")  # or describe() fails mid-run
-    return {ident: tuple(plan) for ident, plan in plans.items()}, tuple(binary)
+    plans = {ident: tuple(plan) for ident, plan in plans.items()}
+    if radix is None:
+        return plans, tuple(binary), _powers(max(top, guess) + 2, named), None
+    if top > guess:
+        radix += top - guess
+        keys = _packed(program.initial_elements, radix)
+    return plans, tuple(binary), _powers(radix, named), tuple(keys)
 
 
 def _without_gc(fn: Callable, *args):
@@ -267,31 +462,33 @@ def _without_gc(fn: Callable, *args):
             gc.enable()
 
 
-def _parked_operands(joins: dict[int, dict]) -> tuple[Element, ...]:
+def _parked_operands(joins: dict[int, dict], arities: Mapping[int, int],
+                     radix: int) -> tuple[Element, ...]:
     """The operands parked in a run's join dicts, in (relation id, index
-    list) order."""
-    return tuple([Element._make(store[idx]) for _, store in sorted(joins.items())
-                  for idx in sorted(store)])
+    list) order: keys sort as their index lists while every index is
+    below the radix."""
+    return tuple([_unpacked(store[key], arities, radix)
+                  for _, store in sorted(joins.items()) for key in sorted(store)])
 
 
-def _deadlock_error(joins: dict[int, dict], names: Mapping[int, str],
+def _deadlock_error(joins: dict[int, dict], program: Program, radix: int,
                     prefix: str = "") -> JoinDeadlockError:
     """The error for a run gone quiescent with operands parked in joins;
     the simulator passes the prefix "machine "."""
-    stuck = _parked_operands(joins)
+    stuck = _parked_operands(joins, program.arities, radix)
     return JoinDeadlockError(
         f"{prefix}quiescent with {len(stuck)} unmatched operand(s), "
-        f"first {stuck[0].describe(names)}"
+        f"first {stuck[0].describe(program.names)}"
     )
 
 
 class Execution:
-    """State of one run: plain (identifier, indices, value) tuples in a
-    deque, one parked dict per join keyed by the index list, the park
-    count and its peak. Not reusable once the queue drains.
+    """State of one run: (identifier, key, value) tuples in a deque, one
+    parked dict per join keyed by the packed index list, the park count
+    and its peak. Not reusable once the queue drains.
 
     step() and run() drive the same loop, _drain, and may be mixed.
-    queue and partials are tuples of Elements built on request: the
+    queue and partials are tuples of Elements decoded on request: the
     ready elements in queue order, and the operands still waiting for a
     partner in (relation id, index list) order. max_queue_depth and
     max_partial_depth are their peaks so far; elements_created is
@@ -315,11 +512,13 @@ class Execution:
         self.program = program
         self.on_event = on_event
         self._max_steps = max_steps
-        self._queue: deque[tuple] = deque(program.initial_elements)
+        keys, places = program._packing(max_steps)
+        self._radix = places[1]
+        self._queue: deque[tuple] = deque(keys)
         self._joins: dict[int, dict] = {rid: {} for rid in program._binary}
         # the loop's fixed context, which _drain unpacks in one step
-        self._loop = (self._queue, discipline == "fifo", program._plans,
-                      self._joins, self._queue.append)
+        self._loop = (self._queue, discipline == "fifo", program._plans, self._joins,
+                      self._queue.append, places)
         self._parked = 0
         self.outputs: dict[tuple[int, ...], int] = {}
         self.elements_processed = 0
@@ -332,11 +531,11 @@ class Execution:
 
     @property
     def queue(self) -> tuple[Element, ...]:
-        return tuple(map(Element._make, self._queue))
+        return tuple([self._element(e) for e in self._queue])
 
     @property
     def partials(self) -> tuple[Element, ...]:
-        return _parked_operands(self._joins)
+        return _parked_operands(self._joins, self.program.arities, self._radix)
 
     @property
     def elements_created(self) -> int:
@@ -368,7 +567,7 @@ class Execution:
 
     def _finish(self) -> RunResult:
         if self._parked:
-            raise _deadlock_error(self._joins, self.program.names)
+            raise _deadlock_error(self._joins, self.program, self._radix)
         return RunResult(
             outputs=self.outputs,
             elements_processed=self.elements_processed,
@@ -377,25 +576,33 @@ class Execution:
             max_partial_depth=self.max_partial_depth,
         )
 
+    def _element(self, element: tuple) -> Element:
+        return _unpacked(element, self.program.arities, self._radix)
+
     def _drain(self, counts) -> None:
         """The element loop: process one element for each number in
         counts, the elements processed in all once it is done, until
         counts or the queue runs out.
 
         The count costs nothing per element: step() passes a 1-tuple, and
-        run() a range that ends at max_steps. A join pops its partner from its parked dict
-        or parks the element tuple itself. The event payloads (Elements,
-        the Relation looked up by rid, ordered operands) are built only
-        when a hook is set. Only the counters are written back on the way
-        out, also when the loop raises; the queue and the parked dicts
-        are the state itself. on_event and outputs are read at the start
-        of every call, so a caller may assign either between calls.
+        run() a range that ends at max_steps. An element is an
+        (identifier, key, value) tuple, its index list packed in the
+        program's radix as the module docstring describes. A join pops
+        its partner from its parked dict or parks the element tuple
+        itself. A result's key is decoded as it is sunk. The event
+        payloads (decoded Elements, the Relation looked up by rid,
+        ordered operands) are built only when a hook is set. Only the
+        counters are written back on the way out, also when the loop
+        raises; the queue and the parked dicts are the state itself.
+        on_event and outputs are read at the start of every call, so a
+        caller may assign either between calls.
         """
-        queue, fifo, plans, joins, append = self._loop
+        queue, fifo, plans, joins, append, places = self._loop
+        radix = places[1]
         outputs = self.outputs
         on_event = self.on_event
         if on_event is not None:
-            emit = self._emit
+            emit, shown_as = self._emit, self._element
         hi, lo = INT64_MAX, INT64_MIN
         processed = self.elements_processed
         max_queue = self.max_queue_depth
@@ -409,17 +616,17 @@ class Execution:
                     break
                 element = queue.popleft() if fifo else queue.pop()
                 if on_event is not None:
-                    shown = Element._make(element)
+                    shown = shown_as(element)
                     on_event(("pop", shown))
-                ident, idx, val = element
+                ident, key, val = element
                 for plan in plans[ident]:
                     code = plan[0]
                     if code <= _OP_SUM:
                         _, slot, out_id, arg, result_id, rid = plan
                         parked = joins[rid]
-                        hit = parked.pop(idx, None)
+                        hit = parked.pop(key, None)
                         if hit is None:
-                            parked[idx] = element
+                            parked[key] = element
                             psize += 1
                             if psize > max_partial:
                                 max_partial = psize
@@ -427,40 +634,46 @@ class Execution:
                         # a join's two identifiers differ, so the same
                         # identifier means the same slot
                         if hit[0] == ident:
-                            parked[idx] = hit
-                            raise _duplicate_operand(slot, rid, idx)
+                            parked[key] = hit
+                            raise _duplicate_operand(slot, rid,
+                                                     self._element(element).indices)
                         psize -= 1
                         if code == _OP_SUM:
                             value = val + hit[2]
-                            nxt = idx[-1] + 1
-                            if nxt == arg:
-                                out = (result_id, idx[:-1], value)
+                            if key % radix + 1 == arg:
+                                out = (result_id, key // radix, value)
                             else:
-                                out = (out_id, idx[:-1] + (nxt,), value)
+                                out = (out_id, key + 1, value)
                         else:
                             value = val * hit[2]
-                            out = (out_id, idx if arg is None else arg(idx), value)
+                            out = (out_id, key if arg is None else
+                                   key // places[arg[0]] * places[arg[1]]
+                                   + key % places[arg[1]] + arg[2], value)
                         if value > hi or value < lo:
                             raise _overflow(
                                 "SumStep" if code == _OP_SUM else "MulPair", value)
                         if on_event is None:
                             append(out)
                         else:
-                            pair = (shown, Element._make(hit))
+                            pair = (shown, shown_as(hit))
                             emit(on_event, rid, pair if slot == 0 else pair[::-1], (out,))
                     elif code == _OP_REPLICATE:
-                        _, out_id, pos, count, rid = plan
-                        head, tail = idx[:pos], idx[pos:]
+                        _, out_id, e, count, rid = plan
+                        stride = places[e]
+                        head, tail = divmod(key, stride)
+                        base = head * places[e + 1] + tail
+                        copies = range(base, base + count * stride, stride)
                         if on_event is None:
-                            for j in range(count):
-                                append((out_id, head + (j,) + tail, val))
+                            for k in copies:
+                                append((out_id, k, val))
                         else:
-                            emit(on_event, rid, shown, [(out_id, head + (j,) + tail, val)
-                                                        for j in range(count)])
+                            emit(on_event, rid, shown,
+                                 zip(repeat(out_id), copies, repeat(val)))
                     elif code == _OP_SINK:
                         if on_event is not None:
-                            emit(on_event, plan[2], shown, ())
+                            emit(on_event, plan[3], shown, ())
                         if plan[1]:
+                            idx = _indices(key, plan[2], radix)
                             if idx in outputs:
                                 raise _duplicate_output(idx)
                             outputs[idx] = val
@@ -472,7 +685,9 @@ class Execution:
                             raise _overflow(
                                 "Negate" if code == _OP_NEGATE else "Square", value)
                         _, out_id, tf, rid = plan
-                        out = (out_id, idx if tf is None else tf(idx), value)
+                        out = (out_id, key if tf is None else
+                               key // places[tf[0]] * places[tf[1]]
+                               + key % places[tf[1]] + tf[2], value)
                         if on_event is None:
                             append(out)
                         else:
@@ -491,7 +706,7 @@ class Execution:
         on_event(("apply", self.program.relations[rid], operands, rid))
         for out in created:
             self._queue.append(out)
-            on_event(("create", Element._make(out)))
+            on_event(("create", self._element(out)))
 
 
 def run(program: Program, discipline: str = "fifo", *,

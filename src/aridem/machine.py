@@ -13,13 +13,15 @@ the return, so a unit that deduces nothing still sends one completion.
 
 The master expands elements into units on the plans the Program was
 compiled to when it was built, the per-identifier opcode tuples that
-Execution._drain executes. MulPair and SumStep plans share one shape, so
-one join branch parks, matches and checks for a duplicate operand before
-the arithmetic of either; Negate and Square share one unary branch. A unit
-is (operand count, created): created is the one element a unit deduces,
-a list for Replicate, and None for a sink, whose unit carries the output
-record as a third item (None unless it sinks the result). A join parks
-the bare element tuple.
+Execution._drain executes, on the same (identifier, key, value) tuples
+with index lists packed in the program's radix (see engine). MulPair and
+SumStep plans share one shape, so one join branch parks, matches and
+checks for a duplicate operand before the arithmetic of either; Negate
+and Square share one unary branch. A unit is (operand count, created):
+created is the one element a unit deduces, a list for Replicate, and None
+for a sink, whose unit carries the output record as a third item (None
+unless it sinks the result), its indices decoded. A join parks the bare
+element tuple.
 
 The loop counts only units per worker, and operands per worker. The other
 totals follow at quiescence, where every element has been popped and
@@ -77,6 +79,8 @@ from .engine import (
     Program,
     _check_budget,
     _deadlock_error,
+    _indices,
+    _unpacked,
     _without_gc,
 )
 
@@ -206,11 +210,12 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
               max_events: int, on_event) -> Metrics:
     """The event loop, with the master's unit expansion on compiled plans.
 
-    As in Execution._drain, elements are plain (identifier, indices,
-    value) tuples, and each binary relation parks its operands in its own
-    dict keyed by the index list. Units, the totals derived at
-    quiescence, the hand-off to a freed worker and the tie test on due
-    times are as the module docstring describes.
+    As in Execution._drain, elements are (identifier, key, value)
+    tuples, the key packing the index list in the radix that
+    Program._packing gives for max_events, and each binary relation parks
+    its operands in its own dict keyed by the key. Units, the totals
+    derived at quiescence, the hand-off to a freed worker and the tie test
+    on due times are as the module docstring describes.
     """
     workers = machine.workers
     t_proc, t_msg, t_master = costs.t_proc, costs.t_msg, costs.t_master
@@ -218,8 +223,10 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     hi, lo = INT64_MAX, INT64_MIN
 
     plans = program._plans
+    keys, places = program._packing(max_events)
+    radix = places[1]
     joins = {rid: {} for rid in program._binary}
-    queue = deque(program.initial_elements)
+    queue = deque(keys)
     pop_element = queue.popleft
     push_element = queue.append
     push_elements = queue.extend
@@ -257,43 +264,51 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
             if not pending:
                 while queue:
                     element = pop_element()
-                    ident, idx, val = element
+                    ident, key, val = element
                     for plan in plans[ident]:
                         code = plan[0]
                         if code <= _OP_SUM:
                             _, slot, out_id, arg, result_id, rid = plan
                             parked = joins[rid]
-                            hit = parked.pop(idx, None)
+                            hit = parked.pop(key, None)
                             if hit is None:
-                                parked[idx] = element
+                                parked[key] = element
                                 continue
                             # a join's two identifiers differ, so the same
                             # identifier means the same slot
                             if hit[0] == ident:
-                                raise _duplicate_operand(slot, rid, idx)
+                                raise _duplicate_operand(
+                                    slot, rid, _unpacked(element, program.arities,
+                                                         radix).indices)
                             if code == _OP_SUM:
                                 value = val + hit[2]
-                                nxt = idx[-1] + 1
-                                if nxt == arg:
-                                    out = (result_id, idx[:-1], value)
+                                if key % radix + 1 == arg:
+                                    out = (result_id, key // radix, value)
                                 else:
-                                    out = (out_id, idx[:-1] + (nxt,), value)
+                                    out = (out_id, key + 1, value)
                             else:
                                 value = val * hit[2]
-                                out = (out_id, idx if arg is None else arg(idx), value)
+                                out = (out_id, key if arg is None else
+                                       key // places[arg[0]] * places[arg[1]]
+                                       + key % places[arg[1]] + arg[2], value)
                             if value > hi or value < lo:
                                 raise _overflow(
                                     "SumStep" if code == _OP_SUM else "MulPair", value)
                             joined += 1
                             add_unit((2, out))
                         elif code == _OP_REPLICATE:
-                            _, out_id, pos, count, _ = plan
-                            head, tail = idx[:pos], idx[pos:]
-                            add_unit((1, [(out_id, head + (j,) + tail, val)
-                                          for j in range(count)]))
+                            _, out_id, e, count, _ = plan
+                            stride = places[e]
+                            head, tail = divmod(key, stride)
+                            base = head * places[e + 1] + tail
+                            created = []
+                            for k in range(base, base + count * stride, stride):
+                                created.append((out_id, k, val))
+                            add_unit((1, created))
                             fanout += count - 1
                         elif code == _OP_SINK:
-                            add_unit((1, None, (idx, val) if plan[1] else None))
+                            add_unit((1, None, (_indices(key, plan[2], radix), val)
+                                      if plan[1] else None))
                             sinks += 1
                         else:  # _OP_NEGATE or _OP_SQUARE
                             value = -val if code == _OP_NEGATE else val * val
@@ -301,7 +316,9 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                                 raise _overflow(
                                     "Negate" if code == _OP_NEGATE else "Square", value)
                             _, out_id, tf, _ = plan
-                            add_unit((1, (out_id, idx if tf is None else tf(idx), value)))
+                            add_unit((1, (out_id, key if tf is None else
+                                          key // places[tf[0]] * places[tf[1]]
+                                          + key % places[tf[1]] + tf[2], value)))
                     if pending:
                         break
                 else:
@@ -372,7 +389,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
             break
 
     if any(joins.values()):
-        raise _deadlock_error(joins, program.names, "machine ")
+        raise _deadlock_error(joins, program, radix, "machine ")
 
     sim_time = now
     units = sum(per_units)
@@ -383,7 +400,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
         sim_time=sim_time,
         idle_time_total=workers * sim_time - t_proc * units,
         per_worker_processed=per_processed,
-        per_worker_busy=[t_proc * n for n in per_units],
+        per_worker_busy=list(map(t_proc.__mul__, per_units)),
         result_checksum=sum(outputs.values()) % (1 << 32),
         outputs=outputs,
     )

@@ -7,6 +7,9 @@ closed-form, which is what the benchmark comparisons lean on.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain, product, repeat
+
 from .core import Element, IndexTransform, Operation, ProgramError, Relation, _Frozen
 from .engine import Program
 
@@ -134,16 +137,15 @@ def matmul_program(a: Matrix, b: Matrix) -> Program:
         Relation((MM_RESULT,), Operation.SINK, (), MM_RESULT, IndexTransform.keep()),
     ]
 
-    initial: list[Element] = []
-    for i in range(n):
-        for k in range(n):
-            initial.append(Element(MM_LEFT, (i, k), a.at(i, k)))
-    for j in range(n):
-        for k in range(n):
-            initial.append(Element(MM_RIGHT, (j, k), b.at(k, j)))
-    for i in range(n):
-        for j in range(n):
-            initial.append(Element(MM_PARTIAL, (i, j, 0), 0))
+    # (i, k) for A and (j, k) for B, row-major; B's value b[k][j] walks
+    # column j. Each Element is made as Element._make makes it, by
+    # tuple.__new__, with no Python call per element.
+    pairs = list(product(range(n), repeat=2))
+    columns = chain.from_iterable(b.entries[j::n] for j in range(n))
+    made = partial(tuple.__new__, Element)
+    initial = [*map(made, zip(repeat(MM_LEFT), pairs, a.entries)),
+               *map(made, zip(repeat(MM_RIGHT), pairs, columns)),
+               *map(made, zip(repeat(MM_PARTIAL), [(i, j, 0) for i, j in pairs], repeat(0)))]
 
     return Program(
         relations=relations,

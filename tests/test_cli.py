@@ -136,6 +136,18 @@ class TestRun:
         assert aridem("run", "element", check=False).returncode == 2
 
 
+@pytest.mark.parametrize("args, out", [
+    (("counts", "--sizes", "4"), "missing/x.csv"),  # FileNotFoundError
+    (("sweep", "--sizes", "2", "--procs", "1"), "."),  # IsADirectoryError
+], ids=["counts-missing-directory", "sweep-into-a-directory"])
+def test_unwritable_out_fails_with_exit_1(tmp_path, args, out):
+    proc = aridem(*args, "--out", str(tmp_path / out), check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestSweep:
     def test_one_build_per_size(self, monkeypatch, tmp_path):
         calls = []

@@ -45,7 +45,7 @@ class TestFrozenProgram:
     def test_assigning_any_field_raises(self):
         program = build_negate_demo()
         for name in ("relations", "initial_elements", "arities", "result_identifier",
-                     "names", "_plans", "_binary"):
+                     "names", "_plans", "_binary", "_places", "_keys"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(program, name, getattr(program, name))
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -964,6 +964,13 @@ class TestCompiledOnce:
         Execution(program).step()
         simulate(program, MachineConfig(workers=3))
         assert len(compiled) == 1
+
+    def test_loops_keep_no_cell_variables(self):
+        """A closure in either loop, such as a comprehension on CPython
+        3.11, makes the locals it reads cells: every element would then
+        store and load them through the cell, hook or no hook."""
+        assert Execution._drain.__code__.co_cellvars == ()
+        assert aridem.machine._simulate.__code__.co_cellvars == ()
 
     def test_program_pickles(self):
         program = fanout_chain_program(2, 3)

@@ -113,7 +113,7 @@ FIELDS = {
     "Relation": ("input_identifiers", "operation", "parameters", "output_identifier",
                  "index_transform"),
     "Program": ("relations", "initial_elements", "arities", "result_identifier",
-                "names", "_plans", "_binary"),
+                "names", "_plans", "_binary", "_places", "_keys"),
     "MachineConfig": ("workers", "dispatch"),
     "CostModel": ("t_proc", "t_msg", "t_master"),
     "Matrix": ("n", "entries"),
