@@ -266,6 +266,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            open(args.out, "a").close()  # fail before the run; "a" truncates nothing
         return args.func(args)
     except (ElementModelError, ValueError, OSError) as exc:  # OSError: --out unwritable
         print(f"error: {exc}", file=sys.stderr)

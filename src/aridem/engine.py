@@ -16,16 +16,17 @@ The key packs the index list (d0, ..., da-1) into one int in a mixed
 radix R fixed per program: d0*R**(a-1) + ... + da-1. So a join matches
 on an int, and each transform is int arithmetic with powers of R fixed
 per program. R exceeds every index any element can reach, which the
-build bounds: by counting IncrementLasts where no identifier feeds
-itself, else in one fixed-point pass over the relations (see
-_compile_plans and _radix). A program whose indices rise without end,
-through a cycle that increments one, takes its radix from each run's
-budget instead, which bounds them as well (see Program._packing). Keys are decoded back to index tuples only at the
-edges: result outputs as they are sunk, the queue and partials views,
-the error texts and the event payloads. Parked operands are listed in
-(relation id, index list) order, the order of their keys while every
-index is below R, which no processing order can change, so every
-executor names the same first one when a run deadlocks.
+build bounds with one rise per identifier: how far its indices can pass
+the largest initial index, as the build guesses it (see _compile_plans).
+A program whose rises never settle, as around a cycle that increments an
+index and joins nothing outside itself, takes its radix from each run's
+budget instead, which bounds them as well (see Program._packing). Keys
+are decoded back to index tuples only at the edges: result outputs as
+they are sunk, the queue and partials views, the error texts and the
+event payloads. Parked operands are listed in (relation id, index list)
+order, the order of their keys while every index is below R, which no
+processing order can change, so every executor names the same first one
+when a run deadlocks.
 
 Both executors call one hook, on_event, with one tuple per event, kind
 first. step() and run() send ("pop", element), ("apply", relation,
@@ -47,7 +48,7 @@ from __future__ import annotations
 import gc
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -64,7 +65,7 @@ from .core import (
     _Frozen,
     _overflow,
 )
-from .core import _DROP, _INCREMENT_LAST, _INSERT_VARIED, _KEEP, _TRUNCATE
+from .core import _DROP, _INCREMENT_LAST, _INSERT_VARIED, _KEEP
 from .core import _MUL_PAIR, _NEGATE, _REPLICATE, _SINK, _SQUARE, _SUM_STEP
 
 DEFAULT_STEP_LIMIT = 100_000_000
@@ -161,7 +162,9 @@ class RunResult:
 # SumStep's result identifier (None for MulPair). The join codes are the
 # lowest, so code <= _OP_SUM selects the one join branch of each
 # executor. A key transform is None for KEEP, or (x, y, add): the new key
-# is key // places[x] * places[y] + key % places[y] + add. Replicate's
+# is key // places[x] * places[y] + key % places[y] + add, add being 1
+# for IncrementLast and 0 otherwise, which is also what the relation
+# adds to its output's rise (see _compile_plans). Replicate's
 # plan is (code, out_id, e, count, rid): copy j of a key with head
 # key // places[e] and tail key % places[e] is head * places[e + 1] +
 # j * places[e] + tail. A sink's is (code, is_result, arity, rid), arity
@@ -234,68 +237,6 @@ def _compile_transform(t, in_arity: int) -> tuple[int, tuple[int, int, int] | No
     return k, (in_arity - k, 0, 0)
 
 
-def _bound_transform(t) -> Callable | None:
-    """t as it acts on a tuple of per-position bounds, which is as it acts
-    on an index list but for INSERT_VARIED, which inserts its largest
-    index, count - 1; None for KEEP."""
-    kind, p, k = t.kind, t.position, t.count
-    if kind is _INCREMENT_LAST:
-        return lambda b: b[:-1] + (b[-1] + 1,)
-    if kind is _DROP:
-        return lambda b: b[:p] + b[p + 1 :]
-    if kind is _INSERT_VARIED:
-        return lambda b: b[:p] + (k - 1,) + b[p:]
-    if kind is _TRUNCATE:
-        return lambda b: b[:k]
-    return None
-
-
-def _radix(program: Program, top: int) -> int | None:
-    """One more than the largest index any element of a checked program
-    can hold when no initial index passes top; None when a bound still
-    rises after two passes more than there are steps, as through a cycle
-    that increments an index.
-
-    Every identifier that a relation reads or makes starts with top in
-    each position. A relation maps its inputs' bounds to its output's as
-    it maps index lists, a SumStep both to its running sum and, with the
-    last index dropped, to its result. A join's inputs are bounded by
-    the element-wise min of their bounds, as it only matches equal index
-    lists; so a running sum stays within one of its operand's bound.
-    Passes run in relation order, raising each output's bound to the
-    element-wise max, until one changes nothing. The bound of any
-    element then holds its indices: it holds the initial ones, and each
-    relation keeps it.
-    """
-    arities = program.arities
-    steps = []  # (inputs, output, map of the inputs' bound to the output's)
-    for rel in program.relations:
-        op, ids = rel.operation, rel.input_identifiers
-        if op is not _SINK:
-            if op is _SUM_STEP:
-                steps.append((ids, rel.parameters[1], lambda b: b[:-1]))
-            steps.append((ids, rel.output_identifier, _bound_transform(rel.index_transform)))
-    bounds = {ident: (top,) * arities[ident]
-              for ids, out, _ in steps for ident in ids + (out,)}
-    for _ in range(len(steps) + 2):
-        stable = True
-        for ids, out, f in steps:
-            got = bounds[ids[0]]
-            if len(ids) == 2:
-                got = tuple(map(min, got, bounds[ids[1]]))
-            if f is not None:
-                got = f(got)
-            old = bounds[out]
-            if got != old:
-                got = tuple(map(max, old, got))
-                if got != old:
-                    bounds[out] = got
-                    stable = False
-        if stable:
-            return max(chain.from_iterable(bounds.values()), default=top) + 1
-    return None
-
-
 def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tuple[int, ...],
                                               dict[int, int], tuple[tuple, ...] | None]:
     """Check program and compile it: the plans of every registered
@@ -305,17 +246,25 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
 
     One walk over the relations checks and compiles them, and one over
     the initial elements checks and packs them in a radix fixed in
-    between: one more than the largest initial index, guessed to be the
-    largest Replicate index (matmul's is) or 15, plus what the relations
-    add. If no relation makes an identifier that it or an earlier
-    relation reads, no identifier feeds itself, so an index gains at most
-    one per IncrementLast; otherwise _radix bounds it. An initial index d past
-    the guess raises the radix by d, which bounds every index again (no
-    relation raises an index by more than its inputs rose), and the
-    elements are packed anew. The checks fire in order: arities, the
-    result identifier, each relation, each initial element, a negative
-    identifier and last the names, so a program that an earlier check
-    refuses keeps that check's text.
+    between. The walk guesses the largest initial index: the largest
+    Replicate index (matmul's) or 15. Each identifier has a rise, how far
+    its indices can pass the guess. The walk records one step (input,
+    input, output, add) per relation that makes an element, and one more
+    for a SumStep's result with add 0; add is 1 for IncrementLast. A step
+    raises its output's rise to the least of its inputs' plus add, which
+    bounds every index: a join's operands share one index list, Drop and
+    Truncate keep some indices, and Replicate inserts one of at most the
+    guess. The walk makes the first pass, exact when no relation makes an
+    identifier that it or an earlier one reads; else passes follow until
+    one changes nothing, and a rise still changing after len(steps) + 2
+    passes is taken as unbounded. A rise bounds a whole identifier, not
+    each position, so a cycle that increments an index and then drops it
+    packs per run. The radix is the guess plus the largest rise plus one;
+    an initial index past the guess raises it by as much, which bounds
+    every index again, and the elements are packed anew. The checks fire
+    in order: arities, the result identifier, each relation, each
+    initial element, a negative identifier and last the names, so a
+    program that an earlier check refuses keeps that check's text.
     """
     arities = program.arities
     try:
@@ -333,7 +282,8 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
     plans: dict[int, list[tuple]] = {ident: [] for ident in arities}
     binary = []
     ordered = True  # no relation makes an identifier that it or an earlier one reads
-    rises = 0  # IncrementLast transforms, SumStep's included
+    steps = []  # (input, input, output, add), a unary relation's input twice
+    rise = {}  # each identifier's rise, where it is not 0
     # the largest index a Replicate makes, and at least 15, which the
     # indices of small programs stay within, so their elements are packed
     # once; a radix larger than they need costs nothing
@@ -347,9 +297,9 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
             if ident not in arities:
                 raise ProgramError(f"relation {rid} input {ident} unregistered")
         op, first = rel.operation, ids[0]
-        in_arity = arities[first]
+        in_arity, second = arities[first], ids[-1]
         if op is _MUL_PAIR or op is _SUM_STEP:
-            other = arities[ids[1]]
+            other = arities[second]
             if other != in_arity:
                 raise ProgramError(f"relation {rid} joins arities {in_arity} and {other}")
         if op is _SINK:
@@ -366,10 +316,18 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
             )
         if plans[out_id] or out_id in ids:  # read by an earlier relation or this one
             ordered = False
+        add = 0
         if tf is not None:
             named.add(tf[0])
             named.add(tf[1])
-            rises += tf[2]
+            add = tf[2]
+        steps.append((first, second, out_id, add))
+        # the walk's pass over the steps (see the docstring)
+        least = rise.get(first, 0)
+        if rise.get(second, 0) < least:
+            least = rise.get(second, 0)
+        if least + add > rise.get(out_id, 0):
+            rise[out_id] = least + add
         if op is _SUM_STEP or op is _MUL_PAIR:
             if op is _SUM_STEP:
                 code, (arg, result_id) = _OP_SUM, rel.parameters
@@ -381,6 +339,9 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
                     )
                 if plans[result_id] or result_id in ids:
                     ordered = False
+                steps.append((first, second, result_id, 0))
+                if least > rise.get(result_id, 0):
+                    rise[result_id] = least
             else:
                 code, arg, result_id = _OP_MUL, tf, None
             binary.append(rid)
@@ -397,11 +358,24 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
             code = _OP_NEGATE if op is _NEGATE else _OP_SQUARE
             plans[first].append((code, out_id, tf, rid))
 
-    radix = guess + rises + 1 if ordered else _radix(program, guess)
+    # the walk's pass is exact for an ordered list; else more passes follow
+    for _ in range(0 if ordered else len(steps) + 1):
+        stable = True
+        for a, b, out, add in steps:
+            least = min(rise.get(a, 0), rise.get(b, 0)) + add
+            if least > rise.get(out, 0):
+                rise[out] = least
+                stable = False
+        if stable:
+            break
+    if ordered or stable:
+        radix = guess + (max(rise.values()) if rise else 0) + 1
+    else:
+        radix = None
     # a program bounded only by its runs' budgets packs its elements per run
     packing = guess + 1 if radix is None else radix
     keys = []
-    add = keys.append
+    pack = keys.append
     top = 0
     for elem in program.initial_elements:
         if type(elem) is not Element:
@@ -434,7 +408,7 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
         if not plain:
             raise ProgramError(f"initial element {elem} must hold plain ints, "
                                f"its indices in a tuple")
-        add((ident, key, val))
+        pack((ident, key, val))
     if min(arities, default=0) < 0:  # Relation refuses these too
         raise ProgramError("identifiers must be non-negative")
     if not all(isinstance(name, str) for name in program.names.values()):

@@ -148,6 +148,36 @@ def test_unwritable_out_fails_with_exit_1(tmp_path, args, out):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("run", "element", "--n", "2"),
+    ("sweep", "--sizes", "2", "--procs", "1"),
+], ids=["run", "sweep"])
+def test_unwritable_out_fails_before_the_run(monkeypatch, capsys, tmp_path, args):
+    """--out is checked before any program is built or simulated."""
+    def never(*args):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(cli, "build_matmul_program", never)
+    monkeypatch.setattr(cli, "simulate", never)
+    assert cli.main([*args, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_out_check_keeps_an_existing_file(monkeypatch, tmp_path):
+    """The check before the run truncates nothing: a run that then fails
+    leaves the file as it was."""
+    def deadlocked(*args):
+        raise JoinDeadlockError("machine quiescent")
+
+    monkeypatch.setattr(cli, "simulate", deadlocked)
+    target = tmp_path / "kept.csv"
+    target.write_text("kept\n")
+    assert cli.main(["run", "element", "--n", "2", "--out", str(target)]) == 1
+    assert target.read_text() == "kept\n"
+
+
 class TestSweep:
     def test_one_build_per_size(self, monkeypatch, tmp_path):
         calls = []

@@ -10,6 +10,13 @@ and an IncrementLast cycle stopped by the budget. Each must run as the
 reference does on every executor, and show index tuples wherever
 indices leave an executor: outputs, queue, partials, error texts and
 event payloads. The tests named for the radix check the packing itself.
+
+The build bounds the radix with one rise per identifier, how far its
+indices can pass the largest initial index it guesses. A rise bounds a
+whole identifier, not each position, so a cycle that increments an
+index and then drops it packs per run, in a radix taken from the
+budget, as a cycle whose indices rise without end does; the last tests
+pin that, and a cycle that ends under such a radix.
 """
 
 from collections import deque
@@ -37,21 +44,36 @@ from aridem import (
 )
 from aridem.engine import DEFAULT_STEP_LIMIT
 from reference import JOINS, PartialStore, apply_relation, apply_transform, run_reference
-from test_differential import outcome, stepped
+from test_differential import outcome
 from test_differential import programs as generated_programs
 
 TOPS = [5, 10 ** 6, 2 ** 40]
 
 
-EXECUTORS = {
-    "run": run,
-    "lifo": lambda p: run(p, discipline="lifo"),
-    "step": stepped("fifo"),
-    "traced": lambda p: run(p, on_event=lambda event: None),
-    "simulate": lambda p: simulate(p, MachineConfig(workers=1)),
-    "simulate-roundrobin": lambda p: simulate(p, MachineConfig(3, "roundrobin"),
-                                              CostModel(t_master=2)),
-}
+def executors(budget=None):
+    """Every executor, each given budget steps or events when a budget is
+    given, and the default budgets otherwise."""
+    steps = {} if budget is None else {"max_steps": budget}
+    events = {} if budget is None else {"max_events": budget}
+
+    def step(program):
+        execution = Execution(program, **steps)
+        while execution.step():
+            pass
+        return execution.run()
+
+    return {
+        "run": lambda p: run(p, **steps),
+        "lifo": lambda p: run(p, discipline="lifo", **steps),
+        "step": step,
+        "traced": lambda p: run(p, on_event=lambda event: None, **steps),
+        "simulate": lambda p: simulate(p, MachineConfig(workers=1), **events),
+        "simulate-roundrobin": lambda p: simulate(p, MachineConfig(3, "roundrobin"),
+                                                  CostModel(t_master=2), **events),
+    }
+
+
+EXECUTORS = executors()
 
 
 def agreed(program):
@@ -427,3 +449,63 @@ def test_unbounded_program_takes_its_radix_from_the_budget():
     assert Execution(program, max_steps=10)._radix == 27
     wide = Program(program.relations, [Element(0, (40, 0), 1)], program.arities, 1)
     assert wide._packing(10)[1][1] == 40 + 10 + 2
+
+
+@pytest.mark.parametrize("top", [5, 30, 10 ** 6])
+def test_chain_listed_in_reverse_gets_the_same_radix(top):
+    """The chain of test_radix_is_tight_at_the_bound listed last relation
+    first: no identifier feeds itself, but the relations are out of
+    order, so the rises take more than one pass to settle."""
+    relations = [
+        Relation((0,), Operation.NEGATE, (), 1, IndexTransform.increment_last()),
+        Relation((1,), Operation.NEGATE, (), 2, IndexTransform.increment_last()),
+        Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()),
+    ]
+    in_order, reversed_ = (Program(rels, [Element(0, (4, top), 1)], {0: 2, 1: 2, 2: 2}, 2)
+                           for rels in (relations, relations[::-1]))
+    assert radix(reversed_) == radix(in_order) == max(top, 15) + 3
+    assert agreed(reversed_) == agreed(in_order) == ({(4, top + 2): 1}, 3)
+
+
+def test_increment_then_drop_packs_per_run():
+    """A cycle that increments an index and then drops it: 0 (i, j) makes
+    1 (i, j + 1), which makes 2 (i,), which is replicated back into 0 as
+    (i, 0) and (i, 1). Its indices stay below 4, but one rise per
+    identifier cannot see that the increment is dropped, so the program
+    packs per run; it runs as the reference does until the budget."""
+    program = Program(
+        relations=[Relation((0,), Operation.NEGATE, (), 1, IndexTransform.increment_last()),
+                   Relation((1,), Operation.NEGATE, (), 2, IndexTransform.drop(1)),
+                   Relation((2,), Operation.REPLICATE, (2,), 0,
+                            IndexTransform.insert_varied(1, 2))],
+        initial_elements=[Element(0, (3, 1), 1)],
+        arities={0: 2, 1: 2, 2: 1},
+        result_identifier=2,
+    )
+    assert program._keys is None
+    for name, execute in executors(20).items():
+        unit = "events" if name.startswith("simulate") else "steps"
+        with pytest.raises(SimulationLimitError, match=rf"^exceeded 20 {unit}$"):
+            execute(program)
+    execution = Execution(program, max_steps=20)
+    with pytest.raises(SimulationLimitError):
+        execution.run()
+    assert list(execution.queue) == reference_state(program, 20)[1]
+
+
+def test_cycle_that_ends_under_the_budget_radix():
+    """A SumStep whose partner, 1, is the Square of its own running sum,
+    0: 2, then 2 + 4 = 6, 6 + 36 = 42 and 42 + 1764 = 1806 at the limit
+    3. The cycle ends, but it runs through an increment, so no rise
+    bounds it and only each run's budget bounds its indices."""
+    program = Program(
+        relations=[Relation((0, 1), Operation.SUM_STEP, (3, 2), 0,
+                            IndexTransform.increment_last()),
+                   Relation((0,), Operation.SQUARE, (), 1, IndexTransform.keep()),
+                   Relation((2,), Operation.SINK, (), 2, IndexTransform.keep())],
+        initial_elements=[Element(0, (5, 0), 2)],
+        arities={0: 2, 1: 2, 2: 1},
+        result_identifier=2,
+    )
+    assert program._keys is None
+    assert agreed(program) == ({(5,): 1806}, 7)
