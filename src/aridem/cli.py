@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .baseline import (
@@ -25,17 +26,11 @@ from .engine import run as run_program
 from .machine import (
     CostModel,
     MachineConfig,
-    Metrics,
     simulate,
     validate_metrics,
     worker_busy_profile,
 )
 from .programs import build_matmul_program, build_negate_demo, build_square_demo, matmul_element_count
-
-RECORD_COLUMNS = ("model", "n", "procs", "seed", "elements_processed", "messages",
-                  "sim_time", "idle_time_total", "imbalance", "result_checksum")
-COUNT_COLUMNS = ("n", "instructions_reference", "elements_reference",
-                 "elements_encoding", "instruction_element_ratio")
 
 
 def _positive_int(text: str) -> int:
@@ -117,59 +112,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _costs(args: argparse.Namespace) -> CostModel:
-    return CostModel(t_proc=args.t_proc, t_msg=args.t_msg, t_master=args.t_master)
+def _records(args: argparse.Namespace, models, sizes, procs):
+    """Yield the validated record of each (model, n, P) cell, in that order.
+
+    Each size's element program is built once and simulated at every P.
+    """
+    costs = CostModel(t_proc=args.t_proc, t_msg=args.t_msg, t_master=args.t_master)
+    for model in models:
+        for n in sizes:
+            program = build_matmul_program(n, args.seed) if model == "element" else None
+            for p in procs:
+                if program is None:
+                    metrics = simulate_instruction_model(n, p, costs, args.seed)
+                else:
+                    machine = MachineConfig(workers=p, dispatch=args.dispatch)
+                    metrics = simulate(program, machine, costs)
+                validate_metrics(metrics)
+                yield {
+                    "model": model,
+                    "n": n,
+                    "procs": p,
+                    "seed": args.seed,
+                    "elements_processed": metrics.elements_processed,
+                    "messages": metrics.messages,
+                    "sim_time": metrics.sim_time,
+                    "idle_time_total": metrics.idle_time_total,
+                    "imbalance": round(worker_busy_profile(metrics), 6),
+                    "result_checksum": metrics.result_checksum,
+                }
 
 
-def _record(model: str, n: int, procs: int, seed: int, metrics: Metrics) -> dict:
-    validate_metrics(metrics)
-    return {
-        "model": model,
-        "n": n,
-        "procs": procs,
-        "seed": seed,
-        "elements_processed": metrics.elements_processed,
-        "messages": metrics.messages,
-        "sim_time": metrics.sim_time,
-        "idle_time_total": metrics.idle_time_total,
-        "imbalance": round(worker_busy_profile(metrics), 6),
-        "result_checksum": metrics.result_checksum,
-    }
-
-
-def _simulate_one(model: str, n: int, procs: int, seed: int,
-                  costs: CostModel, dispatch: str) -> Metrics:
-    if model == "element":
-        program = build_matmul_program(n, seed)
-        machine = MachineConfig(workers=procs, dispatch=dispatch)
-        return simulate(program, machine, costs)
-    return simulate_instruction_model(n, procs, costs, seed)
-
-
-def _records_csv(records: list[dict], columns: tuple[str, ...],
-                 float_fields: tuple[str, ...], comments: list[str]) -> str:
+def _format(fmt: str, doc, rows: list[dict], comments=()) -> str:
+    """doc as indented JSON, or rows as CSV (floats to six places) followed
+    by one "# " line per comment."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for record in records:
-        row = dict(record)
-        for name in float_fields:
-            row[name] = f"{record[name]:.6f}"
-        writer.writerow(row)
-    for line in comments:
-        buf.write(f"# {line}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row.values()]
+                     for row in rows)
+    buf.writelines(f"# {line}\n" for line in comments)
     return buf.getvalue()
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-
-
-def cmd_demo(args: argparse.Namespace) -> int:
+def cmd_demo(args: argparse.Namespace) -> str:
     program = build_negate_demo() if args.name == "negate" else build_square_demo()
     lines: list[str] = []
 
@@ -186,43 +173,17 @@ def cmd_demo(args: argparse.Namespace) -> int:
     outputs = run_program(program, on_event=on_event).outputs
     for indices, value in sorted(outputs.items()):
         lines.append(Element(program.result_identifier, indices, value).describe(program.names))
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    metrics = _simulate_one(args.model, args.n, args.procs, args.seed,
-                            _costs(args), args.dispatch)
-    record = _record(args.model, args.n, args.procs, args.seed, metrics)
-    if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
-    else:
-        text = _records_csv([record], RECORD_COLUMNS, ("imbalance",), [])
-    _emit(text, args.out)
-    return 0
+def cmd_run(args: argparse.Namespace) -> str:
+    [record] = _records(args, (args.model,), (args.n,), (args.procs,))
+    return _format(args.format, record, [record])
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> str:
     sizes = sorted(set(args.sizes))
-    procs = sorted(set(args.procs))
-    if sizes[-1] > args.max_size:
-        print(f"error: size {sizes[-1]} exceeds --max-size {args.max_size}",
-              file=sys.stderr)
-        return 2
-    costs = _costs(args)
-
-    records = []
-    for n in sizes:
-        program = build_matmul_program(n, args.seed)  # one build serves every P
-        for p in procs:
-            machine = MachineConfig(workers=p, dispatch=args.dispatch)
-            records.append(_record("element", n, p, args.seed,
-                                   simulate(program, machine, costs)))
-    for n in sizes:
-        for p in procs:
-            records.append(_record("instruction", n, p, args.seed,
-                                   simulate_instruction_model(n, p, costs, args.seed)))
-
+    records = list(_records(args, ("element", "instruction"), sizes, sorted(set(args.procs))))
     summary = []
     for model in ("element", "instruction"):
         for n in sizes:
@@ -230,21 +191,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                      if r["model"] == model and r["n"] == n]
             decreasing = all(b < a for a, b in zip(times, times[1:]))
             summary.append({"model": model, "n": n, "sim_time_decreasing": decreasing})
-
-    if args.format == "json":
-        text = json.dumps({"records": records, "summary": summary}, indent=2) + "\n"
-    else:
-        comments = [
-            f"model={s['model']} n={s['n']} "
-            f"sim_time_decreasing={str(s['sim_time_decreasing']).lower()}"
-            for s in summary
-        ]
-        text = _records_csv(records, RECORD_COLUMNS, ("imbalance",), comments)
-    _emit(text, args.out)
-    return 0
+    comments = [f"model={s['model']} n={s['n']} "
+                f"sim_time_decreasing={str(s['sim_time_decreasing']).lower()}"
+                for s in summary]
+    return _format(args.format, {"records": records, "summary": summary}, records, comments)
 
 
-def cmd_counts(args: argparse.Namespace) -> int:
+def cmd_counts(args: argparse.Namespace) -> str:
     rows = []
     for n in sorted(set(args.sizes)):
         rows.append({
@@ -254,24 +207,36 @@ def cmd_counts(args: argparse.Namespace) -> int:
             "elements_encoding": matmul_element_count(n),
             "instruction_element_ratio": round(float(ratio_report(n)), 6),
         })
-    if args.format == "json":
-        text = json.dumps({"rows": rows}, indent=2) + "\n"
-    else:
-        text = _records_csv(rows, COUNT_COLUMNS, ("instruction_element_ratio",), [])
-    _emit(text, args.out)
-    return 0
+    return _format(args.format, {"rows": rows}, rows)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.command == "sweep" and max(args.sizes) > args.max_size:
+        print(f"error: size {max(args.sizes)} exceeds --max-size {args.max_size}",
+              file=sys.stderr)
+        return 2
+    out = getattr(args, "out", None)
+    made = None  # an --out file this call created, removed unless it is written
     try:
-        if getattr(args, "out", None) is not None:
-            open(args.out, "a").close()  # fail before the run; "a" truncates nothing
-        return args.func(args)
+        if out is not None:
+            existed = os.path.exists(out)
+            open(out, "a").close()  # fail before the run; "a" truncates nothing
+            made = None if existed else out
+        text = args.func(args)
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w") as handle:
+                handle.write(text)
+            made = None
+        return 0
     except (ElementModelError, ValueError, OSError) as exc:  # OSError: --out unwritable
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if made is not None:
+            os.remove(made)
 
 
 if __name__ == "__main__":

@@ -295,6 +295,12 @@ def _overflow(name: str, value: int) -> IntegerOverflowError:
     return IntegerOverflowError(f"{name} produced {value}, outside 64-bit range")
 
 
+def _over_budget(budget: int, unit: str) -> SimulationLimitError:
+    """The error every executor raises when a run would pass its budget of
+    unit ("steps" or "events")."""
+    return SimulationLimitError(f"exceeded {budget} {unit}")
+
+
 def _duplicate_operand(slot: int, rid: int,
                        indices: tuple[int, ...]) -> DuplicateOperandError:
     """The error for a second operand in slot of join rid at indices."""

@@ -59,10 +59,10 @@ from .core import (
     JoinDeadlockError,
     ProgramError,
     Relation,
-    SimulationLimitError,
     _duplicate_operand,
     _duplicate_output,
     _Frozen,
+    _over_budget,
     _overflow,
 )
 from .core import _DROP, _INCREMENT_LAST, _INSERT_VARIED, _KEEP
@@ -524,7 +524,7 @@ class Execution:
         if not self._queue:
             return False
         if self.elements_processed >= self._max_steps:
-            raise SimulationLimitError(f"exceeded {self._max_steps} steps")
+            raise _over_budget(self._max_steps, "steps")
         self._drain((self.elements_processed + 1,))
         return True
 
@@ -536,7 +536,7 @@ class Execution:
         """
         _without_gc(self._drain, range(self.elements_processed + 1, self._max_steps + 1))
         if self._queue:
-            raise SimulationLimitError(f"exceeded {self._max_steps} steps")
+            raise _over_budget(self._max_steps, "steps")
         return self._finish()
 
     def _finish(self) -> RunResult:

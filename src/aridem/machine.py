@@ -68,6 +68,7 @@ from .core import (
     _duplicate_operand,
     _duplicate_output,
     _Frozen,
+    _over_budget,
     _overflow,
     _Value,
 )
@@ -358,7 +359,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
             on_event(("idle_state", now, len(queue), idle_count, len(pending)))
 
         if events >= max_events and (finishing or arriving):
-            raise SimulationLimitError(f"exceeded {max_events} events")
+            raise _over_budget(max_events, "events")
         events += 1
         if finishing and not (arriving and arriving[0][0] + t_msg < finishing[0][0]):
             entry = finishing.popleft()

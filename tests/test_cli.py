@@ -135,6 +135,24 @@ class TestRun:
         assert aridem("run", "element", "--n", "0", check=False).returncode == 2
         assert aridem("run", "element", check=False).returncode == 2
 
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    @pytest.mark.parametrize("grid", sorted(SWEEP_GOLDEN_FLAGS))
+    @pytest.mark.parametrize("model", ("element", "instruction"))
+    def test_record_matches_the_sweep_row(self, capsys, model, grid, fmt):
+        flags = (*SWEEP_GOLDEN_FLAGS[grid], "--format", fmt)
+        assert cli.main([*SWEEP_GOLDEN_ARGS, *flags]) == 0
+        swept = capsys.readouterr().out
+        assert cli.main(["run", model, "--n", "3", "--procs", "2", *flags]) == 0
+        ran = capsys.readouterr().out
+        if fmt == "json":
+            [row] = [r for r in json.loads(swept)["records"]
+                     if (r["model"], r["n"], r["procs"]) == (model, 3, 2)]
+            assert json.loads(ran) == row
+        else:
+            lines = swept.splitlines()
+            [row] = [line for line in lines if line.startswith(f"{model},3,2,")]
+            assert ran.splitlines() == [lines[0], row]
+
 
 @pytest.mark.parametrize("args, out", [
     (("counts", "--sizes", "4"), "missing/x.csv"),  # FileNotFoundError
@@ -176,6 +194,37 @@ def test_out_check_keeps_an_existing_file(monkeypatch, tmp_path):
     target.write_text("kept\n")
     assert cli.main(["run", "element", "--n", "2", "--out", str(target)]) == 1
     assert target.read_text() == "kept\n"
+
+
+def _deadlocked(*args):
+    raise JoinDeadlockError("machine quiescent")
+
+
+@pytest.mark.parametrize("args, simulator, code", [
+    (("sweep", "--sizes", "200"), simulate, 2),
+    (("run", "element", "--n", "2"), _deadlocked, 1),
+    (("run", "element", "--n", "2", "--t-proc", "0", "--t-msg", "0"), simulate, 1),
+], ids=["size-over-max-size", "model-error", "value-error"])
+def test_failed_run_leaves_no_out_file(monkeypatch, tmp_path, args, simulator, code):
+    """A run that fails removes the --out file it created, and leaves an
+    existing one as it was."""
+    monkeypatch.setattr(cli, "simulate", simulator)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    assert cli.main([*args, "--out", str(tmp_path / "new.csv")]) == code
+    assert cli.main([*args, "--out", str(kept)]) == code
+    assert list(tmp_path.iterdir()) == [kept]
+    assert kept.read_text() == "kept\n"
+
+
+def test_interrupted_run_leaves_no_out_file(monkeypatch, tmp_path):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "simulate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["run", "element", "--n", "2", "--out", str(tmp_path / "new.csv")])
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:
