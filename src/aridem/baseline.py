@@ -109,6 +109,8 @@ def fit_count_model(points: dict[int, int]) -> CountModel:
 
 def ratio_report(n: int) -> Fraction:
     """Exact instructions-per-element ratio (40n + 107) / (14n + 10)."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"matrix size must be a positive int, not {n!r}")
     return Fraction(INSTRUCTION_COUNT_MODEL.count(n), ELEMENT_COUNT_MODEL.count(n))
 
 
@@ -158,10 +160,12 @@ def simulate_instruction_model(n: int, workers: int,
     slave's finish time. Outputs are the true product for the seeded
     matrices, so checksums line up with the element machine.
     """
-    if n < 1:
-        raise ValueError("matrix size must be positive")
-    if workers < 1:
-        raise ValueError("need at least one slave")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"matrix size must be a positive int, not {n!r}")
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"slave count must be a positive int, not {workers!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be a plain int, not {seed!r}")
 
     block = -(-n // workers)  # ceil
     rows = [max(0, min(block, n - block * s)) for s in range(workers)]

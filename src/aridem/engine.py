@@ -7,9 +7,10 @@ that spans values and compiles each relation into per-identifier plans:
 flat tuples that name an opcode and its operands, in relation order. One
 loop, Execution._drain, executes those plans, which keeps large runs
 affordable in pure Python; step() takes one element through it and run()
-takes all of them, traced or not. machine.simulate executes the same
-plans. The paths are tested against each other and a reference loop kept
-by the tests.
+takes all of them. A hook only adds report lines to it: traced or not,
+the loop queues at one append site and expands Replicate in one place.
+machine.simulate executes the same plans. The paths are tested against
+each other and a reference loop kept by the tests.
 
 Inside both loops an element is a plain (identifier, key, value) tuple.
 The key packs the index list (d0, ..., da-1) into one int in a mixed
@@ -20,7 +21,7 @@ build bounds with one rise per identifier: how far its indices can pass
 the largest initial index, as the build guesses it (see _compile_plans).
 A program whose rises never settle, as around a cycle that increments an
 index and joins nothing outside itself, takes its radix from each run's
-budget instead, which bounds them as well (see Program._packing). Keys
+budget instead, which bounds them as well (see Program._start). Keys
 are decoded back to index tuples only at the edges: result outputs as
 they are sunk, the queue and partials views, the error texts and the
 event payloads. Parked operands are listed in (relation id, index list)
@@ -48,7 +49,7 @@ from __future__ import annotations
 import gc
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -66,7 +67,7 @@ from .core import (
     _overflow,
 )
 from .core import _DROP, _INCREMENT_LAST, _INSERT_VARIED, _KEEP
-from .core import _MUL_PAIR, _NEGATE, _REPLICATE, _SINK, _SQUARE, _SUM_STEP
+from .core import _MUL_PAIR, _NEGATE, _REPLICATE, _SINK, _SUM_STEP
 
 DEFAULT_STEP_LIMIT = 100_000_000
 
@@ -120,9 +121,10 @@ class Program(_Frozen):
     def identifier_name(self, identifier: int) -> str:
         return self.names.get(identifier, f"id{identifier}")
 
-    def _packing(self, budget: int) -> tuple[tuple[tuple, ...], dict[int, int]]:
-        """The initial keys and the powers of the radix for a run that may
-        process budget elements, or take budget events.
+    def _start(self, budget: int) -> tuple[deque, dict[int, dict], dict[int, int]]:
+        """A new run's queue of initial keys, empty join dicts by rid and
+        powers of the radix, when it may process budget elements, or take
+        budget events.
 
         A program whose indices the build bounded has them already. In
         one the build could not bound, _keys is None and an index rises
@@ -135,10 +137,11 @@ class Program(_Frozen):
         least the largest Replicate index. The build stores the powers of
         radix reach + 2; the run's radix is that plus budget.
         """
-        if self._keys is not None:
-            return self._keys, self._places
-        radix = self._places[1] + budget
-        return _packed(self.initial_elements, radix), _powers(radix, self._places)
+        keys, places = self._keys, self._places
+        if keys is None:
+            radix = places[1] + budget
+            keys, places = _packed(self.initial_elements, radix), _powers(radix, places)
+        return deque(keys), {rid: {} for rid in self._binary}, places
 
 
 @dataclass
@@ -242,7 +245,7 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
     """Check program and compile it: the plans of every registered
     identifier in rid order, the rids of the join relations, the powers
     of the radix, and the initial elements packed in it (None when only
-    a run's budget bounds the indices, see Program._packing).
+    a run's budget bounds the indices, see Program._start).
 
     One walk over the relations checks and compiles them, and one over
     the initial elements checks and packs them in a radix fixed in
@@ -354,7 +357,7 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
             named.add(e + 1)
             if t.count - 1 > guess:
                 guess = t.count - 1
-        else:  # _NEGATE or _SQUARE
+        else:  # Negate or Square
             code = _OP_NEGATE if op is _NEGATE else _OP_SQUARE
             plans[first].append((code, out_id, tf, rid))
 
@@ -486,17 +489,16 @@ class Execution:
         self.program = program
         self.on_event = on_event
         self._max_steps = max_steps
-        keys, places = program._packing(max_steps)
+        self._queue, self._joins, places = program._start(max_steps)
         self._radix = places[1]
-        self._queue: deque[tuple] = deque(keys)
-        self._joins: dict[int, dict] = {rid: {} for rid in program._binary}
+        queue = self._queue
         # the loop's fixed context, which _drain unpacks in one step
-        self._loop = (self._queue, discipline == "fifo", program._plans, self._joins,
-                      self._queue.append, places)
+        self._loop = (queue, queue.popleft if discipline == "fifo" else queue.pop,
+                      program._plans, self._joins, queue.append, places)
         self._parked = 0
         self.outputs: dict[tuple[int, ...], int] = {}
         self.elements_processed = 0
-        self.max_queue_depth = len(self._queue)
+        self.max_queue_depth = len(queue)
         self.max_partial_depth = 0
 
     @property
@@ -563,20 +565,22 @@ class Execution:
         (identifier, key, value) tuple, its index list packed in the
         program's radix as the module docstring describes. A join pops
         its partner from its parked dict or parks the element tuple
-        itself. A result's key is decoded as it is sunk. The event
-        payloads (decoded Elements, the Relation looked up by rid,
-        ordered operands) are built only when a hook is set. Only the
+        itself. A result's key is decoded as it is sunk. A hook only adds
+        report lines, which build the event payloads and fall through to
+        the untraced code: the hooked loop queues at the same append site,
+        append bound to _create, and expands Replicate the same way. Only the
         counters are written back on the way out, also when the loop
         raises; the queue and the parked dicts are the state itself.
         on_event and outputs are read at the start of every call, so a
         caller may assign either between calls.
         """
-        queue, fifo, plans, joins, append, places = self._loop
+        queue, pop, plans, joins, append, places = self._loop
         radix = places[1]
         outputs = self.outputs
         on_event = self.on_event
         if on_event is not None:
-            emit, shown_as = self._emit, self._element
+            append = partial(self._create, on_event)
+            shown_as, relations = self._element, self.program.relations
         hi, lo = INT64_MAX, INT64_MIN
         processed = self.elements_processed
         max_queue = self.max_queue_depth
@@ -588,7 +592,7 @@ class Execution:
                 if not queue:
                     processed -= 1
                     break
-                element = queue.popleft() if fifo else queue.pop()
+                element = pop()
                 if on_event is not None:
                     shown = shown_as(element)
                     on_event(("pop", shown))
@@ -626,26 +630,22 @@ class Execution:
                         if value > hi or value < lo:
                             raise _overflow(
                                 "SumStep" if code == _OP_SUM else "MulPair", value)
-                        if on_event is None:
-                            append(out)
-                        else:
-                            pair = (shown, shown_as(hit))
-                            emit(on_event, rid, pair if slot == 0 else pair[::-1], (out,))
+                        if on_event is not None:
+                            on_event(("apply", relations[rid], (shown, shown_as(hit))
+                                      if slot == 0 else (shown_as(hit), shown), rid))
+                        append(out)
                     elif code == _OP_REPLICATE:
                         _, out_id, e, count, rid = plan
                         stride = places[e]
                         head, tail = divmod(key, stride)
                         base = head * places[e + 1] + tail
-                        copies = range(base, base + count * stride, stride)
-                        if on_event is None:
-                            for k in copies:
-                                append((out_id, k, val))
-                        else:
-                            emit(on_event, rid, shown,
-                                 zip(repeat(out_id), copies, repeat(val)))
+                        if on_event is not None:
+                            on_event(("apply", relations[rid], shown, rid))
+                        for k in range(base, base + count * stride, stride):
+                            append((out_id, k, val))
                     elif code == _OP_SINK:
                         if on_event is not None:
-                            emit(on_event, plan[3], shown, ())
+                            on_event(("apply", relations[plan[3]], shown, plan[3]))
                         if plan[1]:
                             idx = _indices(key, plan[2], radix)
                             if idx in outputs:
@@ -659,13 +659,11 @@ class Execution:
                             raise _overflow(
                                 "Negate" if code == _OP_NEGATE else "Square", value)
                         _, out_id, tf, rid = plan
-                        out = (out_id, key if tf is None else
-                               key // places[tf[0]] * places[tf[1]]
-                               + key % places[tf[1]] + tf[2], value)
-                        if on_event is None:
-                            append(out)
-                        else:
-                            emit(on_event, rid, shown, (out,))
+                        if on_event is not None:
+                            on_event(("apply", relations[rid], shown, rid))
+                        append((out_id, key if tf is None else
+                                key // places[tf[0]] * places[tf[1]]
+                                + key % places[tf[1]] + tf[2], value))
                 if len(queue) > max_queue:
                     max_queue = len(queue)
         finally:
@@ -674,13 +672,10 @@ class Execution:
             self._parked = psize
             self.max_partial_depth = max_partial
 
-    def _emit(self, on_event, rid: int, operands, created) -> None:
-        """The traced path of one application: report relation rid and its
-        operands to on_event, then queue and report each created element."""
-        on_event(("apply", self.program.relations[rid], operands, rid))
-        for out in created:
-            self._queue.append(out)
-            on_event(("create", self._element(out)))
+    def _create(self, on_event, out: tuple) -> None:
+        """The hooked loop's append: queue out, report it to _drain's hook."""
+        self._queue.append(out)
+        on_event(("create", self._element(out)))
 
 
 def run(program: Program, discipline: str = "fifo", *,

@@ -64,7 +64,6 @@ from collections import deque
 from .core import (
     INT64_MAX,
     INT64_MIN,
-    SimulationLimitError,
     _duplicate_operand,
     _duplicate_output,
     _Frozen,
@@ -81,7 +80,6 @@ from .engine import (
     _check_budget,
     _deadlock_error,
     _indices,
-    _unpacked,
     _without_gc,
 )
 
@@ -213,7 +211,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
 
     As in Execution._drain, elements are (identifier, key, value)
     tuples, the key packing the index list in the radix that
-    Program._packing gives for max_events, and each binary relation parks
+    Program._start gives for max_events, and each binary relation parks
     its operands in its own dict keyed by the key. Units, the totals
     derived at quiescence, the hand-off to a freed worker and the tie test
     on due times are as the module docstring describes.
@@ -224,10 +222,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     hi, lo = INT64_MAX, INT64_MIN
 
     plans = program._plans
-    keys, places = program._packing(max_events)
+    queue, joins, places = program._start(max_events)
     radix = places[1]
-    joins = {rid: {} for rid in program._binary}
-    queue = deque(keys)
     pop_element = queue.popleft
     push_element = queue.append
     push_elements = queue.extend
@@ -278,9 +274,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                             # a join's two identifiers differ, so the same
                             # identifier means the same slot
                             if hit[0] == ident:
-                                raise _duplicate_operand(
-                                    slot, rid, _unpacked(element, program.arities,
-                                                         radix).indices)
+                                raise _duplicate_operand(slot, rid, _indices(
+                                    key, program.arities[ident], radix))
                             if code == _OP_SUM:
                                 value = val + hit[2]
                                 if key % radix + 1 == arg:

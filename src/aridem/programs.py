@@ -59,8 +59,10 @@ class Matrix(_Frozen):
     _fields = ("n", "entries")
 
     def __init__(self, n: int, entries: tuple[int, ...]) -> None:
-        if n < 1:
-            raise ValueError("matrix size must be positive")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"matrix size must be a positive int, not {n!r}")
+        if type(entries) is not tuple:  # or the frozen value is unhashable
+            raise ValueError(f"matrix entries must be a tuple, not {type(entries).__name__}")
         if len(entries) != n * n:
             raise ValueError(f"expected {n * n} entries, got {len(entries)}")
         self.__dict__.update(n=n, entries=entries)
@@ -159,8 +161,10 @@ def matmul_program(a: Matrix, b: Matrix) -> Program:
 
 def build_matmul_program(n: int, seed: int) -> Program:
     """Matmul program over two seeded digit matrices."""
-    if n < 1:
-        raise ProgramError("matrix size must be positive")
+    if type(n) is not int or n < 1:
+        raise ProgramError(f"matrix size must be a positive int, not {n!r}")
+    if type(seed) is not int:
+        raise ProgramError(f"seed must be a plain int, not {seed!r}")
     a = generate_matrix(n, seed, 0)
     b = generate_matrix(n, seed, 1)
     return matmul_program(a, b)

@@ -94,6 +94,13 @@ class TestRatio:
             assert floor < ratio_report(n) <= 3
         assert ratio_report(10 ** 6) - floor < Fraction(1, 10_000)
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, "40"])
+    def test_size_must_be_a_positive_int(self, n):
+        # 0 raised a bare ZeroDivisionError
+        with pytest.raises(ValueError) as caught:
+            ratio_report(n)
+        assert str(caught.value) == f"matrix size must be a positive int, not {n!r}"
+
 
 class TestReferenceTables:
     def test_wallclock_grids_complete(self):
@@ -229,3 +236,18 @@ class TestInstructionMachine:
             simulate_instruction_model(0, 2)
         with pytest.raises(ValueError):
             simulate_instruction_model(4, 0)
+
+    @pytest.mark.parametrize("args, text", [
+        ((2.5, 2), "matrix size must be a positive int, not 2.5"),
+        ((True, 2), "matrix size must be a positive int, not True"),
+        ((4, 2.0), "slave count must be a positive int, not 2.0"),
+        ((4, True), "slave count must be a positive int, not True"),
+        ((4, 2, CostModel(), 1.0), "seed must be a plain int, not 1.0"),
+        ((4, 2, CostModel(), False), "seed must be a plain int, not False"),
+    ], ids=["size-float", "size-bool", "workers-float", "workers-bool", "seed-float",
+            "seed-bool"])
+    def test_arguments_must_be_plain_ints(self, args, text):
+        # 2.5 raised a bare TypeError and True returned a record
+        with pytest.raises(ValueError) as caught:
+            simulate_instruction_model(*args)
+        assert str(caught.value) == text

@@ -881,8 +881,7 @@ def _step_all(execution):
 
 class TestStepBudget:
     def test_error_class_is_shared(self):
-        assert (aridem.SimulationLimitError is aridem.machine.SimulationLimitError
-                is aridem.core.SimulationLimitError)
+        assert aridem.SimulationLimitError is aridem.core.SimulationLimitError
 
     @pytest.mark.parametrize("execute", [
         lambda p: run(p, max_steps=10),

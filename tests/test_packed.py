@@ -375,7 +375,7 @@ def test_traced_payloads_hold_index_tuples(top):
 # -- the radix ----------------------------------------------------------
 
 def radix(program, budget=DEFAULT_STEP_LIMIT):
-    return program._packing(budget)[1][1]
+    return program._start(budget)[2][1]
 
 
 @pytest.mark.parametrize("n", [1, 5, 15, 16, 48])
@@ -443,12 +443,13 @@ def test_unbounded_program_takes_its_radix_from_the_budget():
     program = increment_cycle()
     assert program._keys is None
     for budget in (0, 10, 10 ** 18):
-        keys, places = program._packing(budget)
+        queue, joins, places = program._start(budget)
         assert places[1] == 15 + budget + 2
-        assert keys == ((0, 3 * places[1] + 7, 1),)
+        assert tuple(queue) == ((0, 3 * places[1] + 7, 1),)
+        assert joins == {rid: {} for rid in program._binary}
     assert Execution(program, max_steps=10)._radix == 27
     wide = Program(program.relations, [Element(0, (40, 0), 1)], program.arities, 1)
-    assert wide._packing(10)[1][1] == 40 + 10 + 2
+    assert wide._start(10)[2][1] == 40 + 10 + 2
 
 
 @pytest.mark.parametrize("top", [5, 30, 10 ** 6])

@@ -75,6 +75,19 @@ class TestMatrix:
         with pytest.raises(ValueError):
             Matrix(0, ())
 
+    @pytest.mark.parametrize("n", [2.0, True, "2", None])
+    def test_size_must_be_a_positive_int(self, n):
+        with pytest.raises(ValueError) as caught:
+            Matrix(n, (1, 2, 3, 4))
+        assert str(caught.value) == f"matrix size must be a positive int, not {n!r}"
+
+    @pytest.mark.parametrize("entries", [[1, 2, 3, 4], range(4), "1234"])
+    def test_entries_must_be_a_tuple(self, entries):
+        # a list made a "frozen" value that hash() refused and that was
+        # unequal to the same entries in a tuple
+        with pytest.raises(ValueError, match="^matrix entries must be a tuple, not "):
+            Matrix(2, entries)
+
 
 class TestMatmulStructure:
     def test_initial_element_count(self):
@@ -110,6 +123,21 @@ class TestMatmulStructure:
             matmul_program(Matrix.identity(2), Matrix.identity(3))
         with pytest.raises(ProgramError):
             build_matmul_program(0, seed=0)
+
+    @pytest.mark.parametrize("n, seed, text", [
+        (2.0, 0, "matrix size must be a positive int, not 2.0"),
+        (True, 0, "matrix size must be a positive int, not True"),
+        ("2", 0, "matrix size must be a positive int, not '2'"),
+        (2, 1.0, "seed must be a plain int, not 1.0"),
+        (2, False, "seed must be a plain int, not False"),
+        (2, None, "seed must be a plain int, not None"),
+    ], ids=["size-float", "size-bool", "size-str", "seed-float", "seed-bool", "seed-none"])
+    def test_size_and_seed_must_be_plain_ints(self, n, seed, text):
+        # 2.0 raised a bare TypeError, and True failed with the text of
+        # a Relation's transform check
+        with pytest.raises(ProgramError) as caught:
+            build_matmul_program(n, seed)
+        assert str(caught.value) == text
 
 
 class TestMatmulResults:
