@@ -28,6 +28,9 @@ SWEEP_GOLDEN_FLAGS = {
     "default": (),
     "roundrobin-tmaster2": ("--dispatch", "roundrobin", "--t-master", "2"),
 }
+# The default sweep, the paper grid, in each format; CI compares a full
+# rerun with each, and Tier-1 checks its n = 40 rows. To rewrite one:
+#   PYTHONPATH=src python -m aridem sweep --format FMT > tests/sweep_golden/paper.FMT
 
 # Byte-exact `aridem demo NAME` outputs. To rewrite one after an intended change:
 #   PYTHONPATH=src python -m aridem demo NAME > tests/cli_golden/demo-NAME.txt
@@ -271,6 +274,17 @@ class TestSweep:
     def test_output_matches_golden(self, grid, fmt):
         out = aridem(*SWEEP_GOLDEN_ARGS, *SWEEP_GOLDEN_FLAGS[grid], "--format", fmt).stdout
         assert out.encode() == (SWEEP_GOLDEN_DIR / f"{grid}.{fmt}").read_bytes()
+
+    def test_paper_grid_rows_at_n40(self, capsys):
+        """The n = 40 records and summary lines of the paper grid, in
+        paper.csv's order; CI checks the whole grid."""
+        assert cli.main(["sweep", "--sizes", "40"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        paper = (SWEEP_GOLDEN_DIR / "paper.csv").read_text().splitlines()
+        rows = [line for line in paper[1:]
+                if line.split(",")[1:2] == ["40"] or " n=40 " in line]
+        assert len(rows) == 10  # 2 models x 4 worker counts, and 2 summary lines
+        assert lines == [paper[0], *rows]
 
     def test_summary_flags_monotone_speedup(self):
         out = aridem("sweep", "--sizes", "16", "--procs", "1,2,4,8,16").stdout
