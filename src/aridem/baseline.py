@@ -25,8 +25,10 @@ class CountModel(_Frozen):
     _fields = ("cubic", "quadratic")
 
     def __init__(self, cubic: int, quadratic: int) -> None:
-        if cubic < 1 or quadratic < 0:
-            raise ValueError("cubic term must be positive, quadratic non-negative")
+        if type(cubic) is not int or cubic < 1:
+            raise ValueError(f"cubic term must be a positive int, not {cubic!r}")
+        if type(quadratic) is not int or quadratic < 0:
+            raise ValueError(f"quadratic term must be a non-negative int, not {quadratic!r}")
         self.__dict__.update(cubic=cubic, quadratic=quadratic)
 
     def count(self, n: int) -> int:

@@ -88,6 +88,12 @@ class Matrix(_Frozen):
 
 def generate_matrix(n: int, seed: int, stream_tag: int) -> Matrix:
     """Deterministic digit matrix; stream_tag separates A from B per seed."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"matrix size must be a positive int, not {n!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be a plain int, not {seed!r}")
+    if type(stream_tag) is not int:
+        raise ValueError(f"stream tag must be a plain int, not {stream_tag!r}")
     rng = Lcg64(seed ^ (stream_tag * _STREAM_MIX))
     return Matrix(n, tuple(rng.next_digit() for _ in range(n * n)))
 
@@ -176,4 +182,6 @@ def matmul_element_count(n: int) -> int:
     2n^2 inputs + n^2 sum seeds + 2n^3 replicas + n^3 products +
     n^3 running sums (which include the n^2 sunk results).
     """
+    if type(n) is not int or n < 1:
+        raise ValueError(f"matrix size must be a positive int, not {n!r}")
     return 4 * n ** 3 + 3 * n ** 2

@@ -45,6 +45,22 @@ class TestCountModels:
         with pytest.raises(ValueError):
             CountModel(3, -1)
 
+    @pytest.mark.parametrize("args, text", [
+        ((1.5, 0), "cubic term must be a positive int, not 1.5"),
+        ((True, 0), "cubic term must be a positive int, not True"),
+        ((0, 5), "cubic term must be a positive int, not 0"),
+        ((3, 0.5), "quadratic term must be a non-negative int, not 0.5"),
+        ((3, False), "quadratic term must be a non-negative int, not False"),
+        ((3, -1), "quadratic term must be a non-negative int, not -1"),
+    ], ids=["cubic-float", "cubic-bool", "cubic-zero", "quadratic-float",
+            "quadratic-bool", "quadratic-negative"])
+    def test_terms_must_be_plain_ints(self, args, text):
+        # 1.5 and True built a model whose count() returned a float or
+        # counted with a bool
+        with pytest.raises(ValueError) as caught:
+            CountModel(*args)
+        assert str(caught.value) == text
+
     def test_pure_cubic_model(self):
         assert CountModel(1, 0).count(10) == 1000
 

@@ -56,6 +56,19 @@ class TestGenerateMatrix:
         m = generate_matrix(8, 3, 0)
         assert all(0 <= v <= 9 for v in m.entries)
 
+    @pytest.mark.parametrize("args, text", [
+        ((2.0, 0, 0), "matrix size must be a positive int, not 2.0"),
+        ((2, 0.5, 0), "seed must be a plain int, not 0.5"),
+        ((2, True, 0), "seed must be a plain int, not True"),
+        ((2, 0, 1.0), "stream tag must be a plain int, not 1.0"),
+        ((2, 0, True), "stream tag must be a plain int, not True"),
+    ], ids=["size-float", "seed-float", "seed-bool", "tag-float", "tag-bool"])
+    def test_arguments_must_be_plain_ints(self, args, text):
+        # a float raised a bare TypeError from Lcg64, and True built a matrix
+        with pytest.raises(ValueError) as caught:
+            generate_matrix(*args)
+        assert str(caught.value) == text
+
 
 class TestMatrix:
     def test_at_and_rows(self):
@@ -183,6 +196,14 @@ class TestClosedFormCount:
         assert matmul_element_count(1) == 7
         assert matmul_element_count(2) == 44
         assert matmul_element_count(60) == 874_800
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, 0, -1])
+    def test_size_must_be_a_positive_int(self, n):
+        # 2.5 returned 81.25 and 0 returned 0, where build_matmul_program
+        # refuses both
+        with pytest.raises(ValueError) as caught:
+            matmul_element_count(n)
+        assert str(caught.value) == f"matrix size must be a positive int, not {n!r}"
 
     def test_counter_matches_formula(self):
         for n in range(1, 13):
