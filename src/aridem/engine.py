@@ -29,6 +29,16 @@ order, the order of their keys while every index is below R, which no
 processing order can change, so every executor names the same first one
 when a run deadlocks.
 
+Each join parks the operand that arrives first in one of two stores,
+chosen when the program is built. Where the build fixes R and R**arity,
+the join's key space, is under a bound (see _DENSE_MAX), the store is a
+list of R**arity slots indexed by key, None where nothing is parked:
+a join reads parked[key], parks with parked[key] = element and clears a
+matched slot with None, with no hashing. Every other join, and every
+join of a program whose radix comes from the run's budget, parks in a
+dict keyed by the key and pops its partner. The executors tell the two
+stores apart by their class, once per join they apply.
+
 Both executors call one hook, on_event, with one tuple per event, kind
 first. step() and run() send ("pop", element), ("apply", relation,
 operands, rid), ("create", element) and ("output", indices, value),
@@ -71,6 +81,21 @@ from .core import _MUL_PAIR, _NEGATE, _REPLICATE, _SINK, _SUM_STEP
 
 DEFAULT_STEP_LIMIT = 100_000_000
 
+# A join parks in a list of radix ** arity slots when the build fixes the
+# radix and that many slots are fewer than _DENSE_PER_ELEMENT per initial
+# element and fewer than _DENSE_MAX; otherwise it parks in a dict. Each
+# run allocates its lists, at about 2.5 ns a slot, and a park and match on
+# a list saves about 270 ns against a dict at paper scale (matmul n = 48),
+# 55-80 ns against a small one. The initial elements are the part of a
+# run's work that the build can count: 64 slots cost about 160 ns per
+# initial element, so a list repays itself once its join matches about as
+# many operands as the program has initial elements, as matmul's joins do
+# (3n**2 initial elements, n**3 matches per join; a list from n = 6), and
+# a small program with a wide key space keeps its dict. _DENSE_MAX caps a
+# list at 2**22 slots, 32 MB; matmul's stay under it up to n = 160.
+_DENSE_PER_ELEMENT = 64
+_DENSE_MAX = 2 ** 22
+
 _ARITIES_NOT_INT = "arities must map plain ints to plain ints"
 
 
@@ -95,8 +120,9 @@ class Program(_Frozen):
     read-only copies of arities and names, and assigning any field
     raises. Programs built from equal parts compare equal; what the
     build derives is left out of its repr and equality: the plans,
-    _plans, the join rids, _binary, the powers of the radix, _places, and
-    the initial elements as (identifier, key, value) tuples, _keys.
+    _plans, the slot count of each join's list store by rid (0 for a
+    dict store), _binary, the powers of the radix, _places, and the
+    initial elements as (identifier, key, value) tuples, _keys.
     """
 
     _fields = ("relations", "initial_elements", "arities", "result_identifier", "names")
@@ -121,10 +147,23 @@ class Program(_Frozen):
     def identifier_name(self, identifier: int) -> str:
         return self.names.get(identifier, f"id{identifier}")
 
-    def _start(self, budget: int) -> tuple[deque, dict[int, dict], dict[int, int]]:
-        """A new run's queue of initial keys, empty join dicts by rid and
+    def _start(self, budget: int) -> tuple[deque, dict[int, list | dict], dict[int, int]]:
+        """A new run's queue of initial keys, empty join stores by rid and
         powers of the radix, when it may process budget elements, or take
-        budget events.
+        budget events (see _initial and _stores)."""
+        queue, places = self._initial(budget)
+        return queue, self._stores(), places
+
+    def _stores(self) -> dict[int, list | dict]:
+        """A new run's empty join stores by rid. A join that the build gave
+        slots (see _DENSE_MAX) gets a list of that many Nones; every other
+        join, and every join of a program the build could not bound, gets
+        an empty dict."""
+        return {rid: [None] * slots if slots else {} for rid, slots in self._binary.items()}
+
+    def _initial(self, budget: int) -> tuple[deque, dict[int, int]]:
+        """A new run's queue of initial keys and the powers of the radix,
+        when it may process budget elements, or take budget events.
 
         A program whose indices the build bounded has them already. In
         one the build could not bound, _keys is None and an index rises
@@ -141,7 +180,7 @@ class Program(_Frozen):
         if keys is None:
             radix = places[1] + budget
             keys, places = _packed(self.initial_elements, radix), _powers(radix, places)
-        return deque(keys), {rid: {} for rid in self._binary}, places
+        return deque(keys), places
 
 
 @dataclass
@@ -240,12 +279,13 @@ def _compile_transform(t, in_arity: int) -> tuple[int, tuple[int, int, int] | No
     return k, (in_arity - k, 0, 0)
 
 
-def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tuple[int, ...],
+def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict[int, int],
                                               dict[int, int], tuple[tuple, ...] | None]:
     """Check program and compile it: the plans of every registered
-    identifier in rid order, the rids of the join relations, the powers
-    of the radix, and the initial elements packed in it (None when only
-    a run's budget bounds the indices, see Program._start).
+    identifier in rid order, the slot count of each join's store by rid
+    (0 for a dict, see _DENSE_MAX), the powers of the radix, and the
+    initial elements packed in it (None when only a run's budget bounds
+    the indices, see Program._start).
 
     One walk over the relations checks and compiles them, and one over
     the initial elements checks and packs them in a radix fixed in
@@ -347,7 +387,7 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
                     rise[result_id] = least
             else:
                 code, arg, result_id = _OP_MUL, tf, None
-            binary.append(rid)
+            binary.append((rid, in_arity))
             for slot, ident in enumerate(ids):
                 plans[ident].append((code, slot, out_id, arg, result_id, rid))
         elif op is _REPLICATE:
@@ -416,13 +456,18 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], tupl
         raise ProgramError("identifiers must be non-negative")
     if not all(isinstance(name, str) for name in program.names.values()):
         raise ProgramError("names must be strings")  # or describe() fails mid-run
-    plans = {ident: tuple(plan) for ident, plan in plans.items()}
-    if radix is None:
-        return plans, tuple(binary), _powers(max(top, guess) + 2, named), None
-    if top > guess:
+    if radix is not None and top > guess:
         radix += top - guess
         keys = _packed(program.initial_elements, radix)
-    return plans, tuple(binary), _powers(radix, named), tuple(keys)
+    # each join's slot count when it parks in a list, else 0 (see _DENSE_MAX)
+    bound = 0 if radix is None else min(_DENSE_MAX, _DENSE_PER_ELEMENT * len(keys))
+    slots = {}
+    for rid, arity in binary:
+        slots[rid] = radix ** arity if bound and radix ** arity < bound else 0
+    plans = {ident: tuple(plan) for ident, plan in plans.items()}
+    if radix is None:
+        return plans, slots, _powers(max(top, guess) + 2, named), None
+    return plans, slots, _powers(radix, named), tuple(keys)
 
 
 def _without_gc(fn: Callable, *args):
@@ -439,16 +484,33 @@ def _without_gc(fn: Callable, *args):
             gc.enable()
 
 
-def _parked_operands(joins: dict[int, dict], arities: Mapping[int, int],
+def _stored(store: list | dict) -> list[tuple]:
+    """The element tuples parked in one join store, in key order: a list
+    holds them at their keys and None elsewhere, filtered in C."""
+    if store.__class__ is list:
+        return list(filter(None, store))
+    return [store[key] for key in sorted(store)]
+
+
+def _any_parked(joins: dict[int, list | dict]) -> bool:
+    """Whether any join store holds an operand; a list's Nones are counted
+    in C."""
+    for store in joins.values():
+        if store.count(None) != len(store) if store.__class__ is list else store:
+            return True
+    return False
+
+
+def _parked_operands(joins: dict[int, list | dict], arities: Mapping[int, int],
                      radix: int) -> tuple[Element, ...]:
-    """The operands parked in a run's join dicts, in (relation id, index
+    """The operands parked in a run's join stores, in (relation id, index
     list) order: keys sort as their index lists while every index is
     below the radix."""
-    return tuple([_unpacked(store[key], arities, radix)
-                  for _, store in sorted(joins.items()) for key in sorted(store)])
+    return tuple([_unpacked(element, arities, radix)
+                  for _, store in sorted(joins.items()) for element in _stored(store)])
 
 
-def _deadlock_error(joins: dict[int, dict], program: Program, radix: int,
+def _deadlock_error(joins: dict[int, list | dict], program: Program, radix: int,
                     prefix: str = "") -> JoinDeadlockError:
     """The error for a run gone quiescent with operands parked in joins;
     the simulator passes the prefix "machine "."""
@@ -461,8 +523,11 @@ def _deadlock_error(joins: dict[int, dict], program: Program, radix: int,
 
 class Execution:
     """State of one run: (identifier, key, value) tuples in a deque, one
-    parked dict per join keyed by the packed index list, the park count
-    and its peak. Not reusable once the queue drains.
+    store of parked operands per join, a list indexed by the packed index
+    list or a dict keyed by it (see the module docstring), the park count
+    and its peak. The first step() or run() makes the stores, so a run's
+    list stores are allocated as it runs, not when it is set up. Not
+    reusable once the queue drains.
 
     step() and run() drive the same loop, _drain, and may be mixed.
     queue and partials are tuples of Elements decoded on request: the
@@ -489,12 +554,15 @@ class Execution:
         self.program = program
         self.on_event = on_event
         self._max_steps = max_steps
-        self._queue, self._joins, places = program._start(max_steps)
+        self._queue, places = program._initial(max_steps)
         self._radix = places[1]
         queue = self._queue
-        # the loop's fixed context, which _drain unpacks in one step
+        # the loop's fixed context, which _drain unpacks in one step; its
+        # join stores, None until then, are made by the first _drain, so
+        # that the run, not setting it up, allocates the list stores
+        self._joins = None
         self._loop = (queue, queue.popleft if discipline == "fifo" else queue.pop,
-                      program._plans, self._joins, queue.append, places)
+                      program._plans, None, queue.append, places)
         self._parked = 0
         self.outputs: dict[tuple[int, ...], int] = {}
         self.elements_processed = 0
@@ -511,7 +579,7 @@ class Execution:
 
     @property
     def partials(self) -> tuple[Element, ...]:
-        return _parked_operands(self._joins, self.program.arities, self._radix)
+        return _parked_operands(self._joins or {}, self.program.arities, self._radix)
 
     @property
     def elements_created(self) -> int:
@@ -563,18 +631,24 @@ class Execution:
         The count costs nothing per element: step() passes a 1-tuple, and
         run() a range that ends at max_steps. An element is an
         (identifier, key, value) tuple, its index list packed in the
-        program's radix as the module docstring describes. A join pops
-        its partner from its parked dict or parks the element tuple
-        itself. A result's key is decoded as it is sunk. A hook only adds
+        program's radix as the module docstring describes. A join takes
+        its partner from its store, reading and clearing a list's slot or
+        popping a dict's key, or else parks the element tuple itself; a
+        duplicate operand leaves the store as it was. A result's key is
+        decoded as it is sunk. A hook only adds
         report lines, which build the event payloads and fall through to
         the untraced code: the hooked loop queues at the same append site,
         append bound to _create, and expands Replicate the same way. Only the
         counters are written back on the way out, also when the loop
-        raises; the queue and the parked dicts are the state itself.
+        raises; the queue and the join stores, which the first call makes,
+        are the state itself.
         on_event and outputs are read at the start of every call, so a
         caller may assign either between calls.
         """
         queue, pop, plans, joins, append, places = self._loop
+        if joins is None:
+            joins = self._joins = self.program._stores()
+            self._loop = (queue, pop, plans, joins, append, places)
         radix = places[1]
         outputs = self.outputs
         on_event = self.on_event
@@ -602,7 +676,12 @@ class Execution:
                     if code <= _OP_SUM:
                         _, slot, out_id, arg, result_id, rid = plan
                         parked = joins[rid]
-                        hit = parked.pop(key, None)
+                        if parked.__class__ is list:
+                            hit = parked[key]
+                            if hit is not None:
+                                parked[key] = None
+                        else:
+                            hit = parked.pop(key, None)
                         if hit is None:
                             parked[key] = element
                             psize += 1

@@ -21,7 +21,9 @@ and Square share one unary branch. A unit is (operand count, created):
 created is the one element a unit deduces, a list for Replicate, and None
 for a sink, whose unit carries the output record as a third item (None
 unless it sinks the result), its indices decoded. A join parks the bare
-element tuple.
+element tuple in the store the build chose for it, a list indexed by key
+where the key space is under the engine's bound, a dict otherwise (see
+engine).
 
 The loop counts only units per worker, and operands per worker. The other
 totals follow at quiescence, where every element has been popped and
@@ -30,7 +32,8 @@ count - 1 per Replicate unit, elements processed are the initial ones
 plus one per unit that is not a sink plus count - 1 per Replicate unit,
 and a worker's busy time is t_proc per unit it ran. A run that stops
 with operands still parked names them as Execution.run does, in
-(relation id, index list) order.
+(relation id, index list) order; whether any is left is read from each
+list store by counting its Nones in C, not by a loop over its slots.
 
 Events are taken in (time, kind, worker) order, a finish before an
 arrival at the same time, from two FIFO queues instead of a heap. Costs
@@ -77,6 +80,7 @@ from .engine import (
     _OP_SINK,
     _OP_SUM,
     Program,
+    _any_parked,
     _check_budget,
     _deadlock_error,
     _indices,
@@ -212,7 +216,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     As in Execution._drain, elements are (identifier, key, value)
     tuples, the key packing the index list in the radix that
     Program._start gives for max_events, and each binary relation parks
-    its operands in its own dict keyed by the key. Units, the totals
+    its operands in its own store, a list indexed by the key or a dict
+    keyed by it, as Program._start made them. Units, the totals
     derived at quiescence, the hand-off to a freed worker and the tie test
     on due times are as the module docstring describes.
     """
@@ -267,7 +272,12 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                         if code <= _OP_SUM:
                             _, slot, out_id, arg, result_id, rid = plan
                             parked = joins[rid]
-                            hit = parked.pop(key, None)
+                            if parked.__class__ is list:
+                                hit = parked[key]
+                                if hit is not None:
+                                    parked[key] = None
+                            else:
+                                hit = parked.pop(key, None)
                             if hit is None:
                                 parked[key] = element
                                 continue
@@ -384,7 +394,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
         else:
             break
 
-    if any(joins.values()):
+    if _any_parked(joins):
         raise _deadlock_error(joins, program, radix, "machine ")
 
     sim_time = now

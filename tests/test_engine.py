@@ -989,4 +989,5 @@ class TestCompiledOnce:
         assert [plan[-1] for plan in plans[1]] == [2]
         assert [plan[-1] for plan in plans[2]] == [2]
         assert plans[3] == ()
-        assert program._binary == (2,)
+        # the one join, by rid, and its slot count: 0, for a dict store
+        assert program._binary == {2: 0}
