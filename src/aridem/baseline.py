@@ -32,6 +32,8 @@ class CountModel(_Frozen):
         self.__dict__.update(cubic=cubic, quadratic=quadratic)
 
     def count(self, n: int) -> int:
+        if type(n) is not int or n < 1:
+            raise ValueError(f"matrix size must be a positive int, not {n!r}")
         return self.cubic * n ** 3 + self.quadratic * n ** 2
 
 
@@ -41,7 +43,9 @@ ELEMENT_COUNT_MODEL = CountModel(14, 10)
 
 
 class ReferenceTables(_Frozen):
-    """Published measurements: totals by n, wall-clock ms by (n, processors)."""
+    """Published measurements: totals by n, wall-clock ms by (n, processors),
+    each kept as a read-only copy, the grids' rows too, as Program keeps
+    its arities."""
 
     _fields = ("sizes", "instruction_counts", "element_counts", "instruction_model_ms",
                "element_model_ms")
@@ -50,10 +54,19 @@ class ReferenceTables(_Frozen):
                  element_counts: dict[int, int],
                  instruction_model_ms: dict[int, dict[int, float]],
                  element_model_ms: dict[int, dict[int, float]]) -> None:
-        self.__dict__.update(sizes=sizes, instruction_counts=instruction_counts,
-                             element_counts=element_counts,
-                             instruction_model_ms=instruction_model_ms,
-                             element_model_ms=element_model_ms)
+        grids = [MappingProxyType({n: MappingProxyType(dict(row)) for n, row in grid.items()})
+                 for grid in (instruction_model_ms, element_model_ms)]
+        self.__dict__.update(sizes=tuple(sizes),
+                             instruction_counts=MappingProxyType(dict(instruction_counts)),
+                             element_counts=MappingProxyType(dict(element_counts)),
+                             instruction_model_ms=grids[0], element_model_ms=grids[1])
+
+    def __reduce__(self):
+        # pickle and copy rebuild the read-only copies from plain dicts
+        grids = [{n: dict(row) for n, row in grid.items()}
+                 for grid in (self.instruction_model_ms, self.element_model_ms)]
+        return (ReferenceTables, (self.sizes, dict(self.instruction_counts),
+                                  dict(self.element_counts), *grids))
 
 
 REFERENCE_TABLES = ReferenceTables(
@@ -88,9 +101,15 @@ REFERENCE_TABLES = ReferenceTables(
 def fit_count_model(points: dict[int, int]) -> CountModel:
     """Solve i*n^3 + j*n^2 = total exactly from two (n, total) points.
 
-    Raises ValueError if the system is singular, the solution is not
-    integral, or any remaining point disagrees with the fit.
+    Raises ValueError if a size is not a positive int or a total not a
+    plain int, the system is singular, the solution is not integral, or
+    any remaining point disagrees with the fit.
     """
+    for n, total in points.items():
+        if type(n) is not int or n < 1:
+            raise ValueError(f"matrix size must be a positive int, not {n!r}")
+        if type(total) is not int:
+            raise ValueError(f"total must be a plain int, not {total!r}")
     if len(points) < 2:
         raise ValueError("need at least two points")
     items = sorted(points.items())
@@ -110,9 +129,8 @@ def fit_count_model(points: dict[int, int]) -> CountModel:
 
 
 def ratio_report(n: int) -> Fraction:
-    """Exact instructions-per-element ratio (40n + 107) / (14n + 10)."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"matrix size must be a positive int, not {n!r}")
+    """Exact instructions-per-element ratio (40n + 107) / (14n + 10); a
+    size that is not a positive int raises count()'s ValueError."""
     return Fraction(INSTRUCTION_COUNT_MODEL.count(n), ELEMENT_COUNT_MODEL.count(n))
 
 

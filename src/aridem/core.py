@@ -312,3 +312,13 @@ def _duplicate_operand(slot: int, rid: int,
 def _duplicate_output(indices: tuple[int, ...]) -> DuplicateOutputError:
     """The error for a second result element at indices."""
     return DuplicateOutputError(f"result indices {indices} produced twice")
+
+
+def _deadlock_error(stuck: tuple[Element, ...], names: dict[int, str],
+                    prefix: str = "") -> JoinDeadlockError:
+    """The error for a run gone quiescent with the operands stuck parked,
+    named by names; the simulator passes the prefix "machine "."""
+    return JoinDeadlockError(
+        f"{prefix}quiescent with {len(stuck)} unmatched operand(s), "
+        f"first {stuck[0].describe(names)}"
+    )

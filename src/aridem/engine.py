@@ -21,7 +21,7 @@ build bounds with one rise per identifier: how far its indices can pass
 the largest initial index, as the build guesses it (see _compile_plans).
 A program whose rises never settle, as around a cycle that increments an
 index and joins nothing outside itself, takes its radix from each run's
-budget instead, which bounds them as well (see Program._start). Keys
+budget instead, which bounds them as well (see Program._initial). Keys
 are decoded back to index tuples only at the edges: result outputs as
 they are sunk, the queue and partials views, the error texts and the
 event payloads. Parked operands are listed in (relation id, index list)
@@ -67,9 +67,9 @@ from .core import (
     INT64_MAX,
     INT64_MIN,
     Element,
-    JoinDeadlockError,
     ProgramError,
     Relation,
+    _deadlock_error,
     _duplicate_operand,
     _duplicate_output,
     _Frozen,
@@ -146,13 +146,6 @@ class Program(_Frozen):
 
     def identifier_name(self, identifier: int) -> str:
         return self.names.get(identifier, f"id{identifier}")
-
-    def _start(self, budget: int) -> tuple[deque, dict[int, list | dict], dict[int, int]]:
-        """A new run's queue of initial keys, empty join stores by rid and
-        powers of the radix, when it may process budget elements, or take
-        budget events (see _initial and _stores)."""
-        queue, places = self._initial(budget)
-        return queue, self._stores(), places
 
     def _stores(self) -> dict[int, list | dict]:
         """A new run's empty join stores by rid. A join that the build gave
@@ -285,7 +278,7 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
     identifier in rid order, the slot count of each join's store by rid
     (0 for a dict, see _DENSE_MAX), the powers of the radix, and the
     initial elements packed in it (None when only a run's budget bounds
-    the indices, see Program._start).
+    the indices, see Program._initial).
 
     One walk over the relations checks and compiles them, and one over
     the initial elements checks and packs them in a radix fixed in
@@ -484,41 +477,19 @@ def _without_gc(fn: Callable, *args):
             gc.enable()
 
 
-def _stored(store: list | dict) -> list[tuple]:
-    """The element tuples parked in one join store, in key order: a list
-    holds them at their keys and None elsewhere, filtered in C."""
-    if store.__class__ is list:
-        return list(filter(None, store))
-    return [store[key] for key in sorted(store)]
-
-
-def _any_parked(joins: dict[int, list | dict]) -> bool:
-    """Whether any join store holds an operand; a list's Nones are counted
-    in C."""
-    for store in joins.values():
-        if store.count(None) != len(store) if store.__class__ is list else store:
-            return True
-    return False
-
-
 def _parked_operands(joins: dict[int, list | dict], arities: Mapping[int, int],
                      radix: int) -> tuple[Element, ...]:
     """The operands parked in a run's join stores, in (relation id, index
     list) order: keys sort as their index lists while every index is
-    below the radix."""
-    return tuple([_unpacked(element, arities, radix)
-                  for _, store in sorted(joins.items()) for element in _stored(store)])
-
-
-def _deadlock_error(joins: dict[int, list | dict], program: Program, radix: int,
-                    prefix: str = "") -> JoinDeadlockError:
-    """The error for a run gone quiescent with operands parked in joins;
-    the simulator passes the prefix "machine "."""
-    stuck = _parked_operands(joins, program.arities, radix)
-    return JoinDeadlockError(
-        f"{prefix}quiescent with {len(stuck)} unmatched operand(s), "
-        f"first {stuck[0].describe(program.names)}"
-    )
+    below the radix. A list store is filtered only once a count of its
+    Nones, in C, finds one parked."""
+    stuck = []
+    for _, store in sorted(joins.items()):
+        if store.__class__ is not list:
+            stuck += [store[key] for key in sorted(store)]
+        elif store.count(None) != len(store):
+            stuck += filter(None, store)
+    return tuple([_unpacked(element, arities, radix) for element in stuck])
 
 
 class Execution:
@@ -607,11 +578,8 @@ class Execution:
         _without_gc(self._drain, range(self.elements_processed + 1, self._max_steps + 1))
         if self._queue:
             raise _over_budget(self._max_steps, "steps")
-        return self._finish()
-
-    def _finish(self) -> RunResult:
         if self._parked:
-            raise _deadlock_error(self._joins, self.program, self._radix)
+            raise _deadlock_error(self.partials, self.program.names)
         return RunResult(
             outputs=self.outputs,
             elements_processed=self.elements_processed,

@@ -27,13 +27,12 @@ engine).
 
 The loop counts only units per worker, and operands per worker. The other
 totals follow at quiescence, where every element has been popped and
-every unit dispatched and returned: messages are 2 per unit plus
-count - 1 per Replicate unit, elements processed are the initial ones
-plus one per unit that is not a sink plus count - 1 per Replicate unit,
-and a worker's busy time is t_proc per unit it ran. A run that stops
-with operands still parked names them as Execution.run does, in
-(relation id, index list) order; whether any is left is read from each
-list store by counting its Nones in C, not by a loop over its slots.
+every unit dispatched and returned: operands processed are the workers'
+sum, messages are 2 per unit plus count - 1 per Replicate unit, elements
+processed are the initial ones plus one per unit that is not a sink plus
+count - 1 per Replicate unit, and a worker's busy time is t_proc per
+unit it ran. A run that stops with operands still parked reads and names
+them as Execution.run does, through engine's _parked_operands.
 
 Events are taken in (time, kind, worker) order, a finish before an
 arrival at the same time, from two FIFO queues instead of a heap. Costs
@@ -67,6 +66,7 @@ from collections import deque
 from .core import (
     INT64_MAX,
     INT64_MIN,
+    _deadlock_error,
     _duplicate_operand,
     _duplicate_output,
     _Frozen,
@@ -80,10 +80,9 @@ from .engine import (
     _OP_SINK,
     _OP_SUM,
     Program,
-    _any_parked,
     _check_budget,
-    _deadlock_error,
     _indices,
+    _parked_operands,
     _without_gc,
 )
 
@@ -215,9 +214,9 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
 
     As in Execution._drain, elements are (identifier, key, value)
     tuples, the key packing the index list in the radix that
-    Program._start gives for max_events, and each binary relation parks
+    Program._initial gives for max_events, and each binary relation parks
     its operands in its own store, a list indexed by the key or a dict
-    keyed by it, as Program._start made them. Units, the totals
+    keyed by it, as Program._stores made them. Units, the totals
     derived at quiescence, the hand-off to a freed worker and the tie test
     on due times are as the module docstring describes.
     """
@@ -227,7 +226,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     hi, lo = INT64_MAX, INT64_MIN
 
     plans = program._plans
-    queue, joins, places = program._start(max_events)
+    queue, places = program._initial(max_events)
+    joins = program._stores()
     radix = places[1]
     pop_element = queue.popleft
     push_element = queue.append
@@ -253,7 +253,6 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     now = 0
     master_free = 0
     events = 0
-    joined = 0  # join units, the second operand of each
     sinks = 0
     fanout = 0  # sum of count - 1 over Replicate units
     per_processed = [0] * workers
@@ -300,7 +299,6 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                             if value > hi or value < lo:
                                 raise _overflow(
                                     "SumStep" if code == _OP_SUM else "MulPair", value)
-                            joined += 1
                             add_unit((2, out))
                         elif code == _OP_REPLICATE:
                             _, out_id, e, count, _ = plan
@@ -394,14 +392,15 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
         else:
             break
 
-    if _any_parked(joins):
-        raise _deadlock_error(joins, program, radix, "machine ")
+    stuck = _parked_operands(joins, program.arities, radix)
+    if stuck:
+        raise _deadlock_error(stuck, program.names, "machine ")
 
     sim_time = now
     units = sum(per_units)
     return Metrics(
         elements_processed=len(program.initial_elements) + units - sinks + fanout,
-        operands_processed=units + joined,
+        operands_processed=sum(per_processed),
         messages=2 * units + fanout,
         sim_time=sim_time,
         idle_time_total=workers * sim_time - t_proc * units,

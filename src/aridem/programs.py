@@ -68,7 +68,10 @@ class Matrix(_Frozen):
         self.__dict__.update(n=n, entries=entries)
 
     def at(self, row: int, col: int) -> int:
-        return self.entries[row * self.n + col]
+        n = self.n
+        if not (0 <= row < n and 0 <= col < n):  # or another cell's entry is read
+            raise IndexError(f"cell ({row}, {col}) is outside the {n} x {n} matrix")
+        return self.entries[row * n + col]
 
     def rows(self) -> list[list[int]]:
         n = self.n

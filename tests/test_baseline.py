@@ -64,6 +64,13 @@ class TestCountModels:
     def test_pure_cubic_model(self):
         assert CountModel(1, 0).count(10) == 1000
 
+    @pytest.mark.parametrize("n", [2.5, True, 0, -1, "40"])
+    def test_count_refuses_a_size_that_is_not_a_positive_int(self, n):
+        # 2.5 counted 1293.75
+        with pytest.raises(ValueError) as caught:
+            INSTRUCTION_COUNT_MODEL.count(n)
+        assert str(caught.value) == f"matrix size must be a positive int, not {n!r}"
+
     def test_smallest_size(self):
         assert ELEMENT_COUNT_MODEL.count(1) == 24
 
@@ -88,6 +95,22 @@ class TestFit:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             fit_count_model({40: 2_731_200})
+
+    @pytest.mark.parametrize("points, text", [
+        ({40: 2_731_200.0, 60: 9_025_200.0}, "total must be a plain int, not 2731200.0"),
+        ({40: 2_731_200, 60: True}, "total must be a plain int, not True"),
+        ({True: 117, 2: 748}, "matrix size must be a positive int, not True"),
+        ({40.0: 2_731_200, 60: 9_025_200}, "matrix size must be a positive int, not 40.0"),
+        ({0: 0, 40: 2_731_200}, "matrix size must be a positive int, not 0"),
+        ({-2: 0, 40: 2_731_200}, "matrix size must be a positive int, not -2"),
+    ], ids=["total-float", "total-bool", "size-bool", "size-float", "size-zero",
+            "size-negative"])
+    def test_points_must_be_plain_ints(self, points, text):
+        # float totals raised a bare TypeError from Fraction, and a bool
+        # size fitted CountModel(cubic=70, quadratic=47)
+        with pytest.raises(ValueError) as caught:
+            fit_count_model(points)
+        assert str(caught.value) == text
 
 
 class TestRatio:
@@ -131,6 +154,25 @@ class TestReferenceTables:
             for p in (2, 4, 8, 16):
                 assert (REFERENCE_TABLES.element_model_ms[n][p]
                         > REFERENCE_TABLES.instruction_model_ms[n][p])
+
+    def test_tables_are_read_only(self):
+        # an assignment changed the published totals for the rest of the
+        # process, and fit_count_model then found the fit not integral
+        tables = (REFERENCE_TABLES.instruction_counts, REFERENCE_TABLES.element_counts,
+                  REFERENCE_TABLES.instruction_model_ms, REFERENCE_TABLES.element_model_ms,
+                  REFERENCE_TABLES.instruction_model_ms[40],
+                  REFERENCE_TABLES.element_model_ms[100])
+        for table in tables:
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                table[40] = 0
+        assert fit_count_model(REFERENCE_TABLES.element_counts) == CountModel(14, 10)
+
+    def test_tables_copy_what_they_are_given(self):
+        counts, row = {40: 2}, {2: 1.5}
+        tables = baseline.ReferenceTables((40,), counts, counts, {40: row}, {40: row})
+        counts[40], row[2] = 0, 0.0
+        assert tables.instruction_counts == tables.element_counts == {40: 2}
+        assert tables.instruction_model_ms == tables.element_model_ms == {40: {2: 1.5}}
 
     def test_largest_size_row_monotone(self):
         row = REFERENCE_TABLES.element_model_ms[100]

@@ -548,7 +548,7 @@ class TestErrors:
         while ex.step():
             pass
         with pytest.raises(JoinDeadlockError):
-            ex._finish()
+            ex.run()
 
     def _duplicate_operand_program(self):
         store = RelationStore()
@@ -729,7 +729,7 @@ class TestFastPathLeavesElements:
             while stepped.step():
                 pass
             with pytest.raises(JoinDeadlockError) as from_step:
-                stepped._finish()
+                stepped.run()
             fast = Execution(_two_join_program(initial), discipline)
             with pytest.raises(JoinDeadlockError, match=r"^quiescent with 3 unmatched "
                                r"operand\(s\), first id0\(0\) = 2$") as from_run:

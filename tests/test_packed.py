@@ -375,7 +375,7 @@ def test_traced_payloads_hold_index_tuples(top):
 # -- the radix ----------------------------------------------------------
 
 def radix(program, budget=DEFAULT_STEP_LIMIT):
-    return program._start(budget)[2][1]
+    return program._initial(budget)[1][1]
 
 
 @pytest.mark.parametrize("n", [1, 5, 15, 16, 48])
@@ -443,13 +443,13 @@ def test_unbounded_program_takes_its_radix_from_the_budget():
     program = increment_cycle()
     assert program._keys is None
     for budget in (0, 10, 10 ** 18):
-        queue, joins, places = program._start(budget)
+        queue, places = program._initial(budget)
         assert places[1] == 15 + budget + 2
         assert tuple(queue) == ((0, 3 * places[1] + 7, 1),)
-        assert joins == {rid: {} for rid in program._binary}
+        assert program._stores() == {rid: {} for rid in program._binary}
     assert Execution(program, max_steps=10)._radix == 27
     wide = Program(program.relations, [Element(0, (40, 0), 1)], program.arities, 1)
-    assert wide._start(10)[2][1] == 40 + 10 + 2
+    assert wide._initial(10)[1][1] == 40 + 10 + 2
 
 
 @pytest.mark.parametrize("top", [5, 30, 10 ** 6])
@@ -466,6 +466,34 @@ def test_chain_listed_in_reverse_gets_the_same_radix(top):
                            for rels in (relations, relations[::-1]))
     assert radix(reversed_) == radix(in_order) == max(top, 15) + 3
     assert agreed(reversed_) == agreed(in_order) == ({(4, top + 2): 1}, 3)
+
+
+@pytest.mark.parametrize("chain_first", [True, False], ids=["chain-first", "chain-last"])
+def test_sum_step_result_rises_in_the_walk(chain_first):
+    """A SumStep result that goes on to rise: 0 and 1 at (15, 18) are
+    negated into 2 and 3 at (15, 19), whose sum, the last index at the
+    limit 20, hands its result to 4 at (15,); the chain 4 -> 5 -> 6 -> 7
+    takes that to (18,). The result's rise is its inputs' rise, 1, which
+    the chain raises to 4 at 7: radix 15 + 4 + 1, plus 3 for the initial
+    index 18 past the guess. Listed first, the chain reads 4 before the
+    SumStep makes it, so the walk takes more than one pass."""
+    def negate(source, target):
+        return Relation((source,), Operation.NEGATE, (), target,
+                        IndexTransform.increment_last())
+
+    head = [negate(0, 2), negate(1, 3),
+            Relation((2, 3), Operation.SUM_STEP, (20, 4), 8,
+                     IndexTransform.increment_last())]
+    chain = [negate(4, 5), negate(5, 6), negate(6, 7),
+             Relation((7,), Operation.SINK, (), 7, IndexTransform.keep())]
+    program = Program(
+        relations=chain + head if chain_first else head + chain,
+        initial_elements=[Element(0, (15, 18), 1), Element(1, (15, 18), 2)],
+        arities={0: 2, 1: 2, 2: 2, 3: 2, 8: 2, 4: 1, 5: 1, 6: 1, 7: 1},
+        result_identifier=7,
+    )
+    assert radix(program) == 23
+    assert agreed(program) == ({(18,): 3}, 8)
 
 
 def test_increment_then_drop_packs_per_run():

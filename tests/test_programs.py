@@ -77,6 +77,14 @@ class TestMatrix:
         assert m.at(1, 0) == 3
         assert m.rows() == [[1, 2], [3, 4]]
 
+    @pytest.mark.parametrize("row, col", [(0, 2), (1, -1), (2, 0), (-1, 0), (0, -3)])
+    def test_at_refuses_a_cell_outside_the_matrix(self, row, col):
+        # (0, 2) read 3 and (1, -1) read 2, other cells' entries, and
+        # (2, 0) raised a bare IndexError
+        with pytest.raises(IndexError) as caught:
+            Matrix(2, (1, 2, 3, 4)).at(row, col)
+        assert str(caught.value) == f"cell ({row}, {col}) is outside the 2 x 2 matrix"
+
     def test_identity(self):
         assert Matrix.identity(3).rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 

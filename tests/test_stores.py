@@ -165,20 +165,20 @@ def test_bound_sits_between_the_two_programs():
 
 def test_bounded_stores_are_lists_and_unbounded_ones_dicts():
     program = build_matmul_program(8, 0)
-    _, joins, places = program._start(100)
+    joins, (_, places) = program._stores(), program._initial(100)
     assert joins == {2: [None] * places[1] ** 3, 3: [None] * places[1] ** 3}
     assert joins[2] is not joins[3]
-    _, joins, _ = PROGRAMS["under"]("matched")._start(100)
+    joins = PROGRAMS["under"]("matched")._stores()
     assert joins == {0: [None] * (UNDER + 1) ** 2}
     for program in (PROGRAMS["over"]("matched"), PROGRAMS["unbounded"]("matched")):
-        _, joins, _ = program._start(100)
+        joins = program._stores()
         assert joins == {0: {}} and type(joins[0]) is dict
     assert PROGRAMS["unbounded"]("matched")._keys is None
     cycle = increment_cycle()
-    assert cycle._keys is None and cycle._start(10)[1] == {}
+    assert cycle._keys is None and cycle._stores() == {}
     # the packed-key tests' largest initial indices keep their joins' dicts
     for top in (10 ** 6, 2 ** 40):
-        _, joins, _ = parked_program(top)._start(100)
+        joins = parked_program(top)._stores()
         assert joins == {0: {}, 1: {}}
 
 

@@ -101,8 +101,10 @@ CASES = {
     ),
     "ReferenceTables": (
         tables,
-        "ReferenceTables(sizes=(40,), instruction_counts={40: 2}, element_counts={40: 3}, "
-        "instruction_model_ms={40: {2: 1.5}}, element_model_ms={40: {2: 2.5}})",
+        "ReferenceTables(sizes=(40,), instruction_counts=mappingproxy({40: 2}), "
+        "element_counts=mappingproxy({40: 3}), "
+        "instruction_model_ms=mappingproxy({40: mappingproxy({2: 1.5})}), "
+        "element_model_ms=mappingproxy({40: mappingproxy({2: 2.5})}))",
         lambda: tables(element_counts={40: 4}),
     ),
 }
@@ -198,7 +200,7 @@ def test_unhashable_values():
     with pytest.raises(TypeError, match="unhashable"):
         hash(metrics())
     with pytest.raises(TypeError, match="unhashable"):
-        hash(tables())  # frozen, but its fields are dicts
+        hash(tables())  # frozen, but its tables are read-only, not hashable
 
 
 def frozen_values():
