@@ -9,6 +9,7 @@ checks.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -101,10 +102,12 @@ REFERENCE_TABLES = ReferenceTables(
 def fit_count_model(points: dict[int, int]) -> CountModel:
     """Solve i*n^3 + j*n^2 = total exactly from two (n, total) points.
 
-    Raises ValueError if a size is not a positive int or a total not a
-    plain int, the system is singular, the solution is not integral, or
-    any remaining point disagrees with the fit.
+    Raises ValueError if points is not a mapping, a size not a positive
+    int or a total not a plain int, the system is singular, the solution
+    is not integral, or any remaining point disagrees with the fit.
     """
+    if not isinstance(points, Mapping):
+        raise ValueError(f"points must be a mapping, not {type(points).__name__}")
     for n, total in points.items():
         if type(n) is not int or n < 1:
             raise ValueError(f"matrix size must be a positive int, not {n!r}")

@@ -121,8 +121,8 @@ class Program(_Frozen):
     raises. Programs built from equal parts compare equal; what the
     build derives is left out of its repr and equality: the plans,
     _plans, the slot count of each join's list store by rid (0 for a
-    dict store), _binary, the powers of the radix, _places, and the
-    initial elements as (identifier, key, value) tuples, _keys.
+    dict store), _binary, the radix's powers by exponent, _places, and
+    the initial elements as (identifier, key, value) tuples, _keys.
     """
 
     _fields = ("relations", "initial_elements", "arities", "result_identifier", "names")
@@ -154,9 +154,9 @@ class Program(_Frozen):
         an empty dict."""
         return {rid: [None] * slots if slots else {} for rid, slots in self._binary.items()}
 
-    def _initial(self, budget: int) -> tuple[deque, dict[int, int]]:
-        """A new run's queue of initial keys and the powers of the radix,
-        when it may process budget elements, or take budget events.
+    def _initial(self, budget: int) -> tuple[deque, list[int]]:
+        """A new run's queue of initial keys and the radix's powers by
+        exponent, when it may process budget elements, or take budget events.
 
         A program whose indices the build bounded has them already. In
         one the build could not bound, _keys is None and an index rises
@@ -172,7 +172,7 @@ class Program(_Frozen):
         keys, places = self._keys, self._places
         if keys is None:
             radix = places[1] + budget
-            keys, places = _packed(self.initial_elements, radix), _powers(radix, places)
+            keys, places = _packed(self.initial_elements, radix), _powers(radix, len(places))
         return deque(keys), places
 
 
@@ -191,7 +191,7 @@ class RunResult:
 # that ends with the relation's rid; the executors dispatch on plan[0]
 # without touching Relation objects. Plans hold no radix: they name its
 # powers by exponent, and each executor looks them up in the program's
-# places, a dict from exponent to power, places[1] being the radix. Both
+# list places, places[e] being radix ** e and places[1] the radix. Both
 # joins compile to one shape, (code, slot, out_id, arg, result_id, rid):
 # arg is MulPair's key transform or SumStep's limit, and result_id is
 # SumStep's result identifier (None for MulPair). The join codes are the
@@ -241,9 +241,9 @@ def _unpacked(element: tuple, arities: Mapping[int, int], radix: int) -> Element
     return Element(ident, _indices(key, arities[ident], radix), val)
 
 
-def _powers(radix: int, exponents: Iterable[int]) -> dict[int, int]:
-    """radix ** e for each of exponents, by e."""
-    return {e: radix ** e for e in exponents}
+def _powers(radix: int, count: int) -> list[int]:
+    """radix ** e for e from 0 to count - 1, by e."""
+    return [radix ** e for e in range(count)]
 
 
 def _compile_transform(t, in_arity: int) -> tuple[int, tuple[int, int, int] | None]:
@@ -273,12 +273,12 @@ def _compile_transform(t, in_arity: int) -> tuple[int, tuple[int, int, int] | No
 
 
 def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict[int, int],
-                                              dict[int, int], tuple[tuple, ...] | None]:
+                                              list[int], tuple[tuple, ...] | None]:
     """Check program and compile it: the plans of every registered
     identifier in rid order, the slot count of each join's store by rid
-    (0 for a dict, see _DENSE_MAX), the powers of the radix, and the
-    initial elements packed in it (None when only a run's budget bounds
-    the indices, see Program._initial).
+    (0 for a dict, see _DENSE_MAX), the radix's powers by exponent, and
+    the initial elements packed in it (None when only a run's budget
+    bounds the indices, see Program._initial).
 
     One walk over the relations checks and compiles them, and one over
     the initial elements checks and packs them in a radix fixed in
@@ -290,9 +290,9 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
     raises its output's rise to the least of its inputs' plus add, which
     bounds every index: a join's operands share one index list, Drop and
     Truncate keep some indices, and Replicate inserts one of at most the
-    guess. The walk makes the first pass, exact when no relation makes an
-    identifier that it or an earlier one reads; else passes follow until
-    one changes nothing, and a rise still changing after len(steps) + 2
+    guess. Passes over the steps follow the walk until one changes nothing,
+    the second where no relation makes an identifier that it or an
+    earlier one reads, and a rise still changing after len(steps) + 2
     passes is taken as unbounded. A rise bounds a whole identifier, not
     each position, so a cycle that increments an index and then drops it
     packs per run. The radix is the guess plus the largest rise plus one;
@@ -317,14 +317,11 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
 
     plans: dict[int, list[tuple]] = {ident: [] for ident in arities}
     binary = []
-    ordered = True  # no relation makes an identifier that it or an earlier one reads
     steps = []  # (input, input, output, add), a unary relation's input twice
-    rise = {}  # each identifier's rise, where it is not 0
     # the largest index a Replicate makes, and at least 15, which the
     # indices of small programs stay within, so their elements are packed
     # once; a radix larger than they need costs nothing
     guess = 15
-    named = {1}  # the exponents the plans name, 1 for the radix itself
     for rid, rel in enumerate(program.relations):
         if type(rel) is not Relation:
             raise ProgramError(f"relation {rid} is not a Relation")
@@ -350,20 +347,7 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
                 f"relation {rid} produces arity {out_arity} but "
                 f"{out_id} is registered at {arities[out_id]}"
             )
-        if plans[out_id] or out_id in ids:  # read by an earlier relation or this one
-            ordered = False
-        add = 0
-        if tf is not None:
-            named.add(tf[0])
-            named.add(tf[1])
-            add = tf[2]
-        steps.append((first, second, out_id, add))
-        # the walk's pass over the steps (see the docstring)
-        least = rise.get(first, 0)
-        if rise.get(second, 0) < least:
-            least = rise.get(second, 0)
-        if least + add > rise.get(out_id, 0):
-            rise[out_id] = least + add
+        steps.append((first, second, out_id, 0 if tf is None else tf[2]))
         if op is _SUM_STEP or op is _MUL_PAIR:
             if op is _SUM_STEP:
                 code, (arg, result_id) = _OP_SUM, rel.parameters
@@ -373,11 +357,7 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
                     raise ProgramError(
                         "SumStep result arity must be one less than its input"
                     )
-                if plans[result_id] or result_id in ids:
-                    ordered = False
                 steps.append((first, second, result_id, 0))
-                if least > rise.get(result_id, 0):
-                    rise[result_id] = least
             else:
                 code, arg, result_id = _OP_MUL, tf, None
             binary.append((rid, in_arity))
@@ -386,28 +366,25 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
         elif op is _REPLICATE:
             e = in_arity - t.position
             plans[first].append((_OP_REPLICATE, out_id, e, t.count, rid))
-            named.add(e)
-            named.add(e + 1)
             if t.count - 1 > guess:
                 guess = t.count - 1
         else:  # Negate or Square
             code = _OP_NEGATE if op is _NEGATE else _OP_SQUARE
             plans[first].append((code, out_id, tf, rid))
 
-    # the walk's pass is exact for an ordered list; else more passes follow
-    for _ in range(0 if ordered else len(steps) + 1):
+    rise = dict.fromkeys(arities, 0)  # each identifier's rise
+    for _ in range(len(steps) + 2):  # passes until one changes nothing
         stable = True
         for a, b, out, add in steps:
-            least = min(rise.get(a, 0), rise.get(b, 0)) + add
-            if least > rise.get(out, 0):
-                rise[out] = least
+            least = rise[a]
+            if rise[b] < least:
+                least = rise[b]
+            if least + add > rise[out]:
+                rise[out] = least + add
                 stable = False
         if stable:
             break
-    if ordered or stable:
-        radix = guess + (max(rise.values()) if rise else 0) + 1
-    else:
-        radix = None
+    radix = guess + max(rise.values()) + 1 if stable else None
     # a program bounded only by its runs' budgets packs its elements per run
     packing = guess + 1 if radix is None else radix
     keys = []
@@ -458,9 +435,11 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
     for rid, arity in binary:
         slots[rid] = radix ** arity if bound and radix ** arity < bound else 0
     plans = {ident: tuple(plan) for ident, plan in plans.items()}
+    # no plan names an exponent above its input arity plus one
+    count = max(arities.values()) + 2
     if radix is None:
-        return plans, slots, _powers(max(top, guess) + 2, named), None
-    return plans, slots, _powers(radix, named), tuple(keys)
+        return plans, slots, _powers(max(top, guess) + 2, count), None
+    return plans, slots, _powers(radix, count), tuple(keys)
 
 
 def _without_gc(fn: Callable, *args):
@@ -513,7 +492,8 @@ class Execution:
     so tests can prove that. on_event gets the events the module
     docstring lists. max_steps, a non-negative int, bounds the elements
     processed, as max_events bounds simulate(): a program that would
-    process more raises SimulationLimitError.
+    process more raises SimulationLimitError, and a program that is not
+    a Program ValueError.
     """
 
     def __init__(self, program: Program, discipline: str = "fifo", *,
@@ -522,6 +502,8 @@ class Execution:
         if discipline not in ("fifo", "lifo"):
             raise ValueError(f"unknown discipline {discipline!r}")
         _check_budget("max_steps", max_steps)
+        if not isinstance(program, Program):
+            raise ValueError(f"program must be a Program, not {type(program).__name__}")
         self.program = program
         self.on_event = on_event
         self._max_steps = max_steps

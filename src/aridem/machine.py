@@ -200,11 +200,17 @@ def simulate(program: Program, machine: MachineConfig,
     dispatchable work exists. A run that ends with operands still parked
     raises JoinDeadlockError with run()'s text, prefixed "machine ".
 
-    max_events must be a non-negative int. Cyclic GC is off for the whole
+    ValueError refuses, before the run, a max_events that is not a
+    non-negative int and a program, machine or costs that is not a
+    Program, MachineConfig or CostModel. Cyclic GC is off for the whole
     call, as in Execution.run: the live set of queued and parked elements
     holds no cycles. GC is left as it was found, also when the run raises.
     """
     _check_budget("max_events", max_events)
+    for name, value, kind in (("program", program, Program),
+                              ("machine", machine, MachineConfig), ("costs", costs, CostModel)):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
     return _without_gc(_simulate, program, machine, costs, max_events, on_event)
 
 

@@ -65,10 +65,15 @@ class Matrix(_Frozen):
             raise ValueError(f"matrix entries must be a tuple, not {type(entries).__name__}")
         if len(entries) != n * n:
             raise ValueError(f"expected {n * n} entries, got {len(entries)}")
+        if not {int}.issuperset(map(type, entries)):  # a float or a bool, say
+            bad = next(v for v in entries if type(v) is not int)
+            raise ValueError(f"matrix entries must be plain ints, not {bad!r}")
         self.__dict__.update(n=n, entries=entries)
 
     def at(self, row: int, col: int) -> int:
         n = self.n
+        if type(row) is not int or type(col) is not int:  # True reads row 1
+            raise ValueError(f"cell ({row!r}, {col!r}) must be named by plain ints")
         if not (0 <= row < n and 0 <= col < n):  # or another cell's entry is read
             raise IndexError(f"cell ({row}, {col}) is outside the {n} x {n} matrix")
         return self.entries[row * n + col]

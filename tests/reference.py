@@ -10,24 +10,27 @@ that the tests can check the plan loops against it:
   PartialStore     -- parks the first operand of a join until its partner
   evaluate         -- one relation's arithmetic, on unbounded values
   apply_relation   -- evaluate, raising on a value outside int64
-  run_reference    -- FIFO deduction over the three above
+  drive            -- deduction over the three above, FIFO or LIFO, to
+                      quiescence or for a number of steps
+  run_reference    -- drive to quiescence, FIFO, raising its error
   first_overflows  -- every overflow text a run can stop with first
 """
 
 from collections import deque
+from itertools import repeat
 from types import SimpleNamespace
 
 from aridem import (
     INT64_MAX,
     INT64_MIN,
-    DuplicateOutputError,
     Element,
+    ElementModelError,
     JoinDeadlockError,
     Operation,
     ProgramError,
     TransformKind,
 )
-from aridem.core import _duplicate_operand, _overflow
+from aridem.core import _deadlock_error, _duplicate_operand, _duplicate_output, _overflow
 
 JOINS = frozenset({Operation.MUL_PAIR, Operation.SUM_STEP})
 OVERFLOW_NAMES = {Operation.NEGATE: "Negate", Operation.SQUARE: "Square",
@@ -173,40 +176,60 @@ def apply_relation(relation, operands) -> list[Element]:
     return created
 
 
-def run_reference(program, apply=apply_relation):
-    """FIFO deduction on the reference primitives, one relation at a time.
+def drive(program, apply=apply_relation, discipline="fifo", steps=None):
+    """Deduction on the reference primitives, one relation at a time,
+    taking each element from the queue's front ("fifo") or back ("lifo"),
+    for at most steps elements when steps is given, else to quiescence.
 
-    Returns outputs, elements_processed and elements_created; a result
-    index list sunk twice raises DuplicateOutputError, and operands left
-    parked at quiescence raise JoinDeadlockError.
+    Returns outputs, elements_processed, elements_created,
+    max_partial_depth, the elements popped, the queue, the operands still
+    parked in (relation id, index list) order, and error, the
+    ElementModelError that stopped the run or None. A result index list
+    sunk twice stops it with DuplicateOutputError, and operands parked
+    once the queue is empty give JoinDeadlockError, each in the
+    executors' text.
     """
     consumers = {}
     for rid, rel in enumerate(program.relations):
         for ident in rel.input_identifiers:
             consumers.setdefault(ident, []).append((rid, rel))
     queue = deque(program.initial_elements)
-    partials, outputs = PartialStore(), {}
-    processed, created = 0, len(queue)
-    while queue:
-        element = queue.popleft()
-        processed += 1
-        for rid, rel in consumers.get(element.identifier, ()):
-            operands = (partials.offer(rid, rel, element) if rel.operation in JOINS
-                        else element)
-            if operands is None:
-                continue
-            if rel.operation is not Operation.SINK:
-                new = apply(rel, operands)
-                queue.extend(new)
-                created += len(new)
-            elif element.identifier == program.result_identifier:
-                if element.indices in outputs:
-                    raise DuplicateOutputError(f"{element.indices} produced twice")
-                outputs[element.indices] = element.value
-    if len(partials):
-        raise JoinDeadlockError(f"{len(partials)} unmatched operand(s)")
-    return SimpleNamespace(outputs=outputs, elements_processed=processed,
-                           elements_created=created)
+    take = queue.popleft if discipline == "fifo" else queue.pop
+    partials, outputs, popped, error = PartialStore(), {}, [], None
+    try:
+        for _ in repeat(None) if steps is None else range(steps):
+            if not queue:
+                break
+            element = take()
+            popped.append(element)
+            for rid, rel in consumers.get(element.identifier, ()):
+                operands = (partials.offer(rid, rel, element) if rel.operation in JOINS
+                            else element)
+                if operands is None:
+                    continue
+                if rel.operation is not Operation.SINK:
+                    queue.extend(apply(rel, operands))
+                elif element.identifier == program.result_identifier:
+                    if element.indices in outputs:
+                        raise _duplicate_output(element.indices)
+                    outputs[element.indices] = element.value
+    except ElementModelError as caught:
+        error = caught
+    parked = tuple(element for _, (_, element) in sorted(partials._waiting.items()))
+    if error is None and parked and not queue:
+        error = _deadlock_error(parked, program.names)
+    return SimpleNamespace(outputs=outputs, elements_processed=len(popped),
+                           elements_created=len(popped) + len(queue),
+                           max_partial_depth=partials.max_size, popped=popped,
+                           queue=tuple(queue), parked=parked, error=error)
+
+
+def run_reference(program, apply=apply_relation):
+    """drive to quiescence, FIFO, raising the error that stops the run."""
+    state = drive(program, apply)
+    if state.error is not None:
+        raise state.error
+    return state
 
 
 def first_overflows(program) -> set[str]:

@@ -112,6 +112,17 @@ class TestFit:
             fit_count_model(points)
         assert str(caught.value) == text
 
+    @pytest.mark.parametrize("points, name", [
+        ([(40, 2_731_200), (60, 9_025_200)], "list"),
+        (((40, 2_731_200), (60, 9_025_200)), "tuple"),
+        (None, "NoneType"),
+    ], ids=["list", "tuple", "none"])
+    def test_points_must_be_a_mapping(self, points, name):
+        # a list of pairs raised a bare AttributeError
+        with pytest.raises(ValueError) as caught:
+            fit_count_model(points)
+        assert str(caught.value) == f"points must be a mapping, not {name}"
+
 
 class TestRatio:
     def test_exact_fractions(self):

@@ -924,6 +924,19 @@ class TestStepBudget:
                                  f"not {re.escape(repr(budget))}$"):
             make(build_negate_demo(), budget)
 
+    @pytest.mark.parametrize("program, name", [
+        (None, "NoneType"), ("negate", "str"), (build_negate_demo().relations, "tuple"),
+    ], ids=["none", "str", "relations"])
+    @pytest.mark.parametrize("make", [
+        lambda p: Execution(p),
+        lambda p: run(p),
+        lambda p: run(p, on_event=lambda event: None),
+    ], ids=["Execution", "run", "traced"])
+    def test_program_checked_when_the_run_is_set_up(self, make, program, name):
+        # each raised a bare AttributeError
+        with pytest.raises(ValueError, match=f"^program must be a Program, not {name}$"):
+            make(program)
+
     def test_zero_budget_allowed(self):
         ex = Execution(build_negate_demo(), max_steps=0)
         with pytest.raises(SimulationLimitError, match=r"^exceeded 0 steps$"):

@@ -80,6 +80,22 @@ class TestConfigValidation:
                      max_events=budget, on_event=events.append)
         assert events == []
 
+    @pytest.mark.parametrize("args, text", [
+        ((None, MachineConfig(workers=1)), "program must be a Program, not NoneType"),
+        ((build_negate_demo(), 2), "machine must be a MachineConfig, not int"),
+        ((build_negate_demo(), None), "machine must be a MachineConfig, not NoneType"),
+        ((build_negate_demo(), MachineConfig(workers=1), (10, 10, 1)),
+         "costs must be a CostModel, not tuple"),
+        ((build_negate_demo(), MachineConfig(workers=1), None),
+         "costs must be a CostModel, not NoneType"),
+    ], ids=["program", "machine-int", "machine-none", "costs-tuple", "costs-none"])
+    def test_arguments_checked_before_the_run(self, args, text):
+        # each raised a bare AttributeError
+        events = []
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            simulate(*args, on_event=events.append)
+        assert events == []
+
     def test_event_budget_zero_allowed(self):
         with pytest.raises(SimulationLimitError, match=r"^exceeded 0 events$"):
             simulate(build_negate_demo(), MachineConfig(workers=1), max_events=0)

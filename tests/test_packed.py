@@ -19,8 +19,6 @@ budget, as a cycle whose indices rise without end does; the last tests
 pin that, and a cycle that ends under such a radix.
 """
 
-from collections import deque
-
 import pytest
 from hypothesis import given, settings
 
@@ -43,7 +41,7 @@ from aridem import (
     simulate,
 )
 from aridem.engine import DEFAULT_STEP_LIMIT
-from reference import JOINS, PartialStore, apply_relation, apply_transform, run_reference
+from reference import apply_relation, apply_transform, drive, run_reference
 from test_differential import outcome
 from test_differential import programs as generated_programs
 
@@ -92,29 +90,6 @@ def agreed(program):
     for indices in expected[0]:
         assert type(indices) is tuple and all(type(i) is int for i in indices)
     return expected
-
-
-def reference_state(program, steps):
-    """What a FIFO run of program pops in its first steps steps, then its
-    queue and its parked operands in (relation id, index list) order, on
-    the reference primitives."""
-    consumers = {}
-    for rid, rel in enumerate(program.relations):
-        for ident in rel.input_identifiers:
-            consumers.setdefault(ident, []).append((rid, rel))
-    queue, partials, popped = deque(program.initial_elements), PartialStore(), []
-    for _ in range(steps):
-        if not queue:
-            break
-        element = queue.popleft()
-        popped.append(element)
-        for rid, rel in consumers.get(element.identifier, ()):
-            operands = (partials.offer(rid, rel, element) if rel.operation in JOINS
-                        else element)
-            if operands is not None and rel.operation is not Operation.SINK:
-                queue.extend(apply_relation(rel, operands))
-    parked = [element for _, (_, element) in sorted(partials._waiting.items())]
-    return popped, list(queue), parked
 
 
 def one_step(source_arity, operation, transform, initial, parameters=()):
@@ -268,10 +243,10 @@ def test_increment_cycle_stops_at_the_budget(budget, replicated):
     execution = Execution(program, max_steps=budget)
     with pytest.raises(SimulationLimitError, match=rf"^exceeded {budget} steps$"):
         execution.run()
-    popped, queue, _ = reference_state(program, budget)
+    state = drive(program, steps=budget)
     assert execution.elements_processed == budget
-    assert list(execution.queue) == queue
-    outputs = {e.indices: e.value for e in popped if e.identifier == 1}
+    assert execution.queue == state.queue
+    outputs = {e.indices: e.value for e in state.popped if e.identifier == 1}
     assert execution.outputs == outputs
     with pytest.raises(SimulationLimitError, match=rf"^exceeded {budget} events$"):
         simulate(program, MachineConfig(workers=2), max_events=budget)
@@ -284,9 +259,10 @@ def test_increment_cycle_under_a_huge_budget():
     execution = Execution(program, max_steps=10 ** 18)
     for _ in range(40):
         execution.step()
-    popped, queue, _ = reference_state(program, 40)
-    assert list(execution.queue) == queue
-    assert execution.outputs == {e.indices: e.value for e in popped if e.identifier == 1}
+    state = drive(program, steps=40)
+    assert execution.queue == state.queue
+    assert execution.outputs == {e.indices: e.value for e in state.popped
+                                 if e.identifier == 1}
 
 
 @pytest.mark.parametrize("top", TOPS)
@@ -324,9 +300,9 @@ def test_queue_partials_and_deadlock_in_index_order(top):
     execution = Execution(program)
     for steps in range(1, 8):
         execution.step()
-        _, queue, parked = reference_state(program, steps)
-        assert list(execution.queue) == queue
-        assert list(execution.partials) == parked
+        state = drive(program, steps=steps)
+        assert execution.queue == state.queue
+        assert execution.partials == state.parked
         assert all(type(e) is Element and type(e.indices) is tuple
                    for e in execution.queue + execution.partials)
     # relation 0's parked operands, then relation 1's, each in index order
@@ -344,8 +320,8 @@ def test_step_then_run(steps):
     execution = Execution(program)
     for _ in range(steps):
         execution.step()
-    _, queue, parked = reference_state(program, steps)
-    assert list(execution.queue) == queue and list(execution.partials) == parked
+    state = drive(program, steps=steps)
+    assert execution.queue == state.queue and execution.partials == state.parked
     assert execution.run() == run(program)
 
 
@@ -519,7 +495,7 @@ def test_increment_then_drop_packs_per_run():
     execution = Execution(program, max_steps=20)
     with pytest.raises(SimulationLimitError):
         execution.run()
-    assert list(execution.queue) == reference_state(program, 20)[1]
+    assert execution.queue == drive(program, steps=20).queue
 
 
 def test_cycle_that_ends_under_the_budget_radix():

@@ -85,6 +85,29 @@ class TestMatrix:
             Matrix(2, (1, 2, 3, 4)).at(row, col)
         assert str(caught.value) == f"cell ({row}, {col}) is outside the 2 x 2 matrix"
 
+    @pytest.mark.parametrize("row, col, text", [
+        (True, 1, "cell (True, 1) must be named by plain ints"),
+        (0.5, 1, "cell (0.5, 1) must be named by plain ints"),
+        (0, 1.0, "cell (0, 1.0) must be named by plain ints"),
+        ("1", 0, "cell ('1', 0) must be named by plain ints"),
+    ], ids=["bool", "float-row", "float-col", "str"])
+    def test_at_refuses_a_cell_not_named_by_plain_ints(self, row, col, text):
+        # True read cell (1, 1), and 0.5 raised a bare TypeError
+        with pytest.raises(ValueError) as caught:
+            Matrix(2, (1, 2, 3, 4)).at(row, col)
+        assert str(caught.value) == text
+
+    @pytest.mark.parametrize("rows, text", [
+        ([[1.5]], "matrix entries must be plain ints, not 1.5"),
+        ([[1, 2], [True, 4]], "matrix entries must be plain ints, not True"),
+        ([[1, "2"], [3, 4]], "matrix entries must be plain ints, not '2'"),
+    ], ids=["float", "bool", "str"])
+    def test_entries_must_be_plain_ints(self, rows, text):
+        # each built a matrix, and matmul_oracle returned float cells
+        with pytest.raises(ValueError) as caught:
+            Matrix.from_rows(rows)
+        assert str(caught.value) == text
+
     def test_identity(self):
         assert Matrix.identity(3).rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 

@@ -9,10 +9,8 @@ one join just under that bound, the same join just over it, and the same
 join beside an increment cycle, which the build cannot bound. Each must
 run as the reference loop does on every executor, whichever store it
 parks in: outputs, counters, max_partial_depth, partials, and the
-deadlock and duplicate-operand texts.
+deadlock, duplicate-operand and duplicate-output texts.
 """
-
-from collections import deque
 
 import pytest
 
@@ -22,7 +20,6 @@ from aridem import (
     ElementModelError,
     Execution,
     IndexTransform,
-    JoinDeadlockError,
     MachineConfig,
     Operation,
     Program,
@@ -31,8 +28,8 @@ from aridem import (
     simulate,
 )
 from aridem.engine import _DENSE_MAX, _DENSE_PER_ELEMENT
-from reference import JOINS, PartialStore, apply_relation
-from test_packed import increment_cycle, parked_program, reference_state
+from reference import drive
+from test_packed import increment_cycle, parked_program
 
 # One MulPair of 0 and 1 into 2 over six initial elements, whose indices
 # reach top: the radix is top + 1 and the join's key space (top + 1)**2,
@@ -50,6 +47,10 @@ FAULTS = {
     # 0 (t, 0) twice, and no 1 (t, 0) to take either
     "duplicate": lambda t: [(0, (t, 0), 2), (1, (1, t), 3), (0, (0, 2), 5),
                             (0, (t, 0), 7), (0, (1, t), 11), (1, (0, 2), 13)],
+    # (t, 0) parks again once its first pair has matched, into the cleared
+    # slot, and its second pair sinks the result (t, 0) a second time
+    "rematched": lambda t: [(0, (t, 0), 2), (1, (t, 0), 3), (0, (t, 0), 5),
+                            (1, (t, 0), 7), (0, (1, t), 11), (1, (1, t), 13)],
 }
 
 
@@ -76,37 +77,12 @@ PROGRAMS = {
 
 def reference(program, discipline="fifo"):
     """The reference loop under discipline: outputs, elements processed
-    and created, the peak and the list of parked operands in (relation
-    id, index list) order, and the error class and text, or None."""
-    consumers = {}
-    for rid, rel in enumerate(program.relations):
-        for ident in rel.input_identifiers:
-            consumers.setdefault(ident, []).append((rid, rel))
-    queue = deque(program.initial_elements)
-    take = queue.popleft if discipline == "fifo" else queue.pop
-    partials, outputs = PartialStore(), {}
-    processed = error = 0
-    try:
-        while queue:
-            element = take()
-            processed += 1
-            for rid, rel in consumers.get(element.identifier, ()):
-                operands = (partials.offer(rid, rel, element) if rel.operation in JOINS
-                            else element)
-                if operands is None:
-                    continue
-                if rel.operation is not Operation.SINK:
-                    queue.extend(apply_relation(rel, operands))
-                elif element.identifier == program.result_identifier:
-                    outputs[element.indices] = element.value
-    except ElementModelError as caught:
-        error = (type(caught), str(caught))
-    parked = tuple(element for _, (_, element) in sorted(partials._waiting.items()))
-    if not error and parked:
-        error = (JoinDeadlockError, f"quiescent with {len(parked)} unmatched "
-                                    f"operand(s), first {parked[0].describe(program.names)}")
-    return (outputs, processed, processed + len(queue), partials.max_size, parked,
-            error or None)
+    and created, the peak and the parked operands in (relation id, index
+    list) order, and the error class and text, or None."""
+    state = drive(program, discipline=discipline)
+    error = state.error and (type(state.error), str(state.error))
+    return (state.outputs, state.elements_processed, state.elements_created,
+            state.max_partial_depth, state.parked, error)
 
 
 def engine_outcome(execution, drive):
@@ -139,7 +115,7 @@ def test_every_executor_matches_the_reference(name, fault):
 
     assert engine_outcome(execution, step_then_run) == expected
     # the parked operands after each step are the reference's after as many
-    assert stepped[:4] == [tuple(reference_state(program, k)[2]) for k in range(4)]
+    assert stepped[:4] == [drive(program, steps=k).parked for k in range(4)]
 
     error = expected[-1]
     for workers in (1, 4):
