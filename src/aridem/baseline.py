@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
 
-from .core import INT64_MAX, INT64_MIN, _Frozen, _overflow
+from .core import INT64_MAX, INT64_MIN, _Frozen, _int_arg, _of_type, _overflow
 from .machine import CostModel, Metrics
 from .programs import Matrix, generate_matrix
 
@@ -26,15 +26,12 @@ class CountModel(_Frozen):
     _fields = ("cubic", "quadratic")
 
     def __init__(self, cubic: int, quadratic: int) -> None:
-        if type(cubic) is not int or cubic < 1:
-            raise ValueError(f"cubic term must be a positive int, not {cubic!r}")
-        if type(quadratic) is not int or quadratic < 0:
-            raise ValueError(f"quadratic term must be a non-negative int, not {quadratic!r}")
+        _int_arg("cubic term", cubic, 1)
+        _int_arg("quadratic term", quadratic, 0)
         self.__dict__.update(cubic=cubic, quadratic=quadratic)
 
     def count(self, n: int) -> int:
-        if type(n) is not int or n < 1:
-            raise ValueError(f"matrix size must be a positive int, not {n!r}")
+        _int_arg("matrix size", n, 1)
         return self.cubic * n ** 3 + self.quadratic * n ** 2
 
 
@@ -103,23 +100,20 @@ def fit_count_model(points: dict[int, int]) -> CountModel:
     """Solve i*n^3 + j*n^2 = total exactly from two (n, total) points.
 
     Raises ValueError if points is not a mapping, a size not a positive
-    int or a total not a plain int, the system is singular, the solution
-    is not integral, or any remaining point disagrees with the fit.
+    int or a total not a plain int, there are fewer than two points, the
+    solution is not integral, or any remaining point disagrees with the
+    fit. The two smallest sizes are distinct positive ints, so the
+    system's determinant n1**2 * n2**2 * (n1 - n2) is never 0.
     """
-    if not isinstance(points, Mapping):
-        raise ValueError(f"points must be a mapping, not {type(points).__name__}")
+    _of_type("points", points, Mapping, "a mapping")
     for n, total in points.items():
-        if type(n) is not int or n < 1:
-            raise ValueError(f"matrix size must be a positive int, not {n!r}")
-        if type(total) is not int:
-            raise ValueError(f"total must be a plain int, not {total!r}")
+        _int_arg("matrix size", n, 1)
+        _int_arg("total", total)
     if len(points) < 2:
         raise ValueError("need at least two points")
     items = sorted(points.items())
     (n1, t1), (n2, t2) = items[0], items[1]
     det = n1 ** 3 * n2 ** 2 - n2 ** 3 * n1 ** 2
-    if det == 0:
-        raise ValueError("points do not determine the model")
     cubic = Fraction(t1 * n2 ** 2 - t2 * n1 ** 2, det)
     quadratic = Fraction(n1 ** 3 * t2 - n2 ** 3 * t1, det)
     if cubic.denominator != 1 or quadratic.denominator != 1:
@@ -141,8 +135,11 @@ def matmul_oracle(a: Matrix, b: Matrix) -> Matrix:
     """Plain integer matrix product, the correctness reference.
 
     Each cell is the exact dot product of a row of a and a column of b;
-    a cell outside the 64-bit range raises IntegerOverflowError.
+    a cell outside the 64-bit range raises IntegerOverflowError, and an a
+    or b that is not a Matrix ValueError.
     """
+    _of_type("a", a, Matrix)
+    _of_type("b", b, Matrix)
     if a.n != b.n:
         raise ValueError(f"matrix sizes differ: {a.n} vs {b.n}")
     n = a.n
@@ -181,14 +178,14 @@ def simulate_instruction_model(n: int, workers: int,
     INSTRUCTION_COUNT_MODEL's count, one instruction per t_proc tick, and
     finishes at 3 * t_msg + work_s * t_proc; the run takes the longest
     slave's finish time. Outputs are the true product for the seeded
-    matrices, so checksums line up with the element machine.
+    matrices, so checksums line up with the element machine. ValueError
+    refuses a size or slave count that is not a positive int, a seed
+    that is not a plain int and costs that are not a CostModel.
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"matrix size must be a positive int, not {n!r}")
-    if type(workers) is not int or workers < 1:
-        raise ValueError(f"slave count must be a positive int, not {workers!r}")
-    if type(seed) is not int:
-        raise ValueError(f"seed must be a plain int, not {seed!r}")
+    _int_arg("matrix size", n, 1)
+    _int_arg("slave count", workers, 1)
+    _int_arg("seed", seed)
+    _of_type("costs", costs, CostModel)
 
     block = -(-n // workers)  # ceil
     rows = [max(0, min(block, n - block * s)) for s in range(workers)]

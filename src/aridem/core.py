@@ -17,6 +17,7 @@ imports 8.7 ms against 3.3 ms after, on a 2-core host with CPython 3.11).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import FrozenInstanceError
 from enum import Enum, auto
 from typing import NamedTuple
@@ -288,6 +289,40 @@ class RelationStore:
 
     def __iter__(self):
         return iter(self.relations)
+
+
+_INT_KINDS = {None: "plain", 0: "non-negative", 1: "positive"}
+
+
+def _int_arg(name: str, value, least: int | None = None, error: type = ValueError) -> None:
+    """Raise error, "<name> must be a <kind> int, not <value!r>", unless
+    value is a plain int (a bool is refused) of at least least, kind
+    being "plain", "non-negative" or "positive" for least None, 0 or 1.
+    The entry points of programs and baseline check their int arguments
+    through this."""
+    if type(value) is not int or (least is not None and value < least):
+        raise error(f"{name} must be a {_INT_KINDS[least]} int, not {value!r}")
+
+
+def _of_type(name: str, value, kind, what: str | None = None) -> None:
+    """Raise ValueError, "<name> must be <what>, not <type of value>",
+    unless isinstance(value, kind); what defaults to "a <kind's name>"."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what or 'a ' + kind.__name__}, not {type(value).__name__}")
+
+
+def _check_hook(on_event) -> None:
+    """Refuse an on_event that is neither None nor callable, before a run
+    that would call it."""
+    _of_type("on_event", on_event, (type(None), Callable), "callable or None")
+
+
+def _check_budget(name: str, value) -> None:
+    """Reject a step or event budget that is a bool, not an int, or
+    negative. Its text says "integer", as MachineConfig's and CostModel's
+    do, where _int_arg's says "int"."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
 
 
 def _overflow(name: str, value: int) -> IntegerOverflowError:

@@ -69,10 +69,13 @@ from .core import (
     Element,
     ProgramError,
     Relation,
+    _check_budget,
+    _check_hook,
     _deadlock_error,
     _duplicate_operand,
     _duplicate_output,
     _Frozen,
+    _of_type,
     _over_budget,
     _overflow,
 )
@@ -99,12 +102,6 @@ _DENSE_MAX = 2 ** 22
 _ARITIES_NOT_INT = "arities must map plain ints to plain ints"
 
 
-def _check_budget(name: str, value) -> None:
-    """Reject a step or event budget that is a bool, not an int, or negative."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
-
-
 class Program(_Frozen):
     """A complete element program: relations, seed elements, and metadata.
 
@@ -121,8 +118,10 @@ class Program(_Frozen):
     raises. Programs built from equal parts compare equal; what the
     build derives is left out of its repr and equality: the plans,
     _plans, the slot count of each join's list store by rid (0 for a
-    dict store), _binary, the radix's powers by exponent, _places, and
-    the initial elements as (identifier, key, value) tuples, _keys.
+    dict store), _binary, the radix's powers by exponent, _places, from 0
+    to one past the widest input of a relation that makes an element, so
+    at least radix ** 1, and the initial elements as (identifier, key,
+    value) tuples, _keys.
     """
 
     _fields = ("relations", "initial_elements", "arities", "result_identifier", "names")
@@ -276,9 +275,10 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
                                               list[int], tuple[tuple, ...] | None]:
     """Check program and compile it: the plans of every registered
     identifier in rid order, the slot count of each join's store by rid
-    (0 for a dict, see _DENSE_MAX), the radix's powers by exponent, and
-    the initial elements packed in it (None when only a run's budget
-    bounds the indices, see Program._initial).
+    (0 for a dict, see _DENSE_MAX), the radix's powers by exponent up to
+    the largest a plan names, and the initial elements packed in it
+    (None when only a run's budget bounds the indices, see
+    Program._initial).
 
     One walk over the relations checks and compiles them, and one over
     the initial elements checks and packs them in a radix fixed in
@@ -301,6 +301,10 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
     in order: arities, the result identifier, each relation, each
     initial element, a negative identifier and last the names, so a
     program that an earlier check refuses keeps that check's text.
+    A plan names no exponent above its relation's input arity plus one,
+    and only relations that make an element, each with a step, name
+    one, so the powers run to the widest input among the steps plus
+    one: a sink of a wide identifier costs none.
     """
     arities = program.arities
     try:
@@ -435,8 +439,8 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
     for rid, arity in binary:
         slots[rid] = radix ** arity if bound and radix ** arity < bound else 0
     plans = {ident: tuple(plan) for ident, plan in plans.items()}
-    # no plan names an exponent above its input arity plus one
-    count = max(arities.values()) + 2
+    # the powers up to one past the widest input that names one (see above)
+    count = max([arities[s[0]] for s in steps], default=0) + 2
     if radix is None:
         return plans, slots, _powers(max(top, guess) + 2, count), None
     return plans, slots, _powers(radix, count), tuple(keys)
@@ -493,7 +497,7 @@ class Execution:
     docstring lists. max_steps, a non-negative int, bounds the elements
     processed, as max_events bounds simulate(): a program that would
     process more raises SimulationLimitError, and a program that is not
-    a Program ValueError.
+    a Program, or an on_event neither None nor callable, ValueError.
     """
 
     def __init__(self, program: Program, discipline: str = "fifo", *,
@@ -502,8 +506,8 @@ class Execution:
         if discipline not in ("fifo", "lifo"):
             raise ValueError(f"unknown discipline {discipline!r}")
         _check_budget("max_steps", max_steps)
-        if not isinstance(program, Program):
-            raise ValueError(f"program must be a Program, not {type(program).__name__}")
+        _of_type("program", program, Program)
+        _check_hook(on_event)
         self.program = program
         self.on_event = on_event
         self._max_steps = max_steps

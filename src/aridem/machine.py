@@ -66,10 +66,13 @@ from collections import deque
 from .core import (
     INT64_MAX,
     INT64_MIN,
+    _check_budget,
+    _check_hook,
     _deadlock_error,
     _duplicate_operand,
     _duplicate_output,
     _Frozen,
+    _of_type,
     _over_budget,
     _overflow,
     _Value,
@@ -80,7 +83,6 @@ from .engine import (
     _OP_SINK,
     _OP_SUM,
     Program,
-    _check_budget,
     _indices,
     _parked_operands,
     _without_gc,
@@ -153,7 +155,9 @@ class Metrics(_Value):
 
 
 def validate_metrics(metrics: Metrics) -> Metrics:
-    """Check the cross-field identities every emitted record must satisfy."""
+    """Check the cross-field identities every emitted record must satisfy;
+    metrics that are not a Metrics raise ValueError too."""
+    _of_type("metrics", metrics, Metrics)
     if min(metrics.elements_processed, metrics.operands_processed,
            metrics.messages, metrics.sim_time) < 0:
         raise ValueError("counters must be non-negative")
@@ -178,8 +182,10 @@ def worker_busy_profile(metrics: Metrics) -> float:
     """Imbalance as max worker busy time over mean worker busy time.
 
     1.0 is a perfect split. Raises ValueError for a run that processed
-    nothing; a run whose workers were never busy reports 1.0.
+    nothing, or for metrics that are not a Metrics; a run whose workers
+    were never busy reports 1.0.
     """
+    _of_type("metrics", metrics, Metrics)
     if metrics.elements_processed == 0:
         raise ValueError("no elements were processed")
     busy = metrics.per_worker_busy
@@ -201,16 +207,17 @@ def simulate(program: Program, machine: MachineConfig,
     raises JoinDeadlockError with run()'s text, prefixed "machine ".
 
     ValueError refuses, before the run, a max_events that is not a
-    non-negative int and a program, machine or costs that is not a
-    Program, MachineConfig or CostModel. Cyclic GC is off for the whole
-    call, as in Execution.run: the live set of queued and parked elements
-    holds no cycles. GC is left as it was found, also when the run raises.
+    non-negative int, a program, machine or costs that is not a Program,
+    MachineConfig or CostModel, and an on_event that is neither None nor
+    callable. Cyclic GC is off for the whole call, as in Execution.run:
+    the live set of queued and parked elements holds no cycles. GC is
+    left as it was found, also when the run raises.
     """
     _check_budget("max_events", max_events)
-    for name, value, kind in (("program", program, Program),
-                              ("machine", machine, MachineConfig), ("costs", costs, CostModel)):
-        if not isinstance(value, kind):
-            raise ValueError(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
+    _of_type("program", program, Program)
+    _of_type("machine", machine, MachineConfig)
+    _of_type("costs", costs, CostModel)
+    _check_hook(on_event)
     return _without_gc(_simulate, program, machine, costs, max_events, on_event)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain, product, repeat
 
-from .core import Element, IndexTransform, Operation, ProgramError, Relation, _Frozen
+from .core import (Element, IndexTransform, Operation, ProgramError, Relation, _Frozen,
+                   _int_arg, _of_type)
 from .engine import Program
 
 LCG_MULTIPLIER = 6364136223846793005
@@ -39,9 +40,11 @@ MATMUL_NAMES = {
 
 
 class Lcg64:
-    """64-bit linear congruential generator (PCG-XSH multiplier/increment)."""
+    """64-bit linear congruential generator (PCG-XSH multiplier/increment);
+    its state must be a plain int."""
 
     def __init__(self, state: int) -> None:
+        _int_arg("state", state)
         self.state = state & _U64
 
     def next_raw(self) -> int:
@@ -59,8 +62,7 @@ class Matrix(_Frozen):
     _fields = ("n", "entries")
 
     def __init__(self, n: int, entries: tuple[int, ...]) -> None:
-        if type(n) is not int or n < 1:
-            raise ValueError(f"matrix size must be a positive int, not {n!r}")
+        _int_arg("matrix size", n, 1)
         if type(entries) is not tuple:  # or the frozen value is unhashable
             raise ValueError(f"matrix entries must be a tuple, not {type(entries).__name__}")
         if len(entries) != n * n:
@@ -96,12 +98,9 @@ class Matrix(_Frozen):
 
 def generate_matrix(n: int, seed: int, stream_tag: int) -> Matrix:
     """Deterministic digit matrix; stream_tag separates A from B per seed."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"matrix size must be a positive int, not {n!r}")
-    if type(seed) is not int:
-        raise ValueError(f"seed must be a plain int, not {seed!r}")
-    if type(stream_tag) is not int:
-        raise ValueError(f"stream tag must be a plain int, not {stream_tag!r}")
+    _int_arg("matrix size", n, 1)
+    _int_arg("seed", seed)
+    _int_arg("stream tag", stream_tag)
     rng = Lcg64(seed ^ (stream_tag * _STREAM_MIX))
     return Matrix(n, tuple(rng.next_digit() for _ in range(n * n)))
 
@@ -135,8 +134,11 @@ def matmul_program(a: Matrix, b: Matrix) -> Program:
     b[k][j] so that inserting the varied result-row index at position 0
     lines both replicas up on (i, j, k). Each (i, j) starts a zero-valued
     running sum at k = 0; SumStep folds product terms in k order and
-    hands the total to the result identifier once k reaches n.
+    hands the total to the result identifier once k reaches n. An a or
+    b that is not a Matrix raises ValueError.
     """
+    _of_type("a", a, Matrix)
+    _of_type("b", b, Matrix)
     n = a.n
     if b.n != n:
         raise ProgramError(f"matrix sizes differ: {a.n} vs {b.n}")
@@ -175,10 +177,8 @@ def matmul_program(a: Matrix, b: Matrix) -> Program:
 
 def build_matmul_program(n: int, seed: int) -> Program:
     """Matmul program over two seeded digit matrices."""
-    if type(n) is not int or n < 1:
-        raise ProgramError(f"matrix size must be a positive int, not {n!r}")
-    if type(seed) is not int:
-        raise ProgramError(f"seed must be a plain int, not {seed!r}")
+    _int_arg("matrix size", n, 1, ProgramError)
+    _int_arg("seed", seed, error=ProgramError)
     a = generate_matrix(n, seed, 0)
     b = generate_matrix(n, seed, 1)
     return matmul_program(a, b)
@@ -190,6 +190,5 @@ def matmul_element_count(n: int) -> int:
     2n^2 inputs + n^2 sum seeds + 2n^3 replicas + n^3 products +
     n^3 running sums (which include the n^2 sunk results).
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"matrix size must be a positive int, not {n!r}")
+    _int_arg("matrix size", n, 1)
     return 4 * n ** 3 + 3 * n ** 2

@@ -210,6 +210,16 @@ class TestOracle:
         with pytest.raises(ValueError):
             matmul_oracle(Matrix.identity(2), Matrix.identity(3))
 
+    @pytest.mark.parametrize("args, text", [
+        ((1, 2), "a must be a Matrix, not int"),
+        ((Matrix.identity(2), None), "b must be a Matrix, not NoneType"),
+        (([[1]], Matrix.identity(1)), "a must be a Matrix, not list"),
+    ], ids=["a-int", "b-none", "a-rows"])
+    def test_arguments_must_be_matrices(self, args, text):
+        # each raised a bare AttributeError
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            matmul_oracle(*args)
+
     def test_overflow_aborts(self):
         from aridem import IntegerOverflowError
 
@@ -320,3 +330,15 @@ class TestInstructionMachine:
         with pytest.raises(ValueError) as caught:
             simulate_instruction_model(*args)
         assert str(caught.value) == text
+
+    @pytest.mark.parametrize("args, text", [
+        ((2, 1, None), "costs must be a CostModel, not NoneType"),
+        ((2, 1, (1, 10, 0)), "costs must be a CostModel, not tuple"),
+        ((0, 1, None), "matrix size must be a positive int, not 0"),
+        ((2, 1, None, 0.5), "seed must be a plain int, not 0.5"),
+    ], ids=["none", "tuple", "size-first", "seed-first"])
+    def test_costs_must_be_a_cost_model(self, args, text):
+        # None raised a bare AttributeError; the size, slave-count and seed
+        # checks come first
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            simulate_instruction_model(*args)

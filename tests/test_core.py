@@ -188,6 +188,15 @@ class TestRelationValidation:
             with pytest.raises(ProgramError):
                 Relation((0,), op, (1,), 1, IndexTransform.keep())
 
+    @pytest.mark.parametrize("operation, inputs", [
+        (Operation.NEGATE, (0,)), (Operation.SQUARE, (0,)), (Operation.SINK, (0,)),
+        (Operation.MUL_PAIR, (0, 1)),
+    ], ids=["negate", "square", "sink", "mul-pair"])
+    def test_insert_varied_only_for_replicate(self, operation, inputs):
+        with pytest.raises(ProgramError,
+                           match=f"^{operation.name} cannot use an InsertVaried transform$"):
+            Relation(inputs, operation, (), 2, IndexTransform.insert_varied(0, 2))
+
     def test_negative_identifier_rejected(self):
         with pytest.raises(ProgramError):
             Relation((-1,), Operation.NEGATE, (), 1, IndexTransform.keep())

@@ -937,6 +937,25 @@ class TestStepBudget:
         with pytest.raises(ValueError, match=f"^program must be a Program, not {name}$"):
             make(program)
 
+    @pytest.mark.parametrize("on_event, name", [
+        (5, "int"), ("print", "str"), ([], "list"),
+    ], ids=["int", "str", "list"])
+    @pytest.mark.parametrize("make", [
+        lambda p, on_event: Execution(p, on_event=on_event),
+        lambda p, on_event: Execution(p, on_event=on_event).step(),
+        lambda p, on_event: run(p, on_event=on_event),
+    ], ids=["Execution", "step", "run"])
+    def test_hook_checked_when_the_run_is_set_up(self, make, on_event, name):
+        # each raised a bare TypeError, "object is not callable", at the
+        # first event
+        with pytest.raises(ValueError,
+                           match=f"^on_event must be callable or None, not {name}$"):
+            make(build_negate_demo(), on_event)
+
+    def test_hook_checked_after_the_program(self):
+        with pytest.raises(ValueError, match="^program must be a Program, not NoneType$"):
+            Execution(None, on_event=5)
+
     def test_zero_budget_allowed(self):
         ex = Execution(build_negate_demo(), max_steps=0)
         with pytest.raises(SimulationLimitError, match=r"^exceeded 0 steps$"):

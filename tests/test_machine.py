@@ -96,6 +96,28 @@ class TestConfigValidation:
             simulate(*args, on_event=events.append)
         assert events == []
 
+    @pytest.mark.parametrize("on_event, name", [(5, "int"), ("print", "str")],
+                             ids=["int", "str"])
+    def test_hook_checked_before_the_run(self, on_event, name):
+        # each raised a bare TypeError, "object is not callable", at the
+        # first event
+        with pytest.raises(ValueError,
+                           match=f"^on_event must be callable or None, not {name}$"):
+            simulate(build_negate_demo(), MachineConfig(workers=1), on_event=on_event)
+
+    def test_hook_checked_after_the_costs(self):
+        with pytest.raises(ValueError, match="^costs must be a CostModel, not NoneType$"):
+            simulate(build_negate_demo(), MachineConfig(workers=1), None, on_event=5)
+
+    @pytest.mark.parametrize("check", [validate_metrics, worker_busy_profile])
+    @pytest.mark.parametrize("metrics, name", [
+        (None, "NoneType"), ({"sim_time": 1}, "dict"),
+    ], ids=["none", "dict"])
+    def test_metrics_must_be_metrics(self, check, metrics, name):
+        # each raised a bare AttributeError
+        with pytest.raises(ValueError, match=f"^metrics must be a Metrics, not {name}$"):
+            check(metrics)
+
     def test_event_budget_zero_allowed(self):
         with pytest.raises(SimulationLimitError, match=r"^exceeded 0 events$"):
             simulate(build_negate_demo(), MachineConfig(workers=1), max_events=0)
@@ -202,6 +224,12 @@ class TestTimingProperties:
         assert m.outputs == run(build_matmul_program(3, seed=0)).outputs
 
 
+def _busier(m):
+    """Worker 0 busy twice the run longer, idle time lowered to match."""
+    m.per_worker_busy[0] += 2 * m.sim_time
+    m.idle_time_total -= 2 * m.sim_time
+
+
 class TestAccounting:
     def test_per_worker_sums(self):
         for P in (1, 3, 8):
@@ -229,6 +257,23 @@ class TestAccounting:
         )
         with pytest.raises(ValueError):
             validate_metrics(broken)
+
+    @pytest.mark.parametrize("tamper, text", [
+        (lambda m: setattr(m, "messages", -1), "counters must be non-negative"),
+        (lambda m: m.per_worker_busy.pop(),
+         "per-worker lists must be non-empty and equal length"),
+        (lambda m: setattr(m, "idle_time_total", m.idle_time_total + 1),
+         "idle time does not match the busy-time accounting"),
+        (_busier, "workers cannot be busy longer than the run"),
+        (lambda m: setattr(m, "result_checksum", 1 << 32), "checksum out of range"),
+        (lambda m: setattr(m, "result_checksum", m.result_checksum ^ 1),
+         "checksum does not match outputs"),
+    ], ids=["negative", "lists", "idle", "busy", "checksum-range", "checksum"])
+    def test_validate_metrics_names_each_fault(self, tamper, text):
+        m = validate_metrics(simulate(build_matmul_program(3, seed=0), MachineConfig(workers=2)))
+        tamper(m)
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            validate_metrics(m)
 
     def test_per_worker_sum_above_the_total_is_caught(self):
         m = simulate(single_join_program([(2, 3)]), MachineConfig(workers=2))

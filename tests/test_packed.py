@@ -428,6 +428,25 @@ def test_unbounded_program_takes_its_radix_from_the_budget():
     assert wide._initial(10)[1][1] == 40 + 10 + 2
 
 
+def test_powers_stop_at_the_widest_input_that_makes_an_element():
+    """A sink makes no element and names no power, so a program whose one
+    relation sinks identifiers of arity 3,000 keeps the radix and 1 only:
+    it held 3,002 powers, whose bits grow with the square of the arity."""
+    wide = (0,) * 2999 + (7,)
+    program = Program(
+        relations=[Relation((0,), Operation.SINK, (), 0, IndexTransform.keep())],
+        initial_elements=[Element(0, wide, 5)],
+        arities={0: 3000},
+        result_identifier=0,
+    )
+    assert len(program._places) == 2
+    assert program._places == [1, radix(program)]
+    assert run(program).outputs == {wide: 5}
+    assert simulate(program, MachineConfig(workers=2)).outputs == {wide: 5}
+    # matmul's Replicates read arity 2 and its joins arity 3: powers 0 to 4
+    assert len(build_matmul_program(3, seed=0)._places) == 5
+
+
 @pytest.mark.parametrize("top", [5, 30, 10 ** 6])
 def test_chain_listed_in_reverse_gets_the_same_radix(top):
     """The chain of test_radix_is_tight_at_the_bound listed last relation

@@ -37,6 +37,17 @@ class TestLcg:
         rng = Lcg64(123456789)
         assert all(0 <= rng.next_digit() <= 9 for _ in range(1000))
 
+    @pytest.mark.parametrize("state", [1.5, "1", True, None])
+    def test_state_must_be_a_plain_int(self, state):
+        # 1.5 and "1" raised a bare TypeError, and True built a generator
+        with pytest.raises(ValueError) as caught:
+            Lcg64(state)
+        assert str(caught.value) == f"state must be a plain int, not {state!r}"
+
+    def test_state_wraps_to_64_bits(self):
+        assert Lcg64(-1).state == (1 << 64) - 1
+        assert Lcg64(1 << 64).state == 0
+
 
 class TestGenerateMatrix:
     def test_frozen_values(self):
@@ -68,6 +79,18 @@ class TestGenerateMatrix:
         with pytest.raises(ValueError) as caught:
             generate_matrix(*args)
         assert str(caught.value) == text
+
+
+class TestMatmulProgramArguments:
+    @pytest.mark.parametrize("args, text", [
+        ((1, 2), "a must be a Matrix, not int"),
+        ((Matrix.identity(2), None), "b must be a Matrix, not NoneType"),
+        (((1, 2, 3, 4), Matrix.identity(2)), "a must be a Matrix, not tuple"),
+    ], ids=["a-int", "b-none", "a-tuple"])
+    def test_arguments_must_be_matrices(self, args, text):
+        # each raised a bare AttributeError
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            matmul_program(*args)
 
 
 class TestMatrix:
