@@ -298,8 +298,10 @@ def _int_arg(name: str, value, least: int | None = None, error: type = ValueErro
     """Raise error, "<name> must be a <kind> int, not <value!r>", unless
     value is a plain int (a bool is refused) of at least least, kind
     being "plain", "non-negative" or "positive" for least None, 0 or 1.
-    The entry points of programs and baseline check their int arguments
-    through this."""
+    Every entry point checks its int arguments through this: sizes,
+    seeds, counts, workers, costs and budgets. The per-field checks of
+    Relation, IndexTransform and Matrix entries and cells keep their own
+    texts."""
     if type(value) is not int or (least is not None and value < least):
         raise error(f"{name} must be a {_INT_KINDS[least]} int, not {value!r}")
 
@@ -315,14 +317,6 @@ def _check_hook(on_event) -> None:
     """Refuse an on_event that is neither None nor callable, before a run
     that would call it."""
     _of_type("on_event", on_event, (type(None), Callable), "callable or None")
-
-
-def _check_budget(name: str, value) -> None:
-    """Reject a step or event budget that is a bool, not an int, or
-    negative. Its text says "integer", as MachineConfig's and CostModel's
-    do, where _int_arg's says "int"."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
 
 
 def _overflow(name: str, value: int) -> IntegerOverflowError:

@@ -69,12 +69,12 @@ from .core import (
     Element,
     ProgramError,
     Relation,
-    _check_budget,
     _check_hook,
     _deadlock_error,
     _duplicate_operand,
     _duplicate_output,
     _Frozen,
+    _int_arg,
     _of_type,
     _over_budget,
     _overflow,
@@ -498,6 +498,8 @@ class Execution:
     processed, as max_events bounds simulate(): a program that would
     process more raises SimulationLimitError, and a program that is not
     a Program, or an on_event neither None nor callable, ValueError.
+    program and max_steps are read-only, since the queue and the plans
+    are made from them when the run is set up.
     """
 
     def __init__(self, program: Program, discipline: str = "fifo", *,
@@ -505,10 +507,10 @@ class Execution:
                  max_steps: int = DEFAULT_STEP_LIMIT) -> None:
         if discipline not in ("fifo", "lifo"):
             raise ValueError(f"unknown discipline {discipline!r}")
-        _check_budget("max_steps", max_steps)
+        _int_arg("max_steps", max_steps, 0)
         _of_type("program", program, Program)
         _check_hook(on_event)
-        self.program = program
+        self._program = program
         self.on_event = on_event
         self._max_steps = max_steps
         self._queue, places = program._initial(max_steps)
@@ -527,6 +529,10 @@ class Execution:
         self.max_partial_depth = 0
 
     @property
+    def program(self) -> Program:
+        return self._program
+
+    @property
     def max_steps(self) -> int:
         return self._max_steps
 
@@ -536,7 +542,7 @@ class Execution:
 
     @property
     def partials(self) -> tuple[Element, ...]:
-        return _parked_operands(self._joins or {}, self.program.arities, self._radix)
+        return _parked_operands(self._joins or {}, self._program.arities, self._radix)
 
     @property
     def elements_created(self) -> int:
@@ -565,7 +571,7 @@ class Execution:
         if self._queue:
             raise _over_budget(self._max_steps, "steps")
         if self._parked:
-            raise _deadlock_error(self.partials, self.program.names)
+            raise _deadlock_error(self.partials, self._program.names)
         return RunResult(
             outputs=self.outputs,
             elements_processed=self.elements_processed,
@@ -575,7 +581,7 @@ class Execution:
         )
 
     def _element(self, element: tuple) -> Element:
-        return _unpacked(element, self.program.arities, self._radix)
+        return _unpacked(element, self._program.arities, self._radix)
 
     def _drain(self, counts) -> None:
         """The element loop: process one element for each number in
@@ -597,18 +603,21 @@ class Execution:
         raises; the queue and the join stores, which the first call makes,
         are the state itself.
         on_event and outputs are read at the start of every call, so a
-        caller may assign either between calls.
+        caller may assign either between calls; an on_event that is
+        neither None nor callable raises ValueError there, before the
+        loop.
         """
         queue, pop, plans, joins, append, places = self._loop
         if joins is None:
-            joins = self._joins = self.program._stores()
+            joins = self._joins = self._program._stores()
             self._loop = (queue, pop, plans, joins, append, places)
         radix = places[1]
         outputs = self.outputs
         on_event = self.on_event
         if on_event is not None:
+            _check_hook(on_event)
             append = partial(self._create, on_event)
-            shown_as, relations = self._element, self.program.relations
+            shown_as, relations = self._element, self._program.relations
         hi, lo = INT64_MAX, INT64_MIN
         processed = self.elements_processed
         max_queue = self.max_queue_depth

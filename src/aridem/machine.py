@@ -66,12 +66,12 @@ from collections import deque
 from .core import (
     INT64_MAX,
     INT64_MIN,
-    _check_budget,
     _check_hook,
     _deadlock_error,
     _duplicate_operand,
     _duplicate_output,
     _Frozen,
+    _int_arg,
     _of_type,
     _over_budget,
     _overflow,
@@ -102,10 +102,7 @@ class MachineConfig(_Frozen):
     _fields = ("workers", "dispatch")
 
     def __init__(self, workers: int, dispatch: str = "idle") -> None:
-        if type(workers) is not int:
-            raise ValueError(f"workers must be an integer, not {workers!r}")
-        if workers < 1:
-            raise ValueError("need at least one worker")
+        _int_arg("workers", workers, 1)
         if dispatch not in ("idle", "roundrobin"):
             raise ValueError(f"unknown dispatch policy {dispatch!r}")
         self.__dict__.update(workers=workers, dispatch=dispatch)
@@ -119,8 +116,7 @@ class CostModel(_Frozen):
 
     def __init__(self, t_proc: int = 1, t_msg: int = 10, t_master: int = 0) -> None:
         for name, v in (("t_proc", t_proc), ("t_msg", t_msg), ("t_master", t_master)):
-            if type(v) is not int or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer")
+            _int_arg(name, v, 0)
         if t_proc == 0 and t_msg == 0 and t_master == 0:
             raise ValueError("at least one cost must be positive")
         self.__dict__.update(t_proc=t_proc, t_msg=t_msg, t_master=t_master)
@@ -213,7 +209,7 @@ def simulate(program: Program, machine: MachineConfig,
     the live set of queued and parked elements holds no cycles. GC is
     left as it was found, also when the run raises.
     """
-    _check_budget("max_events", max_events)
+    _int_arg("max_events", max_events, 0)
     _of_type("program", program, Program)
     _of_type("machine", machine, MachineConfig)
     _of_type("costs", costs, CostModel)

@@ -39,23 +39,6 @@ MATMUL_NAMES = {
 }
 
 
-class Lcg64:
-    """64-bit linear congruential generator (PCG-XSH multiplier/increment);
-    its state must be a plain int."""
-
-    def __init__(self, state: int) -> None:
-        _int_arg("state", state)
-        self.state = state & _U64
-
-    def next_raw(self) -> int:
-        self.state = (self.state * LCG_MULTIPLIER + LCG_INCREMENT) & _U64
-        return self.state
-
-    def next_digit(self) -> int:
-        """Uniform-ish decimal digit from the generator's upper bits."""
-        return (self.next_raw() >> 33) % 10
-
-
 class Matrix(_Frozen):
     """Dense square integer matrix, row-major entries."""
 
@@ -86,6 +69,10 @@ class Matrix(_Frozen):
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
+        """The square matrix of rows, a list or tuple of lists or tuples."""
+        _of_type("rows", rows, (list, tuple), "a list or tuple")
+        for i, row in enumerate(rows):
+            _of_type(f"rows[{i}]", row, (list, tuple), "a list or tuple")
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix rows must form a square")
@@ -93,16 +80,26 @@ class Matrix(_Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
+        _int_arg("matrix size", n, 1)
         return cls(n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
 
 def generate_matrix(n: int, seed: int, stream_tag: int) -> Matrix:
-    """Deterministic digit matrix; stream_tag separates A from B per seed."""
+    """Deterministic digit matrix; stream_tag separates A from B per seed.
+
+    The digits are drawn from a 64-bit linear congruential generator
+    (PCG-XSH multiplier and increment) started at seed ^ (stream_tag *
+    _STREAM_MIX), each (state >> 33) % 10 of the next state, row-major.
+    """
     _int_arg("matrix size", n, 1)
     _int_arg("seed", seed)
     _int_arg("stream tag", stream_tag)
-    rng = Lcg64(seed ^ (stream_tag * _STREAM_MIX))
-    return Matrix(n, tuple(rng.next_digit() for _ in range(n * n)))
+    state = (seed ^ (stream_tag * _STREAM_MIX)) & _U64
+    digits = []
+    for _ in range(n * n):
+        state = (state * LCG_MULTIPLIER + LCG_INCREMENT) & _U64
+        digits.append((state >> 33) % 10)
+    return Matrix(n, tuple(digits))
 
 
 def _unary_demo(operation: Operation, value: int, names: dict[int, str]) -> Program:

@@ -518,7 +518,7 @@ def test_public_surface():
         "CostModel", "CountModel", "DuplicateOperandError", "DuplicateOutputError",
         "ELEMENT_COUNT_MODEL", "Element", "ElementModelError", "Execution",
         "INSTRUCTION_COUNT_MODEL", "INT64_MAX", "INT64_MIN", "IndexTransform",
-        "IntegerOverflowError", "JoinDeadlockError", "Lcg64", "MATMUL_NAMES",
+        "IntegerOverflowError", "JoinDeadlockError", "MATMUL_NAMES",
         "MM_LEFT", "MM_PARTIAL", "MM_RESULT", "MM_RIGHT", "MachineConfig", "Matrix",
         "Metrics", "Operation", "Program", "ProgramError", "REFERENCE_TABLES",
         "Relation", "RelationStore", "RunResult", "SimulationLimitError",
@@ -531,8 +531,9 @@ def test_public_surface():
     for name in aridem.__all__:
         assert hasattr(aridem, name), name
     # the reference semantics live in the tests, the two count wrappers
-    # gave way to CountModel.count, and the rest are used inside the package only
-    for name in ("BINARY_OPERATIONS", "PartialStore", "apply_relation",
+    # gave way to CountModel.count, Lcg64 was folded into generate_matrix,
+    # and the rest are used inside the package only
+    for name in ("BINARY_OPERATIONS", "PartialStore", "apply_relation", "Lcg64",
                  "ReferenceTables", "MM_LEFT_REP", "MM_RIGHT_REP", "MM_PRODUCT",
                  "instruction_count", "element_count_reference"):
         assert not hasattr(aridem, name), name

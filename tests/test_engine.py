@@ -22,6 +22,7 @@ from aridem import (
     Relation,
     RelationStore,
     SimulationLimitError,
+    build_matmul_program,
     build_negate_demo,
     build_square_demo,
     matmul_program,
@@ -446,6 +447,19 @@ class TestTrace:
         ex.run()
         assert stepped == ["pop", "pop", "apply", "create"]
         assert ran == ["pop", "apply", "output"]
+
+    @pytest.mark.parametrize("path", ["step", "run"])
+    def test_hook_assigned_after_construction_is_checked(self, path):
+        # an int raised a bare TypeError, "object is not callable", at the
+        # first event, with that element already popped
+        ex = Execution(build_negate_demo())
+        ex.on_event = 5
+        with pytest.raises(ValueError, match="^on_event must be callable or None, not int$"):
+            ex.step() if path == "step" else ex.run()
+        assert ex.elements_processed == 0
+        assert ex.queue == (Element(0, (), 5),)
+        ex.on_event = None
+        assert ex.run().outputs == {(): -5}
 
     def test_hook_removed_after_construction(self):
         events = []
@@ -920,7 +934,7 @@ class TestStepBudget:
         # 2.5 used to raise a bare TypeError mid-run, True ran one step
         # and -1 raised SimulationLimitError
         with pytest.raises(ValueError,
-                           match=f"^max_steps must be a non-negative integer, "
+                           match=f"^max_steps must be a non-negative int, "
                                  f"not {re.escape(repr(budget))}$"):
             make(build_negate_demo(), budget)
 
@@ -968,6 +982,16 @@ class TestStepBudget:
             ex.max_steps = 2.5
         assert ex.max_steps == 5
         assert ex.run().outputs == {(): -5}
+
+    def test_program_is_read_only(self):
+        # a swapped program paired the old queue and plans with the new
+        # program: run() and reading queue raised a bare KeyError
+        ex = Execution(build_matmul_program(2, 0))
+        with pytest.raises(AttributeError):
+            ex.program = build_negate_demo()
+        assert len(ex.program.relations) == 5
+        assert len(ex.queue) == 12
+        assert ex.run().outputs == run(build_matmul_program(2, 0)).outputs
 
     def test_steps_count_against_run(self):
         ex = Execution(_cyclic_program(), max_steps=5)

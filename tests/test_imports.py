@@ -1,6 +1,7 @@
 """Import hygiene: every name a module of the package imports is used in
-it, and every private function, class and method the package defines is
-read somewhere in it.
+it, every private function, class and method the package defines is
+read somewhere in it, and __init__.py exports exactly the names it
+imports.
 
 __init__.py imports names to export them, and __future__ imports switch
 on compiler features, so both are left out of the first check. A private
@@ -85,3 +86,28 @@ def test_checker_finds_unread_private_definitions():
 
 def test_every_private_definition_is_read():
     assert unread_private_definitions(SOURCES) == []
+
+
+def export_mismatch(source: str) -> list[str]:
+    """The names that source, an __init__.py, imports from its modules
+    and leaves out of __all__, or lists in __all__ more than once or
+    without importing them, in sorted order."""
+    tree = ast.parse(source)
+    imported, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]:
+            exported = ast.literal_eval(node.value)
+    repeated = {name for name in exported if exported.count(name) > 1}
+    return sorted(imported.symmetric_difference(exported) | repeated)
+
+
+def test_checker_finds_export_mismatches():
+    source = ("from .a import kept, dropped\nfrom .b import twice\n"
+              "__version__ = '1'\n__all__ = ['kept', 'twice', 'twice', 'stale']\n")
+    assert export_mismatch(source) == ["dropped", "stale", "twice"]
+
+
+def test_init_exports_exactly_what_it_imports():
+    assert export_mismatch(SOURCES["__init__.py"]) == []

@@ -40,14 +40,15 @@ GRID = (1, 2, 4, 8, 16)
 
 class TestConfigValidation:
     def test_workers_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^workers must be a positive int, not 0$"):
             MachineConfig(workers=0)
 
     @pytest.mark.parametrize("workers", [2.0, True, False, "2", None])
     def test_workers_plain_int(self, workers):
         # a float count used to fail mid-run with a bare TypeError, and
         # True simulated one worker
-        with pytest.raises(ValueError, match="workers must be an integer"):
+        with pytest.raises(ValueError, match=f"^workers must be a positive int, "
+                                             f"not {re.escape(repr(workers))}$"):
             MachineConfig(workers=workers)
 
     def test_dispatch_policy_names(self):
@@ -55,13 +56,14 @@ class TestConfigValidation:
             MachineConfig(workers=2, dispatch="fastest")
 
     def test_costs_non_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^t_proc must be a non-negative int, not -1$"):
             CostModel(t_proc=-1)
 
     @pytest.mark.parametrize("name", ["t_proc", "t_msg", "t_master"])
     @pytest.mark.parametrize("value", [1.0, True, False, "1"])
     def test_costs_plain_int(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative int, "
+                                             f"not {re.escape(repr(value))}$"):
             CostModel(**{name: value})
 
     def test_costs_not_all_zero(self):
@@ -74,7 +76,7 @@ class TestConfigValidation:
         # and -1 with SimulationLimitError
         events = []
         with pytest.raises(ValueError,
-                           match=f"^max_events must be a non-negative integer, "
+                           match=f"^max_events must be a non-negative int, "
                                  f"not {re.escape(repr(budget))}$"):
             simulate(build_negate_demo(), MachineConfig(workers=1),
                      max_events=budget, on_event=events.append)

@@ -3,7 +3,6 @@ import pytest
 from aridem import (
     Element,
     MachineConfig,
-    Lcg64,
     Matrix,
     Operation,
     ProgramError,
@@ -17,36 +16,50 @@ from aridem import (
     run,
     simulate,
 )
-from aridem.programs import MM_LEFT, MM_PARTIAL, MM_RESULT, MM_RIGHT
+from aridem.programs import (LCG_INCREMENT, LCG_MULTIPLIER, MM_LEFT, MM_PARTIAL, MM_RESULT,
+                             MM_RIGHT)
+
+
+def lcg_digits(state: int, count: int) -> list[int]:
+    """The generator written out: count digits from a 64-bit state."""
+    digits = []
+    for _ in range(count):
+        state = (state * LCG_MULTIPLIER + LCG_INCREMENT) % (1 << 64)
+        digits.append((state >> 33) % 10)
+    return digits
 
 
 class TestLcg:
+    """The generator behind generate_matrix, read through its entries."""
+
     def test_frozen_digit_streams(self):
         # pinned outputs of the generator; a change here breaks every seed
-        assert [Lcg64(42).next_digit() for _ in range(1)] == [4]
-        rng = Lcg64(42)
-        assert [rng.next_digit() for _ in range(4)] == [4, 6, 8, 3]
+        assert generate_matrix(1, 42, 0).entries == (4,)
+        assert generate_matrix(2, 42, 0).entries == (4, 6, 8, 3)
 
     def test_state_advances(self):
-        rng = Lcg64(0)
-        first = rng.next_raw()
-        assert first == 1442695040888963407
-        assert rng.next_raw() != first
+        # the first draw from state 0 is the increment's digit
+        assert (LCG_MULTIPLIER, LCG_INCREMENT) == (6364136223846793005, 1442695040888963407)
+        first = (LCG_INCREMENT >> 33) % 10
+        assert generate_matrix(1, 0, 0).entries == (first,)
+        assert list(generate_matrix(5, 0, 0).entries) == lcg_digits(0, 25)
+        assert list(generate_matrix(5, 123, 0).entries) == lcg_digits(123, 25)
 
     def test_digits_in_range(self):
-        rng = Lcg64(123456789)
-        assert all(0 <= rng.next_digit() <= 9 for _ in range(1000))
+        # 1,024 draws hit every digit and nothing else
+        assert set(generate_matrix(32, 123456789, 0).entries) == set(range(10))
 
     @pytest.mark.parametrize("state", [1.5, "1", True, None])
     def test_state_must_be_a_plain_int(self, state):
-        # 1.5 and "1" raised a bare TypeError, and True built a generator
+        # the seed is the generator's starting state
         with pytest.raises(ValueError) as caught:
-            Lcg64(state)
-        assert str(caught.value) == f"state must be a plain int, not {state!r}"
+            generate_matrix(2, state, 0)
+        assert str(caught.value) == f"seed must be a plain int, not {state!r}"
 
     def test_state_wraps_to_64_bits(self):
-        assert Lcg64(-1).state == (1 << 64) - 1
-        assert Lcg64(1 << 64).state == 0
+        assert generate_matrix(6, -1, 0) == generate_matrix(6, (1 << 64) - 1, 0)
+        assert generate_matrix(6, 1 << 64, 0) == generate_matrix(6, 0, 0)
+        assert generate_matrix(6, -1, 0) != generate_matrix(6, 0, 0)
 
 
 class TestGenerateMatrix:
@@ -133,6 +146,29 @@ class TestMatrix:
 
     def test_identity(self):
         assert Matrix.identity(3).rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    @pytest.mark.parametrize("n", [2.5, "3", True, 0, None])
+    def test_identity_size_must_be_a_positive_int(self, n):
+        # 2.5 and "3" raised a bare TypeError from range
+        with pytest.raises(ValueError) as caught:
+            Matrix.identity(n)
+        assert str(caught.value) == f"matrix size must be a positive int, not {n!r}"
+
+    @pytest.mark.parametrize("rows, text", [
+        (5, "rows must be a list or tuple, not int"),
+        (None, "rows must be a list or tuple, not NoneType"),
+        ("ab", "rows must be a list or tuple, not str"),
+        ([1], "rows[0] must be a list or tuple, not int"),
+        (([1, 2], 3), "rows[1] must be a list or tuple, not int"),
+    ], ids=["int", "none", "str", "int-row", "second-row"])
+    def test_from_rows_takes_a_list_or_tuple_of_rows(self, rows, text):
+        # 5, None and [1] raised a bare TypeError from len
+        with pytest.raises(ValueError) as caught:
+            Matrix.from_rows(rows)
+        assert str(caught.value) == text
+
+    def test_from_rows_takes_tuples(self):
+        assert Matrix.from_rows(((1, 2), [3, 4])) == Matrix(2, (1, 2, 3, 4))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
