@@ -1,43 +1,22 @@
-"""Sequential deduction engine.
+"""Sequential deduction engine, and the compiled form every executor runs.
 
 Runs a Program to quiescence: pop an element, apply every relation that
-consumes its identifier, push whatever was deduced. When a Program is
-built, one pass numbers its relations by position, does every check
-that spans values and compiles each relation into per-identifier plans:
-flat tuples that name an opcode and its operands, in relation order. One
-loop, Execution._drain, executes those plans, which keeps large runs
-affordable in pure Python; step() takes one element through it and run()
-takes all of them. A hook only adds report lines to it: traced or not,
-the loop queues at one append site and expands Replicate in one place.
-machine.simulate executes the same plans. The paths are tested against
-each other and a reference loop kept by the tests.
+consumes its identifier, push whatever was deduced. Building a Program
+checks it and compiles each relation into per-identifier plans (see
+_compile_plans and the plan opcodes). Execution._drain and
+machine._simulate both execute those plans, and the tests check them
+against each other and against a reference loop of their own.
 
 Inside both loops an element is a plain (identifier, key, value) tuple.
 The key packs the index list (d0, ..., da-1) into one int in a mixed
 radix R fixed per program: d0*R**(a-1) + ... + da-1. So a join matches
-on an int, and each transform is int arithmetic with powers of R fixed
-per program. R exceeds every index any element can reach, which the
-build bounds with one rise per identifier: how far its indices can pass
-the largest initial index, as the build guesses it (see _compile_plans).
-A program whose rises never settle, as around a cycle that increments an
-index and joins nothing outside itself, takes its radix from each run's
-budget instead, which bounds them as well (see Program._initial). Keys
-are decoded back to index tuples only at the edges: result outputs as
-they are sunk, the queue and partials views, the error texts and the
-event payloads. Parked operands are listed in (relation id, index list)
-order, the order of their keys while every index is below R, which no
-processing order can change, so every executor names the same first one
-when a run deadlocks.
-
-Each join parks the operand that arrives first in one of two stores,
-chosen when the program is built. Where the build fixes R and R**arity,
-the join's key space, is under a bound (see _DENSE_MAX), the store is a
-list of R**arity slots indexed by key, None where nothing is parked:
-a join reads parked[key], parks with parked[key] = element and clears a
-matched slot with None, with no hashing. Every other join, and every
-join of a program whose radix comes from the run's budget, parks in a
-dict keyed by the key and pops its partner. The executors tell the two
-stores apart by their class, once per join they apply.
+on an int, and each transform is int arithmetic with powers of R. R
+exceeds every index any element can reach: _compile_plans bounds it by
+the rise rule, and where the rises never settle Program._initial takes
+it from each run's budget. Keys are decoded back to index tuples only at
+the edges: result outputs as they are sunk, the queue and partials
+views, the error texts and the event payloads. Each join parks in a list
+or a dict, as the comment on _DENSE_MAX says.
 
 Both executors call one hook, on_event, with one tuple per event, kind
 first. step() and run() send ("pop", element), ("apply", relation,
@@ -48,10 +27,6 @@ worker, operands), ("finish", time, worker), ("arrival", time, worker,
 outputs) and ("idle_state", time, queued, idle_workers, pending_units)
 once each event settles, operands and outputs being counts. Elements in
 the payloads are Elements, their indices tuples.
-
-Program is a plain frozen class on core's _Frozen base, with its methods
-in the source rather than generated by @dataclass at every import (see
-core). RunResult stays a dataclass: callers use dataclasses.replace on it.
 """
 
 from __future__ import annotations
@@ -84,18 +59,25 @@ from .core import _MUL_PAIR, _NEGATE, _REPLICATE, _SINK, _SUM_STEP
 
 DEFAULT_STEP_LIMIT = 100_000_000
 
-# A join parks in a list of radix ** arity slots when the build fixes the
-# radix and that many slots are fewer than _DENSE_PER_ELEMENT per initial
-# element and fewer than _DENSE_MAX; otherwise it parks in a dict. Each
-# run allocates its lists, at about 2.5 ns a slot, and a park and match on
-# a list saves about 270 ns against a dict at paper scale (matmul n = 48),
-# 55-80 ns against a small one. The initial elements are the part of a
-# run's work that the build can count: 64 slots cost about 160 ns per
-# initial element, so a list repays itself once its join matches about as
-# many operands as the program has initial elements, as matmul's joins do
-# (3n**2 initial elements, n**3 matches per join; a list from n = 6), and
-# a small program with a wide key space keeps its dict. _DENSE_MAX caps a
-# list at 2**22 slots, 32 MB; matmul's stay under it up to n = 160.
+# The join stores. Each join parks the operand that arrives first in one
+# of two stores, chosen when the program is built. Where the build fixes
+# the radix and radix ** arity, the join's key space, is under
+# _DENSE_PER_ELEMENT slots per initial element and under _DENSE_MAX, the
+# store is a list indexed by key, None where nothing is parked: a join
+# reads, fills and clears its slot with no hashing. Every other join, and
+# every join of a program whose radix comes from the run's budget, parks
+# in a dict keyed by the key and pops its partner. The executors tell the
+# two apart by class, once per join they apply. A duplicate operand leaves
+# the store as it was. Each run allocates its lists, at about 2.5 ns a
+# slot, and a park and match on a list saves about 270 ns against a dict
+# at paper scale (matmul n = 48), 55-80 ns against a small one. The
+# initial elements are the part of a run's work that the build can count:
+# 64 slots cost about 160 ns per initial element, so a list repays itself
+# once its join matches about as many operands as the program has initial
+# elements, as matmul's joins do (3n**2 initial elements, n**3 matches per
+# join; a list from n = 6), and a small program with a wide key space
+# keeps its dict. _DENSE_MAX caps a list at 2**22 slots, 32 MB; matmul's
+# stay under it up to n = 160.
 _DENSE_PER_ELEMENT = 64
 _DENSE_MAX = 2 ** 22
 
@@ -110,18 +92,13 @@ class Program(_Frozen):
     is optional and only used for display; each name must be a str.
 
     relations is any iterable of Relations, such as a list or a
-    RelationStore; a relation's rid is its position. One pass over the
-    relations validates and compiles the program, once, when it is
-    built; every executor runs the compiled plans. A built Program is
-    frozen: it keeps the relations and initial elements as tuples and
-    read-only copies of arities and names, and assigning any field
-    raises. Programs built from equal parts compare equal; what the
-    build derives is left out of its repr and equality: the plans,
-    _plans, the slot count of each join's list store by rid (0 for a
-    dict store), _binary, the radix's powers by exponent, _places, from 0
-    to one past the widest input of a relation that makes an element, so
-    at least radix ** 1, and the initial elements as (identifier, key,
-    value) tuples, _keys.
+    RelationStore; a relation's rid is its position. Building checks and
+    compiles the program once, raising ProgramError if it is malformed.
+    A built Program is frozen: it keeps the relations and initial
+    elements as tuples and read-only copies of arities and names, and
+    assigning any field raises. Programs built from equal parts compare
+    equal; what the build derives, _plans, _binary, _places and _keys
+    (see _compile_plans), is left out of its repr and equality.
     """
 
     _fields = ("relations", "initial_elements", "arities", "result_identifier", "names")
@@ -147,10 +124,7 @@ class Program(_Frozen):
         return self.names.get(identifier, f"id{identifier}")
 
     def _stores(self) -> dict[int, list | dict]:
-        """A new run's empty join stores by rid. A join that the build gave
-        slots (see _DENSE_MAX) gets a list of that many Nones; every other
-        join, and every join of a program the build could not bound, gets
-        an empty dict."""
+        """A new run's empty join stores by rid (see _DENSE_MAX)."""
         return {rid: [None] * slots if slots else {} for rid, slots in self._binary.items()}
 
     def _initial(self, budget: int) -> tuple[deque, list[int]]:
@@ -275,32 +249,33 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
                                               list[int], tuple[tuple, ...] | None]:
     """Check program and compile it: the plans of every registered
     identifier in rid order, the slot count of each join's store by rid
-    (0 for a dict, see _DENSE_MAX), the radix's powers by exponent up to
-    the largest a plan names, and the initial elements packed in it
-    (None when only a run's budget bounds the indices, see
-    Program._initial).
+    (0 for a dict, see _DENSE_MAX), the radix's powers by exponent, and
+    the initial elements packed in that radix (None when only a run's
+    budget bounds the indices, see Program._initial). The checks fire in
+    order: arities, the result identifier, each relation, each initial
+    element, a negative identifier and last the names, so a program that
+    an earlier check refuses keeps that check's text.
 
-    One walk over the relations checks and compiles them, and one over
-    the initial elements checks and packs them in a radix fixed in
-    between. The walk guesses the largest initial index: the largest
-    Replicate index (matmul's) or 15. Each identifier has a rise, how far
-    its indices can pass the guess. The walk records one step (input,
-    input, output, add) per relation that makes an element, and one more
-    for a SumStep's result with add 0; add is 1 for IncrementLast. A step
-    raises its output's rise to the least of its inputs' plus add, which
-    bounds every index: a join's operands share one index list, Drop and
-    Truncate keep some indices, and Replicate inserts one of at most the
-    guess. Passes over the steps follow the walk until one changes nothing,
-    the second where no relation makes an identifier that it or an
-    earlier one reads, and a rise still changing after len(steps) + 2
-    passes is taken as unbounded. A rise bounds a whole identifier, not
-    each position, so a cycle that increments an index and then drops it
-    packs per run. The radix is the guess plus the largest rise plus one;
-    an initial index past the guess raises it by as much, which bounds
-    every index again, and the elements are packed anew. The checks fire
-    in order: arities, the result identifier, each relation, each
-    initial element, a negative identifier and last the names, so a
-    program that an earlier check refuses keeps that check's text.
+    The rise rule. One walk over the relations checks and compiles them,
+    and one over the initial elements checks and packs them in a radix
+    fixed in between. The walk guesses the largest initial index: the
+    largest Replicate index (matmul's) or 15. Each identifier has a
+    rise, how far its indices can pass the guess. The walk records one
+    step (input, input, output, add) per relation that makes an element,
+    and one more for a SumStep's result with add 0; add is 1 for
+    IncrementLast. A step raises its output's rise to the least of its
+    inputs' plus add, which bounds every index: a join's operands share
+    one index list, Drop and Truncate keep some indices, and Replicate
+    inserts one of at most the guess. Passes over the steps follow the
+    walk until one changes nothing, the second where no relation makes
+    an identifier that it or an earlier one reads, and a rise still
+    changing after len(steps) + 2 passes is taken as unbounded. A rise
+    bounds a whole identifier, not each position, so a cycle that
+    increments an index and then drops it packs per run. The radix is
+    the guess plus the largest rise plus one; an initial index past the
+    guess raises it by as much, which bounds every index again, and the
+    elements are packed anew.
+
     A plan names no exponent above its relation's input arity plus one,
     and only relations that make an element, each with a step, name
     one, so the powers run to the widest input among the steps plus
@@ -464,8 +439,10 @@ def _parked_operands(joins: dict[int, list | dict], arities: Mapping[int, int],
                      radix: int) -> tuple[Element, ...]:
     """The operands parked in a run's join stores, in (relation id, index
     list) order: keys sort as their index lists while every index is
-    below the radix. A list store is filtered only once a count of its
-    Nones, in C, finds one parked."""
+    below the radix. No processing order can change that order, so every
+    executor names the same first operand when a run deadlocks. A list
+    store is filtered only once a count of its Nones, in C, finds one
+    parked."""
     stuck = []
     for _, store in sorted(joins.items()):
         if store.__class__ is not list:
@@ -476,11 +453,7 @@ def _parked_operands(joins: dict[int, list | dict], arities: Mapping[int, int],
 
 
 class Execution:
-    """State of one run: (identifier, key, value) tuples in a deque, one
-    store of parked operands per join, a list indexed by the packed index
-    list or a dict keyed by it (see the module docstring), the park count
-    and its peak. The first step() or run() makes the stores, so a run's
-    list stores are allocated as it runs, not when it is set up. Not
+    """One run of a program, one element at a time or to quiescence. Not
     reusable once the queue drains.
 
     step() and run() drive the same loop, _drain, and may be mixed.
@@ -491,15 +464,14 @@ class Execution:
     elements_processed + len(queue), since every created element is
     queued and every processed one was popped.
 
-    discipline picks the ready-queue order: "fifo" (default) or "lifo".
-    Quiescent totals are order-independent; the discipline toggle exists
-    so tests can prove that. on_event gets the events the module
-    docstring lists. max_steps, a non-negative int, bounds the elements
-    processed, as max_events bounds simulate(): a program that would
-    process more raises SimulationLimitError, and a program that is not
-    a Program, or an on_event neither None nor callable, ValueError.
-    program and max_steps are read-only, since the queue and the plans
-    are made from them when the run is set up.
+    discipline picks the ready-queue order: "fifo" (default) or "lifo";
+    quiescent totals do not depend on it. on_event gets the events the
+    module docstring lists. max_steps, a non-negative int, bounds the
+    elements processed: a program that would process more raises
+    SimulationLimitError. A program that is not a Program, or an
+    on_event neither None nor callable, raises ValueError. program and
+    max_steps are read-only, since the queue and the plans are made from
+    them when the run is set up.
     """
 
     def __init__(self, program: Program, discipline: str = "fifo", *,
@@ -589,19 +561,12 @@ class Execution:
         counts or the queue runs out.
 
         The count costs nothing per element: step() passes a 1-tuple, and
-        run() a range that ends at max_steps. An element is an
-        (identifier, key, value) tuple, its index list packed in the
-        program's radix as the module docstring describes. A join takes
-        its partner from its store, reading and clearing a list's slot or
-        popping a dict's key, or else parks the element tuple itself; a
-        duplicate operand leaves the store as it was. A result's key is
-        decoded as it is sunk. A hook only adds
-        report lines, which build the event payloads and fall through to
-        the untraced code: the hooked loop queues at the same append site,
-        append bound to _create, and expands Replicate the same way. Only the
-        counters are written back on the way out, also when the loop
-        raises; the queue and the join stores, which the first call makes,
-        are the state itself.
+        run() a range that ends at max_steps. A hook only adds report
+        lines, which build the event payloads and fall through to the
+        untraced code: the hooked loop queues at the same append site,
+        append bound to _create, and expands Replicate the same way. Only
+        the counters are written back on the way out, also when the loop
+        raises; the queue and the join stores are the state itself.
         on_event and outputs are read at the start of every call, so a
         caller may assign either between calls; an on_event that is
         neither None nor callable raises ValueError there, before the

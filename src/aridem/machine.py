@@ -11,19 +11,12 @@ function of the program and the configuration.
 Message accounting per unit: 1 for the dispatch plus max(1, outputs) for
 the return, so a unit that deduces nothing still sends one completion.
 
-The master expands elements into units on the plans the Program was
-compiled to when it was built, the per-identifier opcode tuples that
-Execution._drain executes, on the same (identifier, key, value) tuples
-with index lists packed in the program's radix (see engine). MulPair and
-SumStep plans share one shape, so one join branch parks, matches and
-checks for a duplicate operand before the arithmetic of either; Negate
-and Square share one unary branch. A unit is (operand count, created):
-created is the one element a unit deduces, a list for Replicate, and None
-for a sink, whose unit carries the output record as a third item (None
-unless it sinks the result), its indices decoded. A join parks the bare
-element tuple in the store the build chose for it, a list indexed by key
-where the key space is under the engine's bound, a dict otherwise (see
-engine).
+The master expands elements into units on the Program's compiled plans,
+as Execution._drain does: the element tuples, packed keys, plan opcodes
+and join stores are described once, in engine. A unit is (operand
+count, created): created is the one element a unit deduces, a list for
+Replicate, and None for a sink, whose unit carries the output record as
+a third item (None unless it sinks the result), its indices decoded.
 
 The loop counts only units per worker, and operands per worker. The other
 totals follow at quiescence, where every element has been popped and
@@ -47,15 +40,12 @@ a second dispatch pass at the same time). As dues never fall, the tie
 test compares worker ids only when a new due equals the last
 dispatch's, and a lower worker's entry is then inserted in place.
 
-A finished worker is handed its next unit directly. Every dispatch pass
-either fills all idle workers or runs out of work, and a finish brings
-no work, so a finish that leads to a dispatch has freed the only idle
-worker. The freed worker therefore stays out of the idle list, which is
-not scanned for it, and goes back in only when the pass finds no work.
-
-MachineConfig and CostModel are plain frozen classes and Metrics a plain
-mutable one, on core's _Frozen and _Value bases: @dataclass compiled
-their methods from source text at every import (see core).
+The hand-off: a finished worker gets its next unit directly. Every
+dispatch pass either fills all idle workers or runs out of work, and a
+finish brings no work, so a finish that leads to a dispatch has freed
+the only idle worker. The freed worker therefore stays out of the idle
+list, which is not scanned for it, and goes back in only when the pass
+finds no work.
 """
 
 from __future__ import annotations
@@ -205,9 +195,7 @@ def simulate(program: Program, machine: MachineConfig,
     ValueError refuses, before the run, a max_events that is not a
     non-negative int, a program, machine or costs that is not a Program,
     MachineConfig or CostModel, and an on_event that is neither None nor
-    callable. Cyclic GC is off for the whole call, as in Execution.run:
-    the live set of queued and parked elements holds no cycles. GC is
-    left as it was found, also when the run raises.
+    callable. Cyclic GC is off for the whole call, as in Execution.run.
     """
     _int_arg("max_events", max_events, 0)
     _of_type("program", program, Program)
@@ -219,16 +207,9 @@ def simulate(program: Program, machine: MachineConfig,
 
 def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
               max_events: int, on_event) -> Metrics:
-    """The event loop, with the master's unit expansion on compiled plans.
-
-    As in Execution._drain, elements are (identifier, key, value)
-    tuples, the key packing the index list in the radix that
-    Program._initial gives for max_events, and each binary relation parks
-    its operands in its own store, a list indexed by the key or a dict
-    keyed by it, as Program._stores made them. Units, the totals
-    derived at quiescence, the hand-off to a freed worker and the tie test
-    on due times are as the module docstring describes.
-    """
+    """The event loop and the master's unit expansion, as the module
+    docstring describes; the radix is the one Program._initial gives
+    for max_events."""
     workers = machine.workers
     t_proc, t_msg, t_master = costs.t_proc, costs.t_msg, costs.t_master
     roundrobin = machine.dispatch == "roundrobin"
@@ -250,12 +231,10 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     # worker after the cursor stops there and wraps to the start.
     idle = [True] * (workers + 1)
     idle_count = workers
-    # The worker the last finish freed, kept out of idle: the dispatch
-    # pass hands it the next unit or, with no work, puts it back.
-    freed = -1
+    freed = -1  # the worker the last finish freed, for the hand-off
     cursor = workers - 1  # roundrobin: next scan starts after this worker
-    # (due, worker, unit) in due order: finishing holds dispatched units;
-    # a finished entry moves to arriving as it is and arrives t_msg later.
+    # the two event queues, of (due, worker, unit); an entry moves from
+    # finishing to arriving as it is, and arrives t_msg after its due
     finishing: deque[tuple] = deque()
     arriving: deque[tuple] = deque()
     last_due = -1  # due time of the last dispatch; every due is positive
@@ -358,8 +337,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
             per_processed[w] += unit[0]
             per_units[w] += 1
             due = send + t_msg + t_proc
-            # Dues never fall, so only an equal due can order before the
-            # last entry: a t_master = 0 tie, sent to a lower worker.
+            # the tie test of the module docstring
             if due == last_due and w < finishing[-1][1]:
                 insort(finishing, (due, w, unit))
             else:

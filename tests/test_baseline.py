@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_machine_golden import COSTS
 
 from aridem import (
     ELEMENT_COUNT_MODEL,
@@ -73,6 +74,19 @@ class TestCountModels:
 
     def test_smallest_size(self):
         assert ELEMENT_COUNT_MODEL.count(1) == 24
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_published_element_count_is_a_sum_of_simulator_counters(self, n):
+        # the fit of the published totals equals 2 * elements_processed +
+        # messages of the matmul encoding on the machine, whatever the
+        # worker count, dispatch policy and costs
+        program = build_matmul_program(n, 0)
+        for workers in (1, 2, 5, 16):
+            for dispatch in ("idle", "roundrobin"):
+                for cost in COSTS:
+                    m = simulate(program, MachineConfig(workers, dispatch), CostModel(*cost))
+                    total = 2 * m.elements_processed + m.messages
+                    assert total == ELEMENT_COUNT_MODEL.count(n), (workers, dispatch, cost)
 
 
 class TestFit:

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +37,7 @@ SWEEP_GOLDEN_FLAGS = {
 # Byte-exact `aridem demo NAME` outputs. To rewrite one after an intended change:
 #   PYTHONPATH=src python -m aridem demo NAME > tests/cli_golden/demo-NAME.txt
 DEMO_GOLDEN_DIR = Path(__file__).with_name("cli_golden")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def aridem(*args, check=True):
@@ -351,3 +354,35 @@ class TestCounts:
 
 def test_no_arguments_is_usage_error():
     assert aridem(check=False).returncode == 2
+
+
+def readme_command_line():
+    """The text of README's "Command line" section."""
+    text = README.read_text()
+    start = text.index("\n## Command line\n")
+    return text[start:text.index("\n## ", start + 1)]
+
+
+class TestReadme:
+    """README's command-line contract, checked against the parser and the
+    CLI's output."""
+
+    def test_usage_block_shows_exactly_each_subcommands_options(self):
+        shown = {}
+        for line in readme_command_line().split("```")[1].strip().splitlines():
+            if line.startswith("aridem "):
+                command = line.split()[1]
+                shown[command] = set()
+            shown[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+        [commands] = [action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        options = {name: {flag for action in sub._actions for flag in action.option_strings
+                          if flag.startswith("--") and flag != "--help"}
+                   for name, sub in commands.items()}
+        assert shown == options
+
+    def test_columns_line_is_the_csv_header(self, capsys):
+        [columns] = [line for line in readme_command_line().splitlines()
+                     if line.startswith("model,n,procs,")]
+        assert cli.main(["run", "element", "--n", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == columns

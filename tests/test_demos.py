@@ -10,6 +10,7 @@ To rewrite the files after an intended change to a demo's output:
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,16 @@ def test_every_demo_has_a_golden():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_stdout_matches_golden(demo):
     assert demo_stdout(demo) == (GOLDEN_DIR / f"{demo.stem}.txt").read_text()
+
+
+def test_readme_quickstart_prints_what_it_says(tmp_path):
+    """README's one python block, run as a script, prints the values its
+    comments give."""
+    [block] = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                         re.MULTILINE | re.DOTALL)
+    script = tmp_path / "quickstart.py"
+    script.write_text(block)
+    assert demo_stdout(script).splitlines() == ["50", "44", "12330 25600 81923"]
 
 
 if __name__ == "__main__":
