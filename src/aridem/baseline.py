@@ -16,7 +16,7 @@ from operator import mul
 from types import MappingProxyType
 
 from .core import INT64_MAX, INT64_MIN, _Frozen, _int_arg, _of_type, _overflow
-from .machine import CostModel, Metrics
+from .machine import MAX_WORKERS, CostModel, Metrics
 from .programs import Matrix, generate_matrix
 
 
@@ -179,11 +179,12 @@ def simulate_instruction_model(n: int, workers: int,
     finishes at 3 * t_msg + work_s * t_proc; the run takes the longest
     slave's finish time. Outputs are the true product for the seeded
     matrices, so checksums line up with the element machine. ValueError
-    refuses a size or slave count that is not a positive int, a seed
-    that is not a plain int and costs that are not a CostModel.
+    refuses a size that is not a positive int, a slave count that is not
+    a positive int of at most machine.MAX_WORKERS, a seed that is not a
+    plain int and costs that are not a CostModel.
     """
     _int_arg("matrix size", n, 1)
-    _int_arg("slave count", workers, 1)
+    _int_arg("slave count", workers, 1, most=MAX_WORKERS)
     _int_arg("seed", seed)
     _of_type("costs", costs, CostModel)
 

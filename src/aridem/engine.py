@@ -177,12 +177,24 @@ class RunResult:
 # key // places[e] and tail key % places[e] is head * places[e + 1] +
 # j * places[e] + tail. A sink's is (code, is_result, arity, rid), arity
 # to decode the result's key with.
+#
+# The peak plan, (_OP_PEAK,), names no relation. It ends the plans of an
+# identifier one pop of which can make two or more elements (a
+# Replicate's count, 1 per join, Negate or Square plan, 0 per sink), and
+# only there does _drain test the queue against its peak. The queue
+# after an element is the one before it, less the element, plus what it
+# made, so an element that makes at most one cannot pass a length
+# already seen; an element that raises mid-plans leaves the peak as it
+# was. _simulate skips the plan. Each executor names every code in its
+# dispatch, so that a new one cannot fall into the Negate/Square else
+# unseen (tests check this).
 _OP_MUL = 0
 _OP_SUM = 1
 _OP_REPLICATE = 2
 _OP_SINK = 3
 _OP_NEGATE = 4
 _OP_SQUARE = 5
+_OP_PEAK = 6
 
 
 def _key(indices: tuple[int, ...], radix: int) -> int:
@@ -248,13 +260,14 @@ def _compile_transform(t, in_arity: int) -> tuple[int, tuple[int, int, int] | No
 def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict[int, int],
                                               list[int], tuple[tuple, ...] | None]:
     """Check program and compile it: the plans of every registered
-    identifier in rid order, the slot count of each join's store by rid
-    (0 for a dict, see _DENSE_MAX), the radix's powers by exponent, and
-    the initial elements packed in that radix (None when only a run's
-    budget bounds the indices, see Program._initial). The checks fire in
-    order: arities, the result identifier, each relation, each initial
-    element, a negative identifier and last the names, so a program that
-    an earlier check refuses keeps that check's text.
+    identifier in rid order, then the peak plan where _OP_PEAK says, the
+    slot count of each join's store by rid (0 for a dict, see
+    _DENSE_MAX), the radix's powers by exponent, and the initial
+    elements packed in that radix (None when only a run's budget bounds
+    the indices, see Program._initial). The checks fire in order:
+    arities, the result identifier, each relation, each initial element,
+    a negative identifier and last the names, so a program that an
+    earlier check refuses keeps that check's text.
 
     The rise rule. One walk over the relations checks and compiles them,
     and one over the initial elements checks and packs them in a radix
@@ -295,6 +308,7 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
         raise ProgramError("result identifier has no registered arity")
 
     plans: dict[int, list[tuple]] = {ident: [] for ident in arities}
+    made = dict.fromkeys(arities, 0)  # the most elements one pop makes (see _OP_PEAK)
     binary = []
     steps = []  # (input, input, output, add), a unary relation's input twice
     # the largest index a Replicate makes, and at least 15, which the
@@ -327,6 +341,8 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
                 f"{out_id} is registered at {arities[out_id]}"
             )
         steps.append((first, second, out_id, 0 if tf is None else tf[2]))
+        for ident in ids:
+            made[ident] += t.count if op is _REPLICATE else 1
         if op is _SUM_STEP or op is _MUL_PAIR:
             if op is _SUM_STEP:
                 code, (arg, result_id) = _OP_SUM, rel.parameters
@@ -413,7 +429,8 @@ def _compile_plans(program: Program) -> tuple[dict[int, tuple[tuple, ...]], dict
     slots = {}
     for rid, arity in binary:
         slots[rid] = radix ** arity if bound and radix ** arity < bound else 0
-    plans = {ident: tuple(plan) for ident, plan in plans.items()}
+    plans = {ident: tuple(plan) + ((_OP_PEAK,),) if made[ident] > 1 else tuple(plan)
+             for ident, plan in plans.items()}
     # the powers up to one past the widest input that names one (see above)
     count = max([arities[s[0]] for s in steps], default=0) + 2
     if radix is None:
@@ -471,7 +488,8 @@ class Execution:
     SimulationLimitError. A program that is not a Program, or an
     on_event neither None nor callable, raises ValueError. program and
     max_steps are read-only, since the queue and the plans are made from
-    them when the run is set up.
+    them when the run is set up, and so is outputs, the dict the run
+    fills and returns.
     """
 
     def __init__(self, program: Program, discipline: str = "fifo", *,
@@ -495,7 +513,7 @@ class Execution:
         self._loop = (queue, queue.popleft if discipline == "fifo" else queue.pop,
                       program._plans, None, queue.append, places)
         self._parked = 0
-        self.outputs: dict[tuple[int, ...], int] = {}
+        self._outputs: dict[tuple[int, ...], int] = {}
         self.elements_processed = 0
         self.max_queue_depth = len(queue)
         self.max_partial_depth = 0
@@ -507,6 +525,10 @@ class Execution:
     @property
     def max_steps(self) -> int:
         return self._max_steps
+
+    @property
+    def outputs(self) -> dict[tuple[int, ...], int]:
+        return self._outputs
 
     @property
     def queue(self) -> tuple[Element, ...]:
@@ -545,7 +567,7 @@ class Execution:
         if self._parked:
             raise _deadlock_error(self.partials, self._program.names)
         return RunResult(
-            outputs=self.outputs,
+            outputs=self._outputs,
             elements_processed=self.elements_processed,
             elements_created=self.elements_created,
             max_queue_depth=self.max_queue_depth,
@@ -564,20 +586,20 @@ class Execution:
         run() a range that ends at max_steps. A hook only adds report
         lines, which build the event payloads and fall through to the
         untraced code: the hooked loop queues at the same append site,
-        append bound to _create, and expands Replicate the same way. Only
+        append bound to _create, and expands Replicate the same way. The
+        queue's peak is tested only in the peak plan (see _OP_PEAK). Only
         the counters are written back on the way out, also when the loop
         raises; the queue and the join stores are the state itself.
-        on_event and outputs are read at the start of every call, so a
-        caller may assign either between calls; an on_event that is
-        neither None nor callable raises ValueError there, before the
-        loop.
+        on_event is read at the start of every call, so a caller may
+        assign it between calls; one that is neither None nor callable
+        raises ValueError there, before the loop.
         """
         queue, pop, plans, joins, append, places = self._loop
         if joins is None:
             joins = self._joins = self._program._stores()
             self._loop = (queue, pop, plans, joins, append, places)
         radix = places[1]
-        outputs = self.outputs
+        outputs = self._outputs
         on_event = self.on_event
         if on_event is not None:
             _check_hook(on_event)
@@ -601,7 +623,7 @@ class Execution:
                 ident, key, val = element
                 for plan in plans[ident]:
                     code = plan[0]
-                    if code <= _OP_SUM:
+                    if code <= _OP_SUM:  # _OP_MUL or _OP_SUM
                         _, slot, out_id, arg, result_id, rid = plan
                         parked = joins[rid]
                         if parked.__class__ is list:
@@ -660,6 +682,9 @@ class Execution:
                             outputs[idx] = val
                             if on_event is not None:
                                 on_event(("output", idx, val))
+                    elif code == _OP_PEAK:
+                        if len(queue) > max_queue:
+                            max_queue = len(queue)
                     else:  # _OP_NEGATE or _OP_SQUARE
                         value = -val if code == _OP_NEGATE else val * val
                         if value > hi or value < lo:
@@ -671,8 +696,6 @@ class Execution:
                         append((out_id, key if tf is None else
                                 key // places[tf[0]] * places[tf[1]]
                                 + key % places[tf[1]] + tf[2], value))
-                if len(queue) > max_queue:
-                    max_queue = len(queue)
         finally:
             self.elements_processed = processed
             self.max_queue_depth = max_queue

@@ -69,6 +69,7 @@ from .core import (
 )
 from .engine import (
     _OP_NEGATE,
+    _OP_PEAK,
     _OP_REPLICATE,
     _OP_SINK,
     _OP_SUM,
@@ -79,20 +80,25 @@ from .engine import (
 )
 
 DEFAULT_EVENT_LIMIT = 100_000_000
+# The most workers a machine may have. A run keeps a few entries per
+# worker, so a count past what the host can hold is refused when the
+# machine is made instead of raising MemoryError mid-run; the paper's
+# machines have at most 16.
+MAX_WORKERS = 65_536
 
 
 class MachineConfig(_Frozen):
     """Worker count and dispatch policy.
 
-    dispatch "idle" always picks the lowest-numbered idle worker;
-    "roundrobin" scans forward from the last pick. The machine is
-    deterministic.
+    workers is a positive int of at most MAX_WORKERS. dispatch "idle"
+    always picks the lowest-numbered idle worker; "roundrobin" scans
+    forward from the last pick. The machine is deterministic.
     """
 
     _fields = ("workers", "dispatch")
 
     def __init__(self, workers: int, dispatch: str = "idle") -> None:
-        _int_arg("workers", workers, 1)
+        _int_arg("workers", workers, 1, most=MAX_WORKERS)
         if dispatch not in ("idle", "roundrobin"):
             raise ValueError(f"unknown dispatch policy {dispatch!r}")
         self.__dict__.update(workers=workers, dispatch=dispatch)
@@ -256,7 +262,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                     ident, key, val = element
                     for plan in plans[ident]:
                         code = plan[0]
-                        if code <= _OP_SUM:
+                        if code <= _OP_SUM:  # _OP_MUL or _OP_SUM
                             _, slot, out_id, arg, result_id, rid = plan
                             parked = joins[rid]
                             if parked.__class__ is list:
@@ -302,6 +308,8 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                             add_unit((1, None, (_indices(key, plan[2], radix), val)
                                       if plan[1] else None))
                             sinks += 1
+                        elif code == _OP_PEAK:
+                            continue
                         else:  # _OP_NEGATE or _OP_SQUARE
                             value = -val if code == _OP_NEGATE else val * val
                             if value > hi or value < lo:

@@ -12,7 +12,8 @@ that the tests can check the plan loops against it:
   apply_relation   -- evaluate, raising on a value outside int64
   drive            -- deduction over the three above, FIFO or LIFO, to
                       quiescence or for a number of steps
-  run_reference    -- drive to quiescence, FIFO, raising its error
+  run_reference    -- drive to quiescence, FIFO unless told LIFO, raising
+                      its error
   first_overflows  -- every overflow text a run can stop with first
 """
 
@@ -182,12 +183,14 @@ def drive(program, apply=apply_relation, discipline="fifo", steps=None):
     for at most steps elements when steps is given, else to quiescence.
 
     Returns outputs, elements_processed, elements_created,
-    max_partial_depth, the elements popped, the queue, the operands still
-    parked in (relation id, index list) order, and error, the
-    ElementModelError that stopped the run or None. A result index list
-    sunk twice stops it with DuplicateOutputError, and operands parked
-    once the queue is empty give JoinDeadlockError, each in the
-    executors' text.
+    max_queue_depth, max_partial_depth, the elements popped, the queue,
+    the operands still parked in (relation id, index list) order, and
+    error, the ElementModelError that stopped the run or None. A result
+    index list sunk twice stops it with DuplicateOutputError, and operands
+    parked once the queue is empty give JoinDeadlockError, each in the
+    executors' text. max_queue_depth is the largest of the initial queue
+    length and the length after each element whose relations all
+    completed, taken after every such element.
     """
     consumers = {}
     for rid, rel in enumerate(program.relations):
@@ -196,6 +199,7 @@ def drive(program, apply=apply_relation, discipline="fifo", steps=None):
     queue = deque(program.initial_elements)
     take = queue.popleft if discipline == "fifo" else queue.pop
     partials, outputs, popped, error = PartialStore(), {}, [], None
+    max_queue = len(queue)
     try:
         for _ in repeat(None) if steps is None else range(steps):
             if not queue:
@@ -213,6 +217,7 @@ def drive(program, apply=apply_relation, discipline="fifo", steps=None):
                     if element.indices in outputs:
                         raise _duplicate_output(element.indices)
                     outputs[element.indices] = element.value
+            max_queue = max(max_queue, len(queue))
     except ElementModelError as caught:
         error = caught
     parked = tuple(element for _, (_, element) in sorted(partials._waiting.items()))
@@ -220,13 +225,13 @@ def drive(program, apply=apply_relation, discipline="fifo", steps=None):
         error = _deadlock_error(parked, program.names)
     return SimpleNamespace(outputs=outputs, elements_processed=len(popped),
                            elements_created=len(popped) + len(queue),
-                           max_partial_depth=partials.max_size, popped=popped,
-                           queue=tuple(queue), parked=parked, error=error)
+                           max_queue_depth=max_queue, max_partial_depth=partials.max_size,
+                           popped=popped, queue=tuple(queue), parked=parked, error=error)
 
 
-def run_reference(program, apply=apply_relation):
-    """drive to quiescence, FIFO, raising the error that stops the run."""
-    state = drive(program, apply)
+def run_reference(program, apply=apply_relation, discipline="fifo"):
+    """drive to quiescence, raising the error that stops the run."""
+    state = drive(program, apply, discipline)
     if state.error is not None:
         raise state.error
     return state

@@ -335,10 +335,11 @@ class TestInstructionMachine:
         ((True, 2), "matrix size must be a positive int, not True"),
         ((4, 2.0), "slave count must be a positive int, not 2.0"),
         ((4, True), "slave count must be a positive int, not True"),
+        ((4, 65_537), "slave count must be at most 65536, not 65537"),
         ((4, 2, CostModel(), 1.0), "seed must be a plain int, not 1.0"),
         ((4, 2, CostModel(), False), "seed must be a plain int, not False"),
-    ], ids=["size-float", "size-bool", "workers-float", "workers-bool", "seed-float",
-            "seed-bool"])
+    ], ids=["size-float", "size-bool", "workers-float", "workers-bool", "workers-cap",
+            "seed-float", "seed-bool"])
     def test_arguments_must_be_plain_ints(self, args, text):
         # 2.5 raised a bare TypeError and True returned a record
         with pytest.raises(ValueError) as caught:

@@ -125,6 +125,13 @@ class TestRun:
         assert proc.returncode == 1
         assert "error" in proc.stderr
 
+    @pytest.mark.parametrize("model", ["element", "instruction"])
+    def test_procs_past_the_cap_fail_with_exit_1(self, model):
+        proc = aridem("run", model, "--n", "2", "--procs", "1000000000", check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        count = "workers" if model == "element" else "slave count"
+        assert proc.stderr == f"error: {count} must be at most 65536, not 1000000000\n"
+
     def test_model_error_fails_with_exit_1(self, monkeypatch, capsys):
         def deadlocked(*args):
             raise JoinDeadlockError("machine quiescent with 1 unmatched "

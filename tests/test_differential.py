@@ -2,7 +2,9 @@
 
 run() and step(), under FIFO and LIFO, traced and untraced, and a few
 step() calls followed by run() are checked against the reference loop
-in reference.py; step() and a traced run() must also give run()'s whole
+in reference.py, their queue peaks too, which the reference counts after
+every element (also on hand-written programs whose peak one pop sets,
+or cannot set); step() and a traced run() must also give run()'s whole
 RunResult under the same discipline, or its error text; simulate() is
 checked against run() at every worker count and dispatch policy, on
 outputs, elements processed and error text, and its totals, which it
@@ -28,7 +30,9 @@ early is an overflow, which any order reaches.
 """
 
 import itertools
+from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +56,7 @@ from aridem import (
     validate_metrics,
 )
 from aridem.core import INT64_MAX, INT64_MIN
+from conftest import fanout_chain_program
 from reference import apply_transform, first_overflows, run_reference
 
 MAX_ARITY = 3
@@ -185,9 +190,7 @@ def traced(program):
     return run(program, on_event=lambda event: None)
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(programs(), st.integers(0, 6))
-def test_engine_paths_agree_with_reference(program, steps):
+def check_paths_agree(program, steps):
     totals = ("elements_processed", "elements_created")
     expected = outcome(run_reference, program, totals)
     for execute in (run, lambda p: run(p, discipline="lifo"),
@@ -198,6 +201,64 @@ def test_engine_paths_agree_with_reference(program, steps):
     fifo = outcome(run, program, peaks)
     for execute in (stepped("fifo"), traced, stepped("fifo", steps)):
         assert outcome(execute, program, peaks) == fifo
+    # and the queue peak is the one the reference counts, element by element
+    for discipline in ("fifo", "lifo"):
+        expected = outcome(partial(run_reference, discipline=discipline), program,
+                           ("max_queue_depth",))
+        for execute in (partial(run, discipline=discipline), stepped(discipline),
+                        stepped(discipline, steps),
+                        partial(run, discipline=discipline, on_event=lambda event: None)):
+            assert outcome(execute, program, ("max_queue_depth",)) == expected
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(programs(), st.integers(0, 6))
+def test_engine_paths_agree_with_reference(program, steps):
+    check_paths_agree(program, steps)
+
+
+def _beside_join(relation, arity):
+    """relation on id 0, making id 3 of arity arity, beside a MulPair of
+    ids 0 and 1 into the sunk result 2. FIFO parks both 1s, then a
+    Replicate of id 7 of count 2 leaves the queue below its initial 5, and
+    each 0 then makes two elements: the second sets the queue's peak, 6."""
+    return Program(
+        relations=[Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()),
+                   relation,
+                   Relation((7,), Operation.REPLICATE, (2,), 8,
+                            IndexTransform.insert_varied(0, 2)),
+                   Relation((2,), Operation.SINK, (), 2, IndexTransform.keep())],
+        initial_elements=[Element(1, (0,), 2), Element(1, (1,), 3), Element(7, (), 4),
+                          Element(0, (0,), 5), Element(0, (1,), 6)],
+        arities={0: 1, 1: 1, 2: 1, 3: arity, 7: 0, 8: 1}, result_identifier=2)
+
+
+def _replicate(count):
+    return Relation((0,), Operation.REPLICATE, (count,), 3,
+                    IndexTransform.insert_varied(1, count))
+
+
+def _replicate_alone(count):
+    """A Replicate of count on id 0 into the sunk result 3."""
+    return Program(relations=[_replicate(count),
+                              Relation((3,), Operation.SINK, (), 3, IndexTransform.keep())],
+                   initial_elements=[Element(0, (i,), i) for i in range(3)],
+                   arities={0: 1, 3: 2}, result_identifier=3)
+
+
+# identifiers whose one pop can make two elements, and one whose pop
+# cannot, each setting or keeping a queue peak that the reference counts
+@pytest.mark.parametrize("program", [
+    fanout_chain_program(2, 3),
+    _beside_join(Relation((0,), Operation.NEGATE, (), 3, IndexTransform.keep()), 1),
+    _replicate_alone(1),
+    _replicate_alone(2),
+    _beside_join(_replicate(1), 2),
+], ids=["negate-and-square", "join-and-negate", "replicate-1-alone", "replicate-2-alone",
+        "join-and-replicate-1"])
+@pytest.mark.parametrize("steps", [0, 3])
+def test_queue_peak_agrees_with_reference_by_hand(program, steps):
+    check_paths_agree(program, steps)
 
 
 @settings(max_examples=150, deadline=None, database=None)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import pickle
 import re
 
@@ -420,12 +421,13 @@ class TestStepRunEquivalence:
         assert result == whole
         assert mixed.max_partial_depth == whole.max_partial_depth
 
-    def test_outputs_assigned_after_construction(self):
-        # step() reads outputs on every call, as run() does
+    def test_outputs_is_read_only(self):
+        # step() and run() fill the one dict that run() returns
         ex = Execution(build_negate_demo())
-        ex.step()
-        ex.outputs = outputs = {}
-        assert ex.step()
+        outputs = ex.outputs
+        with pytest.raises(AttributeError):
+            ex.outputs = 5
+        assert ex.step() and ex.step()
         assert outputs == {(): -5}
         assert ex.run().outputs is outputs
 
@@ -689,17 +691,9 @@ class TestGcScope:
 
     def test_gc_off_inside_the_loop(self):
         seen = []
-
-        class Outputs(dict):
-            def __setitem__(self, key, value):
-                seen.append(gc.isenabled())
-                super().__setitem__(key, value)
-
         gc.enable()
-        ex = Execution(build_negate_demo())
-        ex.outputs = Outputs()
-        ex.run()
-        assert seen == [False]
+        run(build_negate_demo(), on_event=lambda event: seen.append(gc.isenabled()))
+        assert seen and not any(seen)
         assert gc.isenabled()
 
 
@@ -1027,6 +1021,23 @@ class TestCompiledOnce:
         assert Execution._drain.__code__.co_cellvars == ()
         assert aridem.machine._simulate.__code__.co_cellvars == ()
 
+    @pytest.mark.parametrize("n, peaked", [(1, set()), (2, {"A", "B"}), (5, {"A", "B"})])
+    def test_matmul_tests_the_queue_peak_on_a_and_b_only(self, n, peaked):
+        # only the Replicates of A and B make more than one element a pop
+        program = build_matmul_program(n, 0)
+        assert {program.identifier_name(ident) for ident, plans in program._plans.items()
+                if (engine._OP_PEAK,) in plans} == peaked
+
+    def test_every_opcode_is_named_in_both_loops(self):
+        """A code that a loop does not name falls into its Negate/Square
+        else; a code that a comparison or an else serves is named in a
+        comment there."""
+        codes = [name for name in vars(engine) if name.startswith("_OP_")]
+        assert len({getattr(engine, name) for name in codes}) == len(codes) == 7
+        for loop in (Execution._drain, aridem.machine._simulate):
+            source = inspect.getsource(loop)
+            assert [name for name in codes if not re.search(rf"\b{name}\b", source)] == []
+
     def test_program_pickles(self):
         program = fanout_chain_program(2, 3)
         assert run(pickle.loads(pickle.dumps(program))) == run(program)
@@ -1040,8 +1051,10 @@ class TestCompiledOnce:
             {0: 0, 1: 0, 2: 0, 3: 0},
         )
         plans = program._plans
-        # every plan ends with its relation's rid, its position
-        assert [plan[-1] for plan in plans[0]] == [0, 1]
+        # every plan ends with its relation's rid, its position; id 0, one
+        # pop of which makes two elements, ends with the peak plan
+        assert plans[0][-1] == (engine._OP_PEAK,)
+        assert [plan[-1] for plan in plans[0][:-1]] == [0, 1]
         assert [plan[-1] for plan in plans[1]] == [2]
         assert [plan[-1] for plan in plans[2]] == [2]
         assert plans[3] == ()

@@ -33,6 +33,7 @@ from aridem.core import (
     RelationStore,
 )
 from aridem.engine import Program
+from aridem.machine import MAX_WORKERS
 from conftest import single_join_program, uniform_unary_program
 
 GRID = (1, 2, 4, 8, 16)
@@ -50,6 +51,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^workers must be a positive int, "
                                              f"not {re.escape(repr(workers))}$"):
             MachineConfig(workers=workers)
+
+    def test_workers_at_most_the_cap(self):
+        # a billion workers ended a run in a bare MemoryError
+        assert MachineConfig(workers=MAX_WORKERS).workers == MAX_WORKERS
+        with pytest.raises(ValueError, match=f"^workers must be at most {MAX_WORKERS}, "
+                                             f"not 1000000000$"):
+            MachineConfig(workers=1_000_000_000)
 
     def test_dispatch_policy_names(self):
         with pytest.raises(ValueError):
