@@ -33,18 +33,22 @@ from .machine import (
 from .programs import build_matmul_program, build_negate_demo, build_square_demo, matmul_element_count
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _int_at_least(least: int):
+    """An argparse type for an int no less than least, 0 or 1. Any other
+    text gets the message below, not argparse's own, which would name
+    this private function."""
+    error = f"expected a {'positive' if least else 'non-negative'} integer, got "
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(error + text)
+        return value
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
+    return parse
 
 
 def _int_list(text: str) -> list[int]:
@@ -70,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=cmd_demo)
 
     def add_cost_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--t-proc", type=_non_negative_int, default=1,
+        p.add_argument("--t-proc", type=_int_at_least(0), default=1,
                        help="time per dispatched work unit (default 1)")
-        p.add_argument("--t-msg", type=_non_negative_int, default=10,
+        p.add_argument("--t-msg", type=_int_at_least(0), default=10,
                        help="time per message (default 10)")
-        p.add_argument("--t-master", type=_non_negative_int, default=0,
+        p.add_argument("--t-master", type=_int_at_least(0), default=0,
                        help="master bookkeeping time per dispatch (default 0)")
         p.add_argument("--dispatch", choices=("idle", "roundrobin"), default="idle",
                        help="worker pick policy (default idle)")
@@ -85,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="simulate one model at one configuration")
     runp.add_argument("model", choices=("element", "instruction"))
-    runp.add_argument("--n", type=_positive_int, required=True, help="matrix size")
-    runp.add_argument("--procs", type=_positive_int, default=1, help="worker count")
-    runp.add_argument("--seed", type=_non_negative_int, default=0)
+    runp.add_argument("--n", type=_int_at_least(1), required=True, help="matrix size")
+    runp.add_argument("--procs", type=_int_at_least(1), default=1, help="worker count")
+    runp.add_argument("--seed", type=_int_at_least(0), default=0)
     add_cost_flags(runp)
     add_output_flags(runp)
     runp.set_defaults(func=cmd_run)
@@ -97,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated matrix sizes (default 40,60,80,100)")
     sweep.add_argument("--procs", type=_int_list, default=[2, 4, 8, 16],
                        help="comma-separated worker counts (default 2,4,8,16)")
-    sweep.add_argument("--seed", type=_non_negative_int, default=0)
-    sweep.add_argument("--max-size", type=_positive_int, default=128,
+    sweep.add_argument("--seed", type=_int_at_least(0), default=0)
+    sweep.add_argument("--max-size", type=_int_at_least(1), default=128,
                        help="largest size accepted (default 128)")
     add_cost_flags(sweep)
     add_output_flags(sweep)

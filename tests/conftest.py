@@ -6,7 +6,6 @@ from aridem import (
     Operation,
     Program,
     Relation,
-    RelationStore,
 )
 
 
@@ -16,9 +15,10 @@ def single_join_program(pairs, left_first=True):
     pairs is a list of (x, y) values; element i carries index (i,).
     left_first interleaves arrival order when False.
     """
-    store = RelationStore()
-    store.add(Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()))
-    store.add(Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()))
+    relations = [
+        Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()),
+        Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()),
+    ]
     initial = []
     for i, (x, y) in enumerate(pairs):
         left = Element(0, (i,), x)
@@ -28,7 +28,7 @@ def single_join_program(pairs, left_first=True):
         else:
             initial += [right, left]
     return Program(
-        relations=store,
+        relations=relations,
         initial_elements=initial,
         arities={0: 1, 1: 1, 2: 1},
         result_identifier=2,
@@ -42,18 +42,19 @@ def fanout_chain_program(rows, cols, value=3):
     squares into id 2 with the column index dropped; id 2 truncates away
     its remaining index into id 3, which no relation consumes.
     """
-    store = RelationStore()
-    store.add(Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()))
-    store.add(Relation((0,), Operation.SQUARE, (), 2, IndexTransform.drop(1)))
-    store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
-    store.add(Relation((2,), Operation.NEGATE, (), 3, IndexTransform.truncate_to(0)))
+    relations = [
+        Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()),
+        Relation((0,), Operation.SQUARE, (), 2, IndexTransform.drop(1)),
+        Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()),
+        Relation((2,), Operation.NEGATE, (), 3, IndexTransform.truncate_to(0)),
+    ]
     initial = [
         Element(0, (i, j), value + i * cols + j)
         for i in range(rows)
         for j in range(cols)
     ]
     return Program(
-        relations=store,
+        relations=relations,
         initial_elements=initial,
         arities={0: 2, 1: 2, 2: 1, 3: 0},
         result_identifier=1,
@@ -62,11 +63,12 @@ def fanout_chain_program(rows, cols, value=3):
 
 def uniform_unary_program(count):
     """count independent single-step elements, for load-balance tests."""
-    store = RelationStore()
-    store.add(Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()))
-    store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
+    relations = [
+        Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()),
+        Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()),
+    ]
     return Program(
-        relations=store,
+        relations=relations,
         initial_elements=[Element(0, (i,), i + 1) for i in range(count)],
         arities={0: 1, 1: 1},
         result_identifier=1,

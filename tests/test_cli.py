@@ -148,6 +148,23 @@ class TestRun:
         assert aridem("run", "element", "--n", "0", check=False).returncode == 2
         assert aridem("run", "element", check=False).returncode == 2
 
+    @pytest.mark.parametrize("flag, text, kind", [
+        ("--n", "abc", "positive"), ("--n", "0", "positive"),
+        ("--seed", "x", "non-negative"), ("--seed", "-1", "non-negative"),
+        ("--t-proc", "1.5", "non-negative"),
+    ])
+    def test_malformed_int_flag_is_a_usage_error(self, capsys, flag, text, kind):
+        # a text that int() refuses was reported as "invalid _positive_int
+        # value: 'abc'", naming a private function of the module
+        args = ["run", "element", flag, text] + ([] if flag == "--n" else ["--n", "2"])
+        with pytest.raises(SystemExit) as exited:
+            cli.main(args)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"aridem run: error: argument {flag}: expected a {kind} integer, got {text}")
+
     @pytest.mark.parametrize("fmt", ("csv", "json"))
     @pytest.mark.parametrize("grid", sorted(SWEEP_GOLDEN_FLAGS))
     @pytest.mark.parametrize("model", ("element", "instruction"))

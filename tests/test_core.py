@@ -1,7 +1,6 @@
 """The core types and their build-time checks, and the reference
 semantics in reference.py that the executors are checked against."""
 
-import pickle
 import re
 
 import pytest
@@ -286,32 +285,40 @@ class TestRelationValidation:
 
 
 class TestRelationStore:
-    def test_rid_assignment_and_order(self):
-        # a relation's rid is its position in the Program: every plan ends
-        # with it
+    """The one use the package still has for the class, the one
+    bench/progen.py makes: add each relation in turn, then pass the store
+    as a Program's relations. Every other test builds from a plain list."""
+
+    @staticmethod
+    def built(relations, initial, arities):
         store = RelationStore()
-        r1 = store.add(negate_relation(0, 1))
-        r2 = store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
-        assert len(store) == 2
-        assert list(store) == [r1, r2]
-        program = Program(store, [], {0: 0, 1: 0}, 1)
-        assert program.relations == (r1, r2)
+        for rel in relations:
+            store.add(rel)
+        return Program(relations=store, initial_elements=initial, arities=arities,
+                       result_identifier=1)
+
+    def test_rid_assignment_and_order(self):
+        # a relation's rid is its position in the store, as in a list
+        relations = [negate_relation(0, 1),
+                     Relation((1,), Operation.SINK, (), 1, IndexTransform.keep())]
+        program = self.built(relations, [Element(0, (), 5)], {0: 0, 1: 0})
+        listed = Program(relations, [Element(0, (), 5)], {0: 0, 1: 0}, 1)
+        assert program == listed
+        assert program.relations == tuple(relations)
+        assert program._plans == listed._plans
         assert [plan[-1] for plan in program._plans[0]] == [0]
         assert [plan[-1] for plan in program._plans[1]] == [1]
+        assert run(program) == run(listed)
 
     def test_added_relation_keeps_its_rid(self):
         # relation 1 of a built program, added to a new store, is relation 0
-        # of a program built from that store, and still relation 1 of its
-        # own, through a pickle round trip too
+        # of a program built from that store, and still relation 1 of its own
         program = build_negate_demo()
         sink = program.relations[1]
-        store = RelationStore()
-        assert store.add(sink) is sink
-        other = Program(store, [Element(1, (), 4)], {1: 0}, 1)
+        other = self.built([sink], [Element(1, (), 4)], {1: 0})
+        assert other.relations == (sink,)
         assert [plan[-1] for plan in other._plans[1]] == [0]
-        for built in (program, pickle.loads(pickle.dumps(program))):
-            assert built.relations[1] == sink
-            assert [plan[-1] for plan in built._plans[1]] == [1]
+        assert [plan[-1] for plan in program._plans[1]] == [1]
         assert run(other).outputs == {(): 4}
         assert run(program).outputs == {(): -5}
 
@@ -476,11 +483,12 @@ class TestFirstOverflows:
     @staticmethod
     def chain(values):
         """Square 0 into 1, negate 1 into 2, and sink 2."""
-        store = RelationStore()
-        store.add(Relation((0,), Operation.SQUARE, (), 1, IndexTransform.keep()))
-        store.add(Relation((1,), Operation.NEGATE, (), 2, IndexTransform.keep()))
-        store.add(Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()))
-        return Program(relations=store,
+        relations = [
+            Relation((0,), Operation.SQUARE, (), 1, IndexTransform.keep()),
+            Relation((1,), Operation.NEGATE, (), 2, IndexTransform.keep()),
+            Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()),
+        ]
+        return Program(relations=relations,
                        initial_elements=[Element(0, (i,), v) for i, v in enumerate(values)],
                        arities={0: 1, 1: 1, 2: 1}, result_identifier=2)
 
@@ -501,10 +509,11 @@ class TestFirstOverflows:
         assert str(error.value) in first_overflows(program)
 
     def test_an_operand_left_parked_does_not_hide_them(self):
-        store = RelationStore()
-        store.add(Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()))
-        store.add(Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()))
-        program = Program(relations=store,
+        relations = [
+            Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()),
+            Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()),
+        ]
+        program = Program(relations=relations,
                           initial_elements=[Element(0, (0,), 1 << 33),
                                             Element(1, (0,), 1 << 33),
                                             Element(0, (1,), 1)],

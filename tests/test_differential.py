@@ -48,7 +48,6 @@ from aridem import (
     Operation,
     Program,
     Relation,
-    RelationStore,
     TransformKind,
     build_matmul_program,
     run,
@@ -72,11 +71,11 @@ def programs(draw):
     arities = {0: arity}
     index_lists = {0: [e.indices for e in initial]}
     distinct = [0]  # identifiers whose index lists never repeat
-    store = RelationStore()
+    relations = []
 
     def add(inputs, operation, parameters, transform, indices, clean):
         out = len(arities)
-        store.add(Relation(inputs, operation, parameters, out, transform))
+        relations.append(Relation(inputs, operation, parameters, out, transform))
         # every output index list of one input list has the same arity
         arities[out] = len(apply_transform(transform, (0,) * arities[inputs[0]])[0])
         index_lists[out] = indices
@@ -111,8 +110,8 @@ def programs(draw):
                 (IndexTransform.drop(k), IndexTransform.truncate_to(k))))
             out = unary(src, value_op(), transform, False)
             if draw(st.booleans()):
-                store.add(Relation((out,), Operation.SINK, (), out,
-                                   IndexTransform.keep()))
+                relations.append(Relation((out,), Operation.SINK, (), out,
+                                          IndexTransform.keep()))
         elif shape == "join":
             partners = [d for d in distinct if d != src and arities[d] == a]
             if partners and draw(st.booleans()):
@@ -144,8 +143,8 @@ def programs(draw):
             arities[result] = a - 1
             index_lists[result] = done
             distinct.append(result)
-            store.add(Relation((running, src), Operation.SUM_STEP, (limit, result),
-                               running, IndexTransform.increment_last()))
+            relations.append(Relation((running, src), Operation.SUM_STEP, (limit, result),
+                                      running, IndexTransform.increment_last()))
         elif shape == "chain":
             unary(src, value_op(), IndexTransform.keep(), True)
         else:
@@ -154,10 +153,10 @@ def programs(draw):
             unary(src, value_op(), transform, True)
 
     result = draw(st.sampled_from(distinct))
-    store.add(Relation((result,), Operation.SINK, (), result, IndexTransform.keep()))
+    relations.append(Relation((result,), Operation.SINK, (), result, IndexTransform.keep()))
     # the first few identifiers get names, the rest show as id<n>
     named = draw(st.integers(0, len(arities)))
-    return Program(relations=store, initial_elements=initial,
+    return Program(relations=relations, initial_elements=initial,
                    arities=arities, result_identifier=result,
                    names={ident: f"v{ident}" for ident in range(named)})
 
@@ -381,15 +380,16 @@ def test_a_tie_can_meet_another_first_overflow():
     Round-robin dispatch at t_master = 0 on 4 workers meets the second
     before the first, so the check above has a case that run()'s text
     alone would fail."""
-    store = RelationStore()
-    store.add(Relation((0,), Operation.REPLICATE, (2,), 1,
-                       IndexTransform.insert_varied(0, 2)))
-    store.add(Relation((2, 1), Operation.SUM_STEP, (3, 3), 2,
-                       IndexTransform.increment_last()))
-    store.add(Relation((3,), Operation.SQUARE, (), 4, IndexTransform.increment_last()))
-    store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
+    relations = [
+        Relation((0,), Operation.REPLICATE, (2,), 1,
+                 IndexTransform.insert_varied(0, 2)),
+        Relation((2, 1), Operation.SUM_STEP, (3, 3), 2,
+                 IndexTransform.increment_last()),
+        Relation((3,), Operation.SQUARE, (), 4, IndexTransform.increment_last()),
+        Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()),
+    ]
     program = Program(
-        relations=store,
+        relations=relations,
         initial_elements=[Element(0, (k,), 1) for k in range(3)]
         + [Element(2, (0, 0), 1 << 32), Element(2, (1, 0), 2 << 32)],
         arities={0: 1, 1: 2, 2: 2, 3: 1, 4: 1}, result_identifier=1)

@@ -21,7 +21,6 @@ from aridem import (
     Program,
     ProgramError,
     Relation,
-    RelationStore,
     SimulationLimitError,
     build_matmul_program,
     build_negate_demo,
@@ -36,10 +35,7 @@ from conftest import fanout_chain_program, single_join_program
 
 
 def tiny_program(initial, relations, arities, result=1, names=None):
-    store = RelationStore()
-    for rel in relations:
-        store.add(rel)
-    return Program(relations=store, initial_elements=initial,
+    return Program(relations=relations, initial_elements=initial,
                    arities=arities, result_identifier=result, names=names or {})
 
 
@@ -78,12 +74,13 @@ class TestFrozenProgram:
             program.names[0] = "seed"
 
     def test_relations_added_to_the_store_later_are_not_seen(self):
-        store = RelationStore()
-        store.add(Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()))
-        store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
-        program = Program(relations=store, initial_elements=[Element(0, (), 5)],
+        relations = [
+            Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()),
+            Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()),
+        ]
+        program = Program(relations=relations, initial_elements=[Element(0, (), 5)],
                           arities={0: 0, 1: 0}, result_identifier=1)
-        store.add(Relation((0,), Operation.SQUARE, (), 1, IndexTransform.keep()))
+        relations.append(Relation((0,), Operation.SQUARE, (), 1, IndexTransform.keep()))
         assert len(program.relations) == 2
         assert run(program).outputs == {(): -5}
 
@@ -96,15 +93,27 @@ class TestFrozenProgram:
         assert program.relations[1].output_identifier == 1
         assert run(pickle.loads(pickle.dumps(program))).outputs == {(): -5}
 
+    def test_a_relation_id_is_its_position(self):
+        # relation 1 of a built program, put in a new list, is relation 0 of
+        # a program built from that list, and still relation 1 of its own,
+        # through a pickle round trip too
+        program = build_negate_demo()
+        sink = program.relations[1]
+        other = Program([sink], [Element(1, (), 4)], {1: 0}, 1)
+        assert [plan[-1] for plan in other._plans[1]] == [0]
+        for built in (program, pickle.loads(pickle.dumps(program))):
+            assert built.relations[1] == sink
+            assert [plan[-1] for plan in built._plans[0]] == [0]
+            assert [plan[-1] for plan in built._plans[1]] == [1]
+        assert run(other).outputs == {(): 4}
+        assert run(program).outputs == {(): -5}
+
     def test_relations_may_come_in_any_iterable(self):
         loose = [Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()),
                  Relation((1,), Operation.SINK, (), 1, IndexTransform.keep())]
-        store = RelationStore()
-        for rel in loose:
-            store.add(rel)
         built = [Program(relations=relations, initial_elements=[Element(0, (), 5)],
                          arities={0: 0, 1: 0}, result_identifier=1)
-                 for relations in (loose, tuple(loose), iter(loose), store)]
+                 for relations in (loose, tuple(loose), iter(loose))]
         for program in built:
             assert program == built[0]
             assert program.relations == tuple(loose)
@@ -432,6 +441,29 @@ class TestStepRunEquivalence:
         assert ex.run().outputs is outputs
 
 
+class TestConfiguredOnce:
+    """Every attribute of an Execution is read-only: the settings are
+    fixed when the run is set up, and the counters are the run's alone."""
+
+    NAMES = ["program", "on_event", "max_steps", "outputs", "elements_processed",
+             "max_queue_depth", "max_partial_depth"]
+
+    def test_no_public_instance_attribute(self):
+        assert [k for k in vars(Execution(build_negate_demo())) if not k.startswith("_")] == []
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_assignment_is_refused_and_the_run_unchanged(self, name):
+        # on the n = 3 matmul, max_queue_depth = None raised a bare
+        # TypeError after 1 element, and max_partial_depth = None one after 19
+        program = build_matmul_program(3, 0)
+        ex = Execution(program)
+        for value in (None, getattr(ex, name)):
+            with pytest.raises(AttributeError):
+                setattr(ex, name, value)
+            assert ex.step()
+        assert ex.run() == Execution(program).run()
+
+
 class TestTrace:
     @pytest.mark.parametrize("execute", [Execution, run])
     def test_hook_is_keyword_only(self, execute):
@@ -439,51 +471,17 @@ class TestTrace:
             execute(build_negate_demo(), "fifo", lambda event: None)
 
     def test_hook_assigned_after_construction(self):
-        # step() and run() both read on_event on every call
+        # on_event is fixed at construction; a hook that forwards its events
+        # takes step()'s to one target and run()'s to another
         stepped, ran = [], []
-        ex = Execution(single_join_program([(2, 3)]))
-        ex.on_event = lambda event: stepped.append(event[0])
+        target = stepped.append
+        ex = Execution(single_join_program([(2, 3)]), on_event=lambda event: target(event[0]))
         ex.step()
         ex.step()
-        ex.on_event = lambda event: ran.append(event[0])
+        target = ran.append
         ex.run()
         assert stepped == ["pop", "pop", "apply", "create"]
         assert ran == ["pop", "apply", "output"]
-
-    @pytest.mark.parametrize("path", ["step", "run"])
-    def test_hook_assigned_after_construction_is_checked(self, path):
-        # an int raised a bare TypeError, "object is not callable", at the
-        # first event, with that element already popped
-        ex = Execution(build_negate_demo())
-        ex.on_event = 5
-        with pytest.raises(ValueError, match="^on_event must be callable or None, not int$"):
-            ex.step() if path == "step" else ex.run()
-        assert ex.elements_processed == 0
-        assert ex.queue == (Element(0, (), 5),)
-        ex.on_event = None
-        assert ex.run().outputs == {(): -5}
-
-    def test_hook_removed_after_construction(self):
-        events = []
-        ex = Execution(build_negate_demo(), on_event=lambda event: events.append(event[0]))
-        ex.step()
-        ex.on_event = None
-        assert ex.run().outputs == {(): -5}
-        assert events == ["pop", "apply", "create"]
-
-    def test_hook_removed_by_itself_during_a_run(self):
-        # run() reads on_event once: the hook gets the rest of the run's
-        # events (the call after its removal raised a bare TypeError)
-        kinds = []
-        ex = Execution(build_negate_demo())
-
-        def hook(event):
-            kinds.append(event[0])
-            ex.on_event = None
-
-        ex.on_event = hook
-        assert ex.run().outputs == {(): -5}
-        assert kinds == ["pop", "apply", "create", "pop", "apply", "output"]
 
     def test_event_order_for_negate(self):
         events = []
@@ -539,11 +537,12 @@ class TestTrace:
 
 class TestErrors:
     def test_join_deadlock(self):
-        store = RelationStore()
-        store.add(Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()))
-        store.add(Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()))
+        relations = [
+            Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()),
+            Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()),
+        ]
         program = Program(
-            relations=store,
+            relations=relations,
             initial_elements=[Element(0, (0,), 3)],  # right operand never arrives
             arities={0: 1, 1: 1, 2: 1},
             result_identifier=2,
@@ -552,10 +551,11 @@ class TestErrors:
             run(program)
 
     def test_join_deadlock_on_step_path(self):
-        store = RelationStore()
-        store.add(Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()))
+        relations = [
+            Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()),
+        ]
         program = Program(
-            relations=store,
+            relations=relations,
             initial_elements=[Element(0, (0,), 3)],
             arities={0: 1, 1: 1, 2: 1},
             result_identifier=2,
@@ -567,11 +567,12 @@ class TestErrors:
             ex.run()
 
     def _duplicate_operand_program(self):
-        store = RelationStore()
-        store.add(Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()))
-        store.add(Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()))
+        relations = [
+            Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()),
+            Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()),
+        ]
         return Program(
-            relations=store,
+            relations=relations,
             initial_elements=[Element(0, (0,), 3), Element(0, (0,), 4)],
             arities={0: 1, 1: 1, 2: 1},
             result_identifier=2,
@@ -589,11 +590,12 @@ class TestErrors:
 
     def _duplicate_output_program(self):
         # both initial elements collapse onto result indices ()
-        store = RelationStore()
-        store.add(Relation((0,), Operation.NEGATE, (), 1, IndexTransform.drop(0)))
-        store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
+        relations = [
+            Relation((0,), Operation.NEGATE, (), 1, IndexTransform.drop(0)),
+            Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()),
+        ]
         return Program(
-            relations=store,
+            relations=relations,
             initial_elements=[Element(0, (0,), 3), Element(0, (1,), 4)],
             arities={0: 1, 1: 0},
             result_identifier=1,
@@ -610,11 +612,12 @@ class TestErrors:
                 pass
 
     def test_overflow_propagates_from_fast_path(self):
-        store = RelationStore()
-        store.add(Relation((0,), Operation.SQUARE, (), 1, IndexTransform.keep()))
-        store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
+        relations = [
+            Relation((0,), Operation.SQUARE, (), 1, IndexTransform.keep()),
+            Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()),
+        ]
         program = Program(
-            relations=store,
+            relations=relations,
             initial_elements=[Element(0, (), 1 << 32)],
             arities={0: 0, 1: 0},
             result_identifier=1,

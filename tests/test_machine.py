@@ -30,7 +30,6 @@ from aridem.core import (
     IndexTransform,
     Operation,
     Relation,
-    RelationStore,
 )
 from aridem.engine import Program
 from aridem.machine import MAX_WORKERS
@@ -368,10 +367,11 @@ class TestImbalance:
 
 class TestFailureModes:
     def test_join_deadlock(self):
-        store = RelationStore()
-        store.add(Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()))
+        relations = [
+            Relation((0, 1), Operation.MUL_PAIR, (), 2, IndexTransform.keep()),
+        ]
         program = Program(
-            relations=store,
+            relations=relations,
             initial_elements=[Element(0, (0,), 3)],
             arities={0: 1, 1: 1, 2: 1},
             result_identifier=2,
@@ -391,8 +391,7 @@ class TestFailureModes:
 
 
 def test_empty_program_runs_to_nothing():
-    store = RelationStore()
-    program = Program(relations=store, initial_elements=[],
+    program = Program(relations=[], initial_elements=[],
                       arities={0: 0}, result_identifier=0)
     m = simulate(program, MachineConfig(workers=2))
     assert m.sim_time == 0
@@ -411,10 +410,7 @@ def test_lifo_engine_depths_can_differ():
 
 
 def _program(initial, relations, arities, result, names=None):
-    store = RelationStore()
-    for rel in relations:
-        store.add(rel)
-    return Program(relations=store, initial_elements=initial,
+    return Program(relations=relations, initial_elements=initial,
                    arities=arities, result_identifier=result, names=names or {})
 
 

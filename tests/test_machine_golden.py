@@ -26,7 +26,6 @@ from aridem import (
     Operation,
     Program,
     Relation,
-    RelationStore,
     build_matmul_program,
     simulate,
 )
@@ -51,14 +50,15 @@ TIE_EVENT_CASE = ("matmul", 2, 3, "roundrobin", (0, 1, 0))
 def side_sink_program(n):
     """Elements of id 0 feed the sunk result, a sink that records nothing
     (its units still cost messages) and a fan-out nothing consumes."""
-    store = RelationStore()
-    store.add(Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()))
-    store.add(Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()))
-    store.add(Relation((0,), Operation.SQUARE, (), 2, IndexTransform.drop(0)))
-    store.add(Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()))
-    store.add(Relation((0,), Operation.REPLICATE, (2,), 3,
-                       IndexTransform.insert_varied(1, 2)))
-    return Program(relations=store,
+    relations = [
+        Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()),
+        Relation((1,), Operation.SINK, (), 1, IndexTransform.keep()),
+        Relation((0,), Operation.SQUARE, (), 2, IndexTransform.drop(0)),
+        Relation((2,), Operation.SINK, (), 2, IndexTransform.keep()),
+        Relation((0,), Operation.REPLICATE, (2,), 3,
+                 IndexTransform.insert_varied(1, 2)),
+    ]
+    return Program(relations=relations,
                    initial_elements=[Element(0, (i,), i - 2) for i in range(n)],
                    arities={0: 1, 1: 1, 2: 0, 3: 2}, result_identifier=1)
 

@@ -423,7 +423,7 @@ def test_unbounded_program_takes_its_radix_from_the_budget():
         assert places[1] == 15 + budget + 2
         assert tuple(queue) == ((0, 3 * places[1] + 7, 1),)
         assert program._stores() == {rid: {} for rid in program._binary}
-    assert Execution(program, max_steps=10)._radix == 27
+    assert Execution(program, max_steps=10)._places[1] == 27
     wide = Program(program.relations, [Element(0, (40, 0), 1)], program.arities, 1)
     assert wide._initial(10)[1][1] == 40 + 10 + 2
 

@@ -25,7 +25,6 @@ from aridem import (
     Operation,
     Program,
     Relation,
-    RelationStore,
     TransformKind,
     build_matmul_program,
     build_negate_demo,
@@ -153,11 +152,10 @@ def test_program_repr_leaves_out_its_plans():
 
 
 def test_stored_relation_is_left_as_it_was():
-    store = RelationStore()
-    store.add(negate_relation())
     rel = negate_relation(input_identifiers=(1,), operation=Operation.SINK)
     before = repr(rel)
-    assert store.add(rel) is rel
+    program = Program([negate_relation(), rel], [], {0: 0, 1: 0}, 1)
+    assert program.relations[1] is rel
     assert repr(rel) == before == (
         "Relation(input_identifiers=(1,), operation=<Operation.SINK: 6>, parameters=(), "
         f"output_identifier=1, index_transform={KEEP_REPR})")
