@@ -199,12 +199,9 @@ def simulate_instruction_model(n: int, workers: int,
 
     return Metrics(
         elements_processed=model.count(n),
-        operands_processed=model.count(n),
         messages=3 * workers,
         sim_time=sim_time,
-        idle_time_total=workers * sim_time - sum(busy),
         per_worker_processed=work,
         per_worker_busy=busy,
-        result_checksum=sum(outputs.values()) % (1 << 32),
         outputs=outputs,
     )

@@ -490,8 +490,10 @@ class Execution:
     on_event neither None nor callable, raises ValueError.
 
     Every attribute is read-only: the settings are fixed when the run is
-    set up, and the counters and outputs are written by the run alone.
-    To take events from part of a run, pass a hook that forwards them.
+    set up, and the counters are written by the run alone. outputs is the
+    run's own dict, not a copy, so a caller or hook that changes it
+    changes the run's result. To take events from part of a run, pass a
+    hook that forwards them.
     """
 
     def __init__(self, program: Program, discipline: str = "fifo", *,

@@ -19,13 +19,14 @@ Replicate, and None for a sink, whose unit carries the output record as
 a third item (None unless it sinks the result), its indices decoded.
 
 The loop counts only units per worker, and operands per worker. The other
-totals follow at quiescence, where every element has been popped and
-every unit dispatched and returned: operands processed are the workers'
-sum, messages are 2 per unit plus count - 1 per Replicate unit, elements
-processed are the initial ones plus one per unit that is not a sink plus
-count - 1 per Replicate unit, and a worker's busy time is t_proc per
-unit it ran. A run that stops with operands still parked reads and names
-them as Execution.run does, through engine's _parked_operands.
+counts follow at quiescence, where every element has been popped and
+every unit dispatched and returned: messages are 2 per unit plus
+count - 1 per Replicate unit, elements processed are the initial ones
+plus one per unit that is not a sink plus count - 1 per Replicate unit,
+and a worker's busy time is t_proc per unit it ran. Metrics computes
+the remaining totals from these, as its docstring says. A run that stops
+with operands still parked reads and names them as Execution.run does,
+through engine's _parked_operands.
 
 Events are taken in (time, kind, worker) order, a finish before an
 arrival at the same time, from two FIFO queues instead of a heap. Costs
@@ -121,34 +122,48 @@ class CostModel(_Frozen):
 class Metrics(_Value):
     """Aggregate counters from one simulated run.
 
-    per_worker_processed counts the operands of the units each worker ran
-    (a join unit has two); operands_processed is their exact total,
-    counted where the units are formed. Metrics are mutable and
-    unhashable; outputs defaults to a new empty dict.
+    A record stores only what the run measured. per_worker_processed
+    counts the operands of the units each worker ran (a join unit has
+    two). Three totals are read-only and derived from the stored fields,
+    so a record cannot contradict itself:
+      operands_processed = sum(per_worker_processed)
+      idle_time_total = len(per_worker_busy) * sim_time - sum(per_worker_busy)
+      result_checksum = sum(outputs.values()) mod 2**32
+    Metrics are mutable and unhashable; outputs defaults to a new empty
+    dict.
     """
 
-    _fields = ("elements_processed", "operands_processed", "messages", "sim_time",
-               "idle_time_total", "per_worker_processed", "per_worker_busy",
-               "result_checksum", "outputs")
+    _fields = ("elements_processed", "messages", "sim_time",
+               "per_worker_processed", "per_worker_busy", "outputs")
 
-    def __init__(self, elements_processed: int, operands_processed: int, messages: int,
-                 sim_time: int, idle_time_total: int, per_worker_processed: list[int],
-                 per_worker_busy: list[int], result_checksum: int,
+    def __init__(self, elements_processed: int, messages: int, sim_time: int,
+                 per_worker_processed: list[int], per_worker_busy: list[int],
                  outputs: dict[tuple[int, ...], int] | None = None) -> None:
         self.elements_processed = elements_processed
-        self.operands_processed = operands_processed
         self.messages = messages
         self.sim_time = sim_time
-        self.idle_time_total = idle_time_total
         self.per_worker_processed = per_worker_processed
         self.per_worker_busy = per_worker_busy
-        self.result_checksum = result_checksum
         self.outputs = {} if outputs is None else outputs
+
+    @property
+    def operands_processed(self) -> int:
+        return sum(self.per_worker_processed)
+
+    @property
+    def idle_time_total(self) -> int:
+        return len(self.per_worker_busy) * self.sim_time - sum(self.per_worker_busy)
+
+    @property
+    def result_checksum(self) -> int:
+        return sum(self.outputs.values()) % (1 << 32)
 
 
 def validate_metrics(metrics: Metrics) -> Metrics:
-    """Check the cross-field identities every emitted record must satisfy;
-    metrics that are not a Metrics raise ValueError too."""
+    """Check what a Metrics can still get wrong: a negative counter,
+    per-worker lists that are empty or of unequal length, and workers busy
+    longer than the run. metrics that are not a Metrics raise ValueError
+    too."""
     _of_type("metrics", metrics, Metrics)
     if min(metrics.elements_processed, metrics.operands_processed,
            metrics.messages, metrics.sim_time) < 0:
@@ -156,17 +171,8 @@ def validate_metrics(metrics: Metrics) -> Metrics:
     workers = len(metrics.per_worker_busy)
     if workers < 1 or len(metrics.per_worker_processed) != workers:
         raise ValueError("per-worker lists must be non-empty and equal length")
-    if sum(metrics.per_worker_processed) != metrics.operands_processed:
-        raise ValueError("per-worker processed counts do not sum to the total")
-    busy_total = sum(metrics.per_worker_busy)
-    if metrics.idle_time_total != workers * metrics.sim_time - busy_total:
-        raise ValueError("idle time does not match the busy-time accounting")
     if metrics.idle_time_total < 0:
         raise ValueError("workers cannot be busy longer than the run")
-    if not 0 <= metrics.result_checksum < (1 << 32):
-        raise ValueError("checksum out of range")
-    if metrics.result_checksum != sum(metrics.outputs.values()) % (1 << 32):
-        raise ValueError("checksum does not match outputs")
     return metrics
 
 
@@ -391,16 +397,12 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
     if stuck:
         raise _deadlock_error(stuck, program.names, "machine ")
 
-    sim_time = now
     units = sum(per_units)
     return Metrics(
         elements_processed=len(program.initial_elements) + units - sinks + fanout,
-        operands_processed=sum(per_processed),
         messages=2 * units + fanout,
-        sim_time=sim_time,
-        idle_time_total=workers * sim_time - t_proc * units,
+        sim_time=now,
         per_worker_processed=per_processed,
         per_worker_busy=list(map(t_proc.__mul__, per_units)),
-        result_checksum=sum(outputs.values()) % (1 << 32),
         outputs=outputs,
     )

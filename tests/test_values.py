@@ -43,9 +43,8 @@ def negate_relation(**changes):
 
 
 def metrics(**changes):
-    fields = dict(elements_processed=2, operands_processed=2, messages=4, sim_time=42,
-                  idle_time_total=40, per_worker_processed=[2], per_worker_busy=[2],
-                  result_checksum=4294967291, outputs={(): -5})
+    fields = dict(elements_processed=2, messages=4, sim_time=42, per_worker_processed=[2],
+                  per_worker_busy=[2], outputs={(): -5})
     fields.update(changes)
     return Metrics(**fields)
 
@@ -83,9 +82,8 @@ CASES = {
     ),
     "Metrics": (
         metrics,
-        "Metrics(elements_processed=2, operands_processed=2, messages=4, sim_time=42, "
-        "idle_time_total=40, per_worker_processed=[2], per_worker_busy=[2], "
-        "result_checksum=4294967291, outputs={(): -5})",
+        "Metrics(elements_processed=2, messages=4, sim_time=42, per_worker_processed=[2], "
+        "per_worker_busy=[2], outputs={(): -5})",
         lambda: metrics(per_worker_busy=[3]),
     ),
     "Matrix": (
@@ -229,9 +227,30 @@ def test_metrics_are_mutable_with_a_fresh_outputs_dict():
     assert m.sim_time == 7
     del m.messages
     assert not hasattr(m, "messages")
-    first = Metrics(1, 1, 2, 1, 0, [1], [1], 0)
-    second = Metrics(1, 1, 2, 1, 0, [1], [1], 0)
+    first = Metrics(1, 2, 1, [1], [1])
+    second = Metrics(1, 2, 1, [1], [1])
     assert first.outputs == {} and first.outputs is not second.outputs
+
+
+@pytest.mark.parametrize("name", ["operands_processed", "idle_time_total", "result_checksum"])
+def test_derived_metrics_totals_refuse_assignment(name):
+    m = metrics()
+    with pytest.raises(AttributeError):
+        setattr(m, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(m, name)
+    assert name not in vars(m)
+
+
+def test_derived_metrics_totals_follow_their_fields():
+    m = metrics()
+    assert (m.operands_processed, m.idle_time_total, m.result_checksum) == (2, 40, 4294967291)
+    m.outputs[(1,)] = 3
+    assert m.result_checksum == 4294967294
+    m.per_worker_busy[0] += 1
+    assert m.idle_time_total == 39
+    m.per_worker_processed.append(5)
+    assert m.operands_processed == 7
 
 
 def test_positional_and_keyword_construction_agree():
@@ -241,7 +260,7 @@ def test_positional_and_keyword_construction_agree():
     assert Relation((0,), Operation.NEGATE, (), 1, IndexTransform.keep()) == negate_relation()
     assert MachineConfig(2) == MachineConfig(workers=2, dispatch="idle")
     assert CostModel() == CostModel(1, 10, 0) == CASES["CostModel"][0]()
-    assert Metrics(2, 2, 4, 42, 40, [2], [2], 4294967291, {(): -5}) == metrics()
+    assert Metrics(2, 4, 42, [2], [2], {(): -5}) == metrics()
     assert Matrix(1, (3,)) == CASES["Matrix"][0]()
     assert CountModel(1, 2) == CASES["CountModel"][0]()
     assert tables() == ReferenceTables((40,), {40: 2}, {40: 3}, {40: {2: 1.5}},
@@ -263,9 +282,8 @@ PARAMETERS = {
     Program: ["relations", "initial_elements", "arities", "result_identifier", "names"],
     MachineConfig: ["workers", "dispatch"],
     CostModel: ["t_proc", "t_msg", "t_master"],
-    Metrics: ["elements_processed", "operands_processed", "messages", "sim_time",
-              "idle_time_total", "per_worker_processed", "per_worker_busy",
-              "result_checksum", "outputs"],
+    Metrics: ["elements_processed", "messages", "sim_time", "per_worker_processed",
+              "per_worker_busy", "outputs"],
     Matrix: ["n", "entries"],
     CountModel: ["cubic", "quadratic"],
     ReferenceTables: ["sizes", "instruction_counts", "element_counts",
