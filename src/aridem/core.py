@@ -9,10 +9,9 @@ check only their own fields; engine and machine build and execute it.
 
 The value types here and in the other modules are plain classes on two
 small bases, _Value and _Frozen, whose methods are written out in the
-source and so compiled once into the .pyc. @dataclass generated and
-compiled the same methods from source text at every import: about 0.6 ms
-a class, two thirds of an `import aridem.cli` (median of 60 in-process
-imports 8.7 ms against 3.3 ms after, on a 2-core host with CPython 3.11).
+source and so compiled once into the .pyc: no class generates code at
+import. engine.RunResult stays a dataclass only so that callers can use
+dataclasses.replace and fields on it.
 """
 
 from __future__ import annotations
@@ -103,11 +102,17 @@ class _Value:
 
     A subclass names its fields in _fields, in constructor order; its
     __init__ stores each of them once. Two values are equal when they
-    are of one class and their fields are equal.
+    are of one class and their fields are equal. A field can be set but
+    not deleted, so that the repr and equality always find it.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __delattr__(self, name: str) -> None:
+        if name in self._fields:
+            raise AttributeError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
 
     def _values(self) -> tuple:
         d = self.__dict__

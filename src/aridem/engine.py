@@ -54,6 +54,7 @@ from .core import (
     _of_type,
     _over_budget,
     _overflow,
+    _Value,
 )
 from .core import _DROP, _INCREMENT_LAST, _INSERT_VARIED, _KEEP
 from .core import _MUL_PAIR, _NEGATE, _REPLICATE, _SINK, _SUM_STEP
@@ -150,15 +151,28 @@ class Program(_Frozen):
         return deque(keys), places
 
 
-@dataclass
-class RunResult:
-    """Counters and outputs from one run to quiescence."""
+@dataclass(init=False, repr=False, eq=False)
+class RunResult(_Value):
+    """Counters and outputs from one run to quiescence.
+
+    A dataclass only for dataclasses.replace and fields; it generates no code.
+    """
 
     outputs: dict[tuple[int, ...], int]
     elements_processed: int
     elements_created: int
     max_queue_depth: int
     max_partial_depth: int
+    _fields = tuple(__annotations__)
+
+    def __init__(self, outputs: dict[tuple[int, ...], int], elements_processed: int,
+                 elements_created: int, max_queue_depth: int,
+                 max_partial_depth: int) -> None:
+        self.outputs = outputs
+        self.elements_processed = elements_processed
+        self.elements_created = elements_created
+        self.max_queue_depth = max_queue_depth
+        self.max_partial_depth = max_partial_depth
 
 
 # Plan opcodes. A plan is one flat tuple per (identifier, relation) pair

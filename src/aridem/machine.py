@@ -160,11 +160,20 @@ class Metrics(_Value):
 
 
 def validate_metrics(metrics: Metrics) -> Metrics:
-    """Check what a Metrics can still get wrong: a negative counter,
-    per-worker lists that are empty or of unequal length, and workers busy
-    longer than the run. metrics that are not a Metrics raise ValueError
-    too."""
+    """Check what a Metrics can still get wrong, raising ValueError: a
+    field of the wrong type (the counters must be plain ints, the
+    per-worker fields lists of plain ints and outputs a dict), a negative
+    counter, per-worker lists that are empty or of unequal length, and
+    workers busy longer than the run. metrics that are not a Metrics are
+    refused too."""
     _of_type("metrics", metrics, Metrics)
+    for name in ("elements_processed", "messages", "sim_time"):
+        _int_arg(name, getattr(metrics, name))
+    for name in ("per_worker_processed", "per_worker_busy"):
+        tally = getattr(metrics, name)
+        if type(tally) is not list or any([type(v) is not int for v in tally]):
+            raise ValueError(f"{name} must be a list of plain ints, not {tally!r}")
+    _of_type("outputs", metrics.outputs, dict)
     if min(metrics.elements_processed, metrics.operands_processed,
            metrics.messages, metrics.sim_time) < 0:
         raise ValueError("counters must be non-negative")

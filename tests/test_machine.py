@@ -255,7 +255,21 @@ class TestAccounting:
         (lambda m: m.per_worker_busy.pop(),
          "per-worker lists must be non-empty and equal length"),
         (_busier, "workers cannot be busy longer than the run"),
-    ], ids=["negative", "lists", "busy"])
+        (lambda m: setattr(m, "elements_processed", 3.0),
+         r"elements_processed must be a plain int, not 3\.0"),
+        (lambda m: setattr(m, "messages", True), "messages must be a plain int, not True"),
+        (lambda m: setattr(m, "sim_time", None), "sim_time must be a plain int, not None"),
+        (lambda m: setattr(m, "per_worker_busy", None),
+         "per_worker_busy must be a list of plain ints, not None"),
+        (lambda m: setattr(m, "per_worker_processed", (1, 2)),
+         r"per_worker_processed must be a list of plain ints, not \(1, 2\)"),
+        (lambda m: m.per_worker_busy.append("1"),
+         r"per_worker_busy must be a list of plain ints, not \[\d+, \d+, '1'\]"),
+        (lambda m: setattr(m, "outputs", []), "outputs must be a dict, not list"),
+        (lambda m: (setattr(m, "messages", -1), setattr(m, "outputs", None)),
+         "outputs must be a dict, not NoneType"),
+    ], ids=["negative", "lists", "busy", "float-counter", "bool-counter", "none-counter",
+            "none-list", "tuple-list", "str-entry", "list-outputs", "types-first"])
     def test_validate_metrics_names_each_fault(self, tamper, text):
         m = validate_metrics(simulate(build_matmul_program(3, seed=0), MachineConfig(workers=2)))
         tamper(m)

@@ -1,4 +1,4 @@
-"""The nine value classes: constructors, reprs, equality, hashing,
+"""The value classes: constructors, reprs, equality, hashing,
 immutability and copies.
 
 Each class is built by keyword, and its repr is pinned as a literal, so
@@ -11,6 +11,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from aridem import (
     Operation,
     Program,
     Relation,
+    RunResult,
     TransformKind,
     build_matmul_program,
     build_negate_demo,
@@ -47,6 +49,13 @@ def metrics(**changes):
                   per_worker_busy=[2], outputs={(): -5})
     fields.update(changes)
     return Metrics(**fields)
+
+
+def run_result(**changes):
+    fields = dict(outputs={(): -5}, elements_processed=2, elements_created=2,
+                  max_queue_depth=1, max_partial_depth=0)
+    fields.update(changes)
+    return RunResult(**fields)
 
 
 def tables(**changes):
@@ -85,6 +94,12 @@ CASES = {
         "Metrics(elements_processed=2, messages=4, sim_time=42, per_worker_processed=[2], "
         "per_worker_busy=[2], outputs={(): -5})",
         lambda: metrics(per_worker_busy=[3]),
+    ),
+    "RunResult": (
+        run_result,
+        "RunResult(outputs={(): -5}, elements_processed=2, elements_created=2, "
+        "max_queue_depth=1, max_partial_depth=0)",
+        lambda: run_result(max_partial_depth=1),
     ),
     "Matrix": (
         lambda: Matrix(n=1, entries=(3,)),
@@ -192,9 +207,11 @@ def test_equal_values_hash_equal(name):
 
 
 def test_unhashable_values():
-    assert Metrics.__hash__ is None
+    assert Metrics.__hash__ is None and RunResult.__hash__ is None
     with pytest.raises(TypeError, match="unhashable"):
         hash(metrics())
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(run_result())
     with pytest.raises(TypeError, match="unhashable"):
         hash(tables())  # frozen, but its tables are read-only, not hashable
 
@@ -225,11 +242,30 @@ def test_metrics_are_mutable_with_a_fresh_outputs_dict():
     m.sim_time = 7
     m.outputs[(1,)] = 1
     assert m.sim_time == 7
-    del m.messages
-    assert not hasattr(m, "messages")
+    before = repr(m)
+    with pytest.raises(AttributeError, match="^cannot delete field 'messages'$"):
+        del m.messages
+    assert repr(m) == before
     first = Metrics(1, 2, 1, [1], [1])
     second = Metrics(1, 2, 1, [1], [1])
     assert first.outputs == {} and first.outputs is not second.outputs
+
+
+@pytest.mark.parametrize("make", [metrics, run_result], ids=["Metrics", "RunResult"])
+def test_stored_fields_can_be_set_but_not_deleted(make):
+    value = make()
+    before = repr(value)
+    for field in value._fields:
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(value, field)
+    assert repr(value) == before
+    assert value == make()
+    for field in value._fields:
+        setattr(value, field, 0)
+        assert getattr(value, field) == 0
+    value.extra = 1
+    del value.extra
+    assert not hasattr(value, "extra")
 
 
 @pytest.mark.parametrize("name", ["operands_processed", "idle_time_total", "result_checksum"])
@@ -261,6 +297,7 @@ def test_positional_and_keyword_construction_agree():
     assert MachineConfig(2) == MachineConfig(workers=2, dispatch="idle")
     assert CostModel() == CostModel(1, 10, 0) == CASES["CostModel"][0]()
     assert Metrics(2, 4, 42, [2], [2], {(): -5}) == metrics()
+    assert RunResult({(): -5}, 2, 2, 1, 0) == run_result()
     assert Matrix(1, (3,)) == CASES["Matrix"][0]()
     assert CountModel(1, 2) == CASES["CountModel"][0]()
     assert tables() == ReferenceTables((40,), {40: 2}, {40: 3}, {40: {2: 1.5}},
@@ -284,6 +321,8 @@ PARAMETERS = {
     CostModel: ["t_proc", "t_msg", "t_master"],
     Metrics: ["elements_processed", "messages", "sim_time", "per_worker_processed",
               "per_worker_busy", "outputs"],
+    RunResult: ["outputs", "elements_processed", "elements_created", "max_queue_depth",
+                "max_partial_depth"],
     Matrix: ["n", "entries"],
     CountModel: ["cubic", "quadratic"],
     ReferenceTables: ["sizes", "instruction_counts", "element_counts",
@@ -339,14 +378,7 @@ def test_programs_built_alike_are_equal():
 
 
 def test_only_run_result_is_a_dataclass():
-    """No class in the package is a dataclass but RunResult.
-
-    @dataclass writes each class's methods as source and compiles them
-    every time the package is imported, and no .pyc caches that code: it
-    made up about two thirds of an `import aridem.cli`. The value classes
-    write their methods out instead. RunResult stays a dataclass because
-    callers use dataclasses.replace on it.
-    """
+    """Only RunResult is a dataclass, and only for dataclasses.replace and fields."""
     found = []
     for info in pkgutil.iter_modules(aridem.__path__):
         module = importlib.import_module(f"aridem.{info.name}")
@@ -355,3 +387,25 @@ def test_only_run_result_is_a_dataclass():
                     and dataclasses.is_dataclass(obj)):
                 found.append(f"{info.name}.{obj.__qualname__}")
     assert found == ["engine.RunResult"]
+
+
+def test_run_result_methods_are_written_in_the_package():
+    """@dataclass generates no RunResult method: each is compiled from a
+    package file, not from source text built at import."""
+    package = Path(aridem.__file__).parent
+    for method in (RunResult.__init__, RunResult.__repr__, RunResult.__eq__):
+        assert Path(method.__code__.co_filename).parent == package
+
+
+def test_run_result_supports_dataclasses_replace():
+    result = run(build_negate_demo())
+    changed = dataclasses.replace(result, elements_created=1)
+    assert type(changed) is RunResult
+    assert changed.elements_created == 1 and result.elements_created == 2
+    assert changed == dataclasses.replace(changed)
+    assert changed != result
+    assert dataclasses.replace(changed, elements_created=2) == result
+    names = PARAMETERS[RunResult]
+    assert [f.name for f in dataclasses.fields(result)] == names
+    assert list(RunResult.__match_args__) == names
+    assert dataclasses.asdict(result) == {name: getattr(result, name) for name in names}
