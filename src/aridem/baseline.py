@@ -4,7 +4,9 @@ The comparison between the element machine and a conventional
 master/slave instruction machine runs on two polynomial count models of
 the form i*n^3 + j*n^2, fitted exactly from the published matmul totals,
 plus the published wall-clock grids kept here verbatim for regression
-checks.
+checks. The published element count, ELEMENT_COUNT_MODEL, equals
+2 * elements_processed + messages of simulate() on the matmul encoding,
+at every size, worker count, dispatch policy and cost model tested.
 """
 
 from __future__ import annotations

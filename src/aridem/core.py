@@ -299,9 +299,8 @@ class RelationStore:
 _INT_KINDS = {None: "plain", 0: "non-negative", 1: "positive"}
 
 
-def _int_arg(name: str, value, least: int | None = None, error: type = ValueError,
-             most: int | None = None) -> None:
-    """Raise error, "<name> must be a <kind> int, not <value!r>", unless
+def _int_arg(name: str, value, least: int | None = None, most: int | None = None) -> None:
+    """Raise ValueError, "<name> must be a <kind> int, not <value!r>", unless
     value is a plain int (a bool is refused) of at least least, kind
     being "plain", "non-negative" or "positive" for least None, 0 or 1,
     and "<name> must be at most <most>, not <value!r>" when it exceeds a
@@ -310,9 +309,9 @@ def _int_arg(name: str, value, least: int | None = None, error: type = ValueErro
     checks of Relation, IndexTransform and Matrix entries and cells keep
     their own texts."""
     if type(value) is not int or (least is not None and value < least):
-        raise error(f"{name} must be a {_INT_KINDS[least]} int, not {value!r}")
+        raise ValueError(f"{name} must be a {_INT_KINDS[least]} int, not {value!r}")
     if most is not None and value > most:
-        raise error(f"{name} must be at most {most}, not {value!r}")
+        raise ValueError(f"{name} must be at most {most}, not {value!r}")
 
 
 def _of_type(name: str, value, kind, what: str | None = None) -> None:

@@ -162,25 +162,24 @@ class Metrics(_Value):
 def validate_metrics(metrics: Metrics) -> Metrics:
     """Check what a Metrics can still get wrong, raising ValueError: a
     field of the wrong type (the counters must be plain ints, the
-    per-worker fields lists of plain ints and outputs a dict), a negative
-    counter, per-worker lists that are empty or of unequal length, and
-    workers busy longer than the run. metrics that are not a Metrics are
-    refused too."""
+    per-worker fields lists of plain ints and outputs a dict), per-worker
+    lists that are empty or of unequal length, a negative counter or
+    per-worker entry, and a worker busy longer than the run. metrics that
+    are not a Metrics are refused too."""
     _of_type("metrics", metrics, Metrics)
     for name in ("elements_processed", "messages", "sim_time"):
         _int_arg(name, getattr(metrics, name))
-    for name in ("per_worker_processed", "per_worker_busy"):
-        tally = getattr(metrics, name)
+    processed, busy = metrics.per_worker_processed, metrics.per_worker_busy
+    for name, tally in (("per_worker_processed", processed), ("per_worker_busy", busy)):
         if type(tally) is not list or any([type(v) is not int for v in tally]):
             raise ValueError(f"{name} must be a list of plain ints, not {tally!r}")
     _of_type("outputs", metrics.outputs, dict)
-    if min(metrics.elements_processed, metrics.operands_processed,
-           metrics.messages, metrics.sim_time) < 0:
-        raise ValueError("counters must be non-negative")
-    workers = len(metrics.per_worker_busy)
-    if workers < 1 or len(metrics.per_worker_processed) != workers:
+    if not busy or len(processed) != len(busy):
         raise ValueError("per-worker lists must be non-empty and equal length")
-    if metrics.idle_time_total < 0:
+    if min(metrics.elements_processed, metrics.messages, metrics.sim_time,
+           *processed, *busy) < 0:
+        raise ValueError("counters must be non-negative")
+    if max(busy) > metrics.sim_time:
         raise ValueError("workers cannot be busy longer than the run")
     return metrics
 
@@ -188,11 +187,11 @@ def validate_metrics(metrics: Metrics) -> Metrics:
 def worker_busy_profile(metrics: Metrics) -> float:
     """Imbalance as max worker busy time over mean worker busy time.
 
-    1.0 is a perfect split. Raises ValueError for a run that processed
-    nothing, or for metrics that are not a Metrics; a run whose workers
-    were never busy reports 1.0.
+    1.0 is a perfect split. Raises ValueError for metrics that
+    validate_metrics refuses and for a run that processed nothing; a run
+    whose workers were never busy reports 1.0.
     """
-    _of_type("metrics", metrics, Metrics)
+    validate_metrics(metrics)
     if metrics.elements_processed == 0:
         raise ValueError("no elements were processed")
     busy = metrics.per_worker_busy

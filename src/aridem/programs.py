@@ -10,8 +10,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain, product, repeat
 
-from .core import (Element, IndexTransform, Operation, ProgramError, Relation, _Frozen,
-                   _int_arg, _of_type)
+from .core import Element, IndexTransform, Operation, Relation, _Frozen, _int_arg, _of_type
 from .engine import Program
 
 LCG_MULTIPLIER = 6364136223846793005
@@ -20,22 +19,22 @@ _U64 = (1 << 64) - 1
 _STREAM_MIX = 0x9E3779B97F4A7C15
 
 # Identifier layout of the matmul encoding.
-MM_LEFT = 0        # A entries, indices (row, inner)
-MM_RIGHT = 1       # B entries, indices (column, inner), value b[inner][column]
-MM_LEFT_REP = 2    # A replicated across result columns, indices (i, j, k)
-MM_RIGHT_REP = 3   # B replicated across result rows, indices (i, j, k)
-MM_PRODUCT = 4     # one a_ik * b_kj term, indices (i, j, k)
-MM_PARTIAL = 5     # running sum over k, indices (i, j, next k)
-MM_RESULT = 6      # finished c_ij, indices (i, j)
+_MM_LEFT = 0        # A entries, indices (row, inner)
+_MM_RIGHT = 1       # B entries, indices (column, inner), value b[inner][column]
+_MM_LEFT_REP = 2    # A replicated across result columns, indices (i, j, k)
+_MM_RIGHT_REP = 3   # B replicated across result rows, indices (i, j, k)
+_MM_PRODUCT = 4     # one a_ik * b_kj term, indices (i, j, k)
+_MM_PARTIAL = 5     # running sum over k, indices (i, j, next k)
+_MM_RESULT = 6      # finished c_ij, indices (i, j)
 
 MATMUL_NAMES = {
-    MM_LEFT: "A",
-    MM_RIGHT: "B",
-    MM_LEFT_REP: "A_rep",
-    MM_RIGHT_REP: "B_rep",
-    MM_PRODUCT: "product",
-    MM_PARTIAL: "partial_sum",
-    MM_RESULT: "C",
+    _MM_LEFT: "A",
+    _MM_RIGHT: "B",
+    _MM_LEFT_REP: "A_rep",
+    _MM_RIGHT_REP: "B_rep",
+    _MM_PRODUCT: "product",
+    _MM_PARTIAL: "partial_sum",
+    _MM_RESULT: "C",
 }
 
 
@@ -132,24 +131,24 @@ def matmul_program(a: Matrix, b: Matrix) -> Program:
     lines both replicas up on (i, j, k). Each (i, j) starts a zero-valued
     running sum at k = 0; SumStep folds product terms in k order and
     hands the total to the result identifier once k reaches n. An a or
-    b that is not a Matrix raises ValueError.
+    b that is not a Matrix, or a b of another size, raises ValueError.
     """
     _of_type("a", a, Matrix)
     _of_type("b", b, Matrix)
     n = a.n
     if b.n != n:
-        raise ProgramError(f"matrix sizes differ: {a.n} vs {b.n}")
+        raise ValueError(f"matrix sizes differ: {n} vs {b.n}")
 
     relations = [
-        Relation((MM_LEFT,), Operation.REPLICATE, (n,), MM_LEFT_REP,
+        Relation((_MM_LEFT,), Operation.REPLICATE, (n,), _MM_LEFT_REP,
                  IndexTransform.insert_varied(1, n)),
-        Relation((MM_RIGHT,), Operation.REPLICATE, (n,), MM_RIGHT_REP,
+        Relation((_MM_RIGHT,), Operation.REPLICATE, (n,), _MM_RIGHT_REP,
                  IndexTransform.insert_varied(0, n)),
-        Relation((MM_LEFT_REP, MM_RIGHT_REP), Operation.MUL_PAIR, (),
-                 MM_PRODUCT, IndexTransform.keep()),
-        Relation((MM_PARTIAL, MM_PRODUCT), Operation.SUM_STEP, (n, MM_RESULT),
-                 MM_PARTIAL, IndexTransform.increment_last()),
-        Relation((MM_RESULT,), Operation.SINK, (), MM_RESULT, IndexTransform.keep()),
+        Relation((_MM_LEFT_REP, _MM_RIGHT_REP), Operation.MUL_PAIR, (),
+                 _MM_PRODUCT, IndexTransform.keep()),
+        Relation((_MM_PARTIAL, _MM_PRODUCT), Operation.SUM_STEP, (n, _MM_RESULT),
+                 _MM_PARTIAL, IndexTransform.increment_last()),
+        Relation((_MM_RESULT,), Operation.SINK, (), _MM_RESULT, IndexTransform.keep()),
     ]
 
     # (i, k) for A and (j, k) for B, row-major; B's value b[k][j] walks
@@ -158,24 +157,22 @@ def matmul_program(a: Matrix, b: Matrix) -> Program:
     pairs = list(product(range(n), repeat=2))
     columns = chain.from_iterable(b.entries[j::n] for j in range(n))
     made = partial(tuple.__new__, Element)
-    initial = [*map(made, zip(repeat(MM_LEFT), pairs, a.entries)),
-               *map(made, zip(repeat(MM_RIGHT), pairs, columns)),
-               *map(made, zip(repeat(MM_PARTIAL), [(i, j, 0) for i, j in pairs], repeat(0)))]
+    initial = [*map(made, zip(repeat(_MM_LEFT), pairs, a.entries)),
+               *map(made, zip(repeat(_MM_RIGHT), pairs, columns)),
+               *map(made, zip(repeat(_MM_PARTIAL), [(i, j, 0) for i, j in pairs], repeat(0)))]
 
     return Program(
         relations=relations,
         initial_elements=initial,
-        arities={MM_LEFT: 2, MM_RIGHT: 2, MM_LEFT_REP: 3, MM_RIGHT_REP: 3,
-                 MM_PRODUCT: 3, MM_PARTIAL: 3, MM_RESULT: 2},
-        result_identifier=MM_RESULT,
+        arities={_MM_LEFT: 2, _MM_RIGHT: 2, _MM_LEFT_REP: 3, _MM_RIGHT_REP: 3,
+                 _MM_PRODUCT: 3, _MM_PARTIAL: 3, _MM_RESULT: 2},
+        result_identifier=_MM_RESULT,
         names=dict(MATMUL_NAMES),
     )
 
 
 def build_matmul_program(n: int, seed: int) -> Program:
     """Matmul program over two seeded digit matrices."""
-    _int_arg("matrix size", n, 1, ProgramError)
-    _int_arg("seed", seed, error=ProgramError)
     a = generate_matrix(n, seed, 0)
     b = generate_matrix(n, seed, 1)
     return matmul_program(a, b)

@@ -15,8 +15,12 @@ that the tests can check the plan loops against it:
   run_reference    -- drive to quiescence, FIFO unless told LIFO, raising
                       its error
   first_overflows  -- every overflow text a run can stop with first
+  simulate_reference -- the master/worker machine over the same
+                      primitives, written from the machine module's
+                      model: one heap of events, no hand-off
 """
 
+import heapq
 from collections import deque
 from itertools import repeat
 from types import SimpleNamespace
@@ -27,11 +31,13 @@ from aridem import (
     Element,
     ElementModelError,
     JoinDeadlockError,
+    Metrics,
     Operation,
     ProgramError,
     TransformKind,
 )
-from aridem.core import _deadlock_error, _duplicate_operand, _duplicate_output, _overflow
+from aridem.core import (_deadlock_error, _duplicate_operand, _duplicate_output, _over_budget,
+                         _overflow)
 
 JOINS = frozenset({Operation.MUL_PAIR, Operation.SUM_STEP})
 OVERFLOW_NAMES = {Operation.NEGATE: "Negate", Operation.SQUARE: "Square",
@@ -109,6 +115,11 @@ class PartialStore:
         """Elements still waiting for a partner (diagnostic order: insertion)."""
         return [elem for _, elem in self._waiting.values()]
 
+    def parked(self) -> tuple[Element, ...]:
+        """Elements still waiting, in the (relation id, index list) order
+        the executors name them in."""
+        return tuple(elem for _, (_, elem) in sorted(self._waiting.items()))
+
 
 def evaluate(relation, gathered) -> list[Element]:
     """apply_relation on a tuple of one or two operands, with unbounded
@@ -177,6 +188,16 @@ def apply_relation(relation, operands) -> list[Element]:
     return created
 
 
+def consumers_of(program) -> dict[int, list]:
+    """The (relation id, relation) pairs that consume each identifier, in
+    relation order."""
+    consumers = {}
+    for rid, rel in enumerate(program.relations):
+        for ident in rel.input_identifiers:
+            consumers.setdefault(ident, []).append((rid, rel))
+    return consumers
+
+
 def drive(program, apply=apply_relation, discipline="fifo", steps=None):
     """Deduction on the reference primitives, one relation at a time,
     taking each element from the queue's front ("fifo") or back ("lifo"),
@@ -192,10 +213,7 @@ def drive(program, apply=apply_relation, discipline="fifo", steps=None):
     length and the length after each element whose relations all
     completed, taken after every such element.
     """
-    consumers = {}
-    for rid, rel in enumerate(program.relations):
-        for ident in rel.input_identifiers:
-            consumers.setdefault(ident, []).append((rid, rel))
+    consumers = consumers_of(program)
     queue = deque(program.initial_elements)
     take = queue.popleft if discipline == "fifo" else queue.pop
     partials, outputs, popped, error = PartialStore(), {}, [], None
@@ -220,7 +238,7 @@ def drive(program, apply=apply_relation, discipline="fifo", steps=None):
             max_queue = max(max_queue, len(queue))
     except ElementModelError as caught:
         error = caught
-    parked = tuple(element for _, (_, element) in sorted(partials._waiting.items()))
+    parked = partials.parked()
     if error is None and parked and not queue:
         error = _deadlock_error(parked, program.names)
     return SimpleNamespace(outputs=outputs, elements_processed=len(popped),
@@ -270,3 +288,84 @@ def first_overflows(program) -> set[str]:
     except JoinDeadlockError:
         pass  # the texts were all gathered by quiescence
     return texts
+
+
+FINISH, ARRIVAL = 0, 1  # a finish is taken before an arrival at one time
+
+
+def simulate_reference(program, machine, costs, max_events, on_event=None):
+    """simulate()'s Metrics, events and errors, from the model alone.
+
+    The master pops queued elements in FIFO order, whole elements, only
+    while a worker is idle and no unit is pending, and turns every
+    relation an element completes into one unit: its operand count, the
+    elements it creates, and the element a result sink records. Each unit
+    goes to the worker the policy names: the lowest idle one, or under
+    "roundrobin" the first idle one after the last pick, wrapping. It is
+    sent at max(master free, now) + t_master and finishes t_msg + t_proc
+    later; its return arrives t_msg after that, and the master queues
+    what it created and records its output. Events are taken from one
+    heap of (time, kind, worker) entries, the budget checked before each.
+    A unit costs 1 + max(1, created) messages.
+    """
+    consumers = consumers_of(program)
+    emit = on_event or (lambda event: None)
+    workers, t_proc, t_msg = machine.workers, costs.t_proc, costs.t_msg
+    queue, pending, partials, outputs = deque(program.initial_elements), deque(), PartialStore(), {}
+    heap = []  # (time, kind, worker, unit); no two entries share the first three
+    idle = [True] * workers
+    last = workers - 1
+    operands, units = [0] * workers, [0] * workers
+    now = master_free = events = popped = messages = 0
+    while True:
+        while True in idle:
+            while queue and not pending:
+                element = queue.popleft()
+                popped += 1
+                for rid, rel in consumers.get(element.identifier, ()):
+                    if rel.operation in JOINS:
+                        pair = partials.offer(rid, rel, element)
+                        if pair is not None:
+                            pending.append((2, apply_relation(rel, pair), None))
+                    elif rel.operation is not Operation.SINK:
+                        pending.append((1, apply_relation(rel, element), None))
+                    else:
+                        result = element.identifier == program.result_identifier
+                        pending.append((1, [], element if result else None))
+            if not pending:
+                break
+            unit = pending.popleft()
+            if machine.dispatch == "roundrobin" and True in idle[last + 1:]:
+                w = idle.index(True, last + 1)
+            else:
+                w = idle.index(True)
+            idle[w], last = False, w
+            send = master_free = max(master_free, now) + costs.t_master
+            operands[w] += unit[0]
+            units[w] += 1
+            messages += 1 + max(1, len(unit[1]))
+            heapq.heappush(heap, (send + t_msg + t_proc, FINISH, w, unit))
+            emit(("dispatch", send, w, unit[0]))
+        emit(("idle_state", now, len(queue), idle.count(True), len(pending)))
+        if not heap:
+            break
+        if events == max_events:
+            raise _over_budget(max_events, "events")
+        events += 1
+        now, kind, w, unit = heapq.heappop(heap)
+        if kind == FINISH:
+            idle[w] = True
+            heapq.heappush(heap, (now + t_msg, ARRIVAL, w, unit))
+            emit(("finish", now, w))
+            continue
+        _, created, record = unit
+        if record is not None:
+            if record.indices in outputs:
+                raise _duplicate_output(record.indices)
+            outputs[record.indices] = record.value
+        queue.extend(created)
+        emit(("arrival", now, w, len(created)))
+    parked = partials.parked()
+    if parked:
+        raise _deadlock_error(parked, program.names, "machine ")
+    return Metrics(popped, messages, now, operands, [t_proc * n for n in units], outputs)

@@ -15,8 +15,10 @@ from aridem import (
     baseline,
     build_matmul_program,
     cli,
+    machine,
     matmul_oracle,
     simulate,
+    validate_metrics,
 )
 
 CMD = [sys.executable, "-m", "aridem"]
@@ -283,6 +285,21 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert cli.main([*SWEEP_GOLDEN_ARGS, "--out", str(out)]) == 0
         assert calls == [2, 3, 5]
+        assert out.read_bytes() == (SWEEP_GOLDEN_DIR / "default.csv").read_bytes()
+
+    def test_one_validation_per_record(self, monkeypatch, tmp_path):
+        """worker_busy_profile validates each record; the CLI does not again."""
+        checked = []
+
+        def counting_validate(metrics):
+            checked.append(metrics)
+            return validate_metrics(metrics)
+
+        monkeypatch.setattr(machine, "validate_metrics", counting_validate)
+        out = tmp_path / "sweep.csv"
+        assert cli.main([*SWEEP_GOLDEN_ARGS, "--out", str(out)]) == 0
+        assert len(checked) == len(parse_csv(out.read_text())) == 18
+        assert len(set(map(id, checked))) == 18
         assert out.read_bytes() == (SWEEP_GOLDEN_DIR / "default.csv").read_bytes()
 
     def test_cardinality_and_order(self):

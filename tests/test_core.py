@@ -527,9 +527,8 @@ def test_public_surface():
         "CostModel", "CountModel", "DuplicateOperandError", "DuplicateOutputError",
         "ELEMENT_COUNT_MODEL", "Element", "ElementModelError", "Execution",
         "INSTRUCTION_COUNT_MODEL", "INT64_MAX", "INT64_MIN", "IndexTransform",
-        "IntegerOverflowError", "JoinDeadlockError", "MATMUL_NAMES",
-        "MM_LEFT", "MM_PARTIAL", "MM_RESULT", "MM_RIGHT", "MachineConfig", "Matrix",
-        "Metrics", "Operation", "Program", "ProgramError", "REFERENCE_TABLES",
+        "IntegerOverflowError", "JoinDeadlockError", "MATMUL_NAMES", "MachineConfig",
+        "Matrix", "Metrics", "Operation", "Program", "ProgramError", "REFERENCE_TABLES",
         "Relation", "RelationStore", "RunResult", "SimulationLimitError",
         "TransformKind", "build_matmul_program", "build_negate_demo",
         "build_square_demo", "fit_count_model", "generate_matrix",
@@ -543,8 +542,9 @@ def test_public_surface():
     # gave way to CountModel.count, Lcg64 was folded into generate_matrix,
     # and the rest are used inside the package only
     for name in ("BINARY_OPERATIONS", "PartialStore", "apply_relation", "Lcg64",
-                 "ReferenceTables", "MM_LEFT_REP", "MM_RIGHT_REP", "MM_PRODUCT",
-                 "instruction_count", "element_count_reference"):
+                 "ReferenceTables", "MM_LEFT", "MM_RIGHT", "MM_LEFT_REP", "MM_RIGHT_REP",
+                 "MM_PRODUCT", "MM_PARTIAL", "MM_RESULT", "instruction_count",
+                 "element_count_reference"):
         assert not hasattr(aridem, name), name
 
 

@@ -8,7 +8,10 @@ or cannot set); step() and a traced run() must also give run()'s whole
 RunResult under the same discipline, or its error text; simulate() is
 checked against run() at every worker count and dispatch policy, on
 outputs, elements processed and error text, and its totals, which it
-derives at quiescence, against counts taken from its on_event stream.
+derives at quiescence, against counts taken from its on_event stream;
+its timing is checked against simulate_reference, the one-heap machine
+of reference.py, on the whole Metrics, event stream and error text,
+under small event budgets and costs that tie too.
 run()'s own on_event stream must account for its counters and outputs.
 Where equal-time finishes may reorder the machine's queue, its overflow
 text must be one of the first overflows the reference lists. A
@@ -55,8 +58,9 @@ from aridem import (
     validate_metrics,
 )
 from aridem.core import INT64_MAX, INT64_MIN
+from aridem.machine import DEFAULT_EVENT_LIMIT
 from conftest import fanout_chain_program
-from reference import apply_transform, first_overflows, run_reference
+from reference import apply_transform, first_overflows, run_reference, simulate_reference
 
 MAX_ARITY = 3
 VALUES = st.one_of(st.integers(-9, 9), st.integers(INT64_MIN, INT64_MAX))
@@ -399,6 +403,45 @@ def test_a_tie_can_meet_another_first_overflow():
     assert expected[0] is tie[0] is IntegerOverflowError
     assert tie != expected
     assert first_overflows(program) == {expected[1], tie[1]}
+
+
+def simulated(execute, program, config, costs, max_events):
+    """The Metrics repr (outputs in insertion order) or the error class
+    and text of one simulation, and its on_event stream."""
+    events = []
+    try:
+        result = repr(execute(program, config, costs, max_events=max_events,
+                              on_event=events.append))
+    except ElementModelError as error:
+        result = (type(error), str(error))
+    return result, events
+
+
+def check_simulate_timing(program, config, costs, max_events=DEFAULT_EVENT_LIMIT):
+    """simulate() agrees with simulate_reference on the whole outcome and
+    event stream, so its two FIFOs, tie test and hand-off keep the times
+    and order of the model's one heap."""
+    assert (simulated(simulate, program, config, costs, max_events)
+            == simulated(simulate_reference, program, config, costs, max_events))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(programs(), st.integers(1, 16), st.sampled_from(("idle", "roundrobin")),
+       st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)).filter(any),
+       st.one_of(st.just(DEFAULT_EVENT_LIMIT), st.integers(0, 40)))
+def test_simulate_matches_the_reference_machine(program, workers, dispatch, costs, max_events):
+    # costs of 0 and 1 make many equal-time finishes, t_master > 0 a busy master
+    check_simulate_timing(program, MachineConfig(workers, dispatch), CostModel(*costs),
+                          max_events)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_simulate_matches_the_reference_machine_on_matmul(n):
+    program = build_matmul_program(n, seed=n)
+    for workers, dispatch, costs in itertools.product(
+            (1, 2, 3, 5, 16), ("idle", "roundrobin"),
+            (CostModel(), CostModel(t_proc=3, t_master=2), CostModel(t_proc=0, t_msg=1))):
+        check_simulate_timing(program, MachineConfig(workers, dispatch), costs)
 
 
 @settings(max_examples=300, deadline=None, database=None)

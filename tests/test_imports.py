@@ -1,20 +1,26 @@
 """Import hygiene: every name a module of the package imports is used in
 it, every private function, class and method the package defines is
-read somewhere in it, and __init__.py exports exactly the names it
-imports.
+read somewhere in it, __init__.py exports exactly the names it imports,
+and each of those is read outside the module that defines it.
 
 __init__.py imports names to export them, and __future__ imports switch
 on compiler features, so both are left out of the first check. A private
 name is one that starts with an underscore and is not a dunder; a helper
-folded into another and left behind is one the second check finds.
+folded into another and left behind is one the second check finds. An
+export that only its own module and the tests read is one the last
+check finds: it belongs to that module, not to the public surface.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aridem"
+import aridem
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "aridem"
 SOURCES = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 MODULES = sorted(name for name in SOURCES if name != "__init__.py")
 
@@ -111,3 +117,49 @@ def test_checker_finds_export_mismatches():
 
 def test_init_exports_exactly_what_it_imports():
     assert export_mismatch(SOURCES["__init__.py"]) == []
+
+
+def names_read(path: str, text: str) -> set[str]:
+    """The names a Python source reads, as a name or an attribute, or
+    every word of any other text."""
+    if not path.endswith(".py"):
+        return set(re.findall(r"\w+", text))
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_exports(sources: dict[str, str], outside: dict[str, str], values: dict) -> list[str]:
+    """The names in values, each exported name and its value, that no
+    module of sources but the one __init__.py imports them from reads,
+    that no outside text reads, and that are not the type of another
+    exported value, in sorted order."""
+    owners = {}
+    for node in ast.parse(sources["__init__.py"]).body:
+        if isinstance(node, ast.ImportFrom):
+            owners.update((a.asname or a.name, f"{node.module}.py") for a in node.names)
+    reads = {path: names_read(path, text) for path, text in {**sources, **outside}.items()
+             if path != "__init__.py"}
+    types = [type(value) for value in values.values()]
+    return sorted(name for name, value in values.items()
+                  if not any(name in read for path, read in reads.items() if path != owners[name])
+                  and not any(value is kind for kind in types))
+
+
+def test_checker_finds_unread_exports():
+    sources = {"__init__.py": "from .a import Kind, KIND, used, own, shown, noted\n",
+               "a.py": "class Kind: pass\nKIND = Kind()\ndef own(): pass\nown()\n",
+               "b.py": "from .a import used\nused()\n"}
+    outside = {"README.md": "Call `shown` and read KIND.",
+               "demos/x.py": "import pkg\n# noted\npkg.shown()\n"}
+    kind = type("Kind", (), {})
+    values = {"Kind": kind, "KIND": kind(), "used": len, "own": abs, "shown": min,
+              "noted": max}
+    assert unread_exports(sources, outside, values) == ["noted", "own"]
+
+
+def test_every_export_is_read_outside_its_module():
+    paths = [ROOT / "README.md", *sorted(ROOT.glob("demos/*.py")), *sorted(ROOT.glob("bench/*.py"))]
+    outside = {str(path.relative_to(ROOT)): path.read_text() for path in paths}
+    values = {name: getattr(aridem, name) for name in aridem.__all__}
+    assert unread_exports(SOURCES, outside, values) == []

@@ -268,8 +268,17 @@ class TestAccounting:
         (lambda m: setattr(m, "outputs", []), "outputs must be a dict, not list"),
         (lambda m: (setattr(m, "messages", -1), setattr(m, "outputs", None)),
          "outputs must be a dict, not NoneType"),
+        # each worker is checked, not only the totals: these read
+        # imbalance 2.0 and 2.5
+        (lambda m: setattr(m, "per_worker_busy", [0, 2 * m.sim_time]),
+         "workers cannot be busy longer than the run"),
+        (lambda m: setattr(m, "per_worker_processed", [-3, 5]), "counters must be non-negative"),
+        (lambda m: setattr(m, "per_worker_busy", [-1, 5]), "counters must be non-negative"),
+        (lambda m: (setattr(m, "per_worker_busy", []), setattr(m, "per_worker_processed", [])),
+         "per-worker lists must be non-empty and equal length"),
     ], ids=["negative", "lists", "busy", "float-counter", "bool-counter", "none-counter",
-            "none-list", "tuple-list", "str-entry", "list-outputs", "types-first"])
+            "none-list", "tuple-list", "str-entry", "list-outputs", "types-first",
+            "worker-busy", "negative-processed", "negative-busy", "empty-lists"])
     def test_validate_metrics_names_each_fault(self, tamper, text):
         m = validate_metrics(simulate(build_matmul_program(3, seed=0), MachineConfig(workers=2)))
         tamper(m)
@@ -342,6 +351,22 @@ class TestImbalance:
         )
         with pytest.raises(ValueError):
             worker_busy_profile(empty)
+
+    @pytest.mark.parametrize("tamper, text", [
+        (lambda m: setattr(m, "per_worker_busy", None),
+         "per_worker_busy must be a list of plain ints, not None"),
+        (lambda m: setattr(m, "per_worker_busy", [-1, 5]), "counters must be non-negative"),
+        (lambda m: setattr(m, "per_worker_busy", []),
+         "per-worker lists must be non-empty and equal length"),
+    ], ids=["none", "negative", "empty"])
+    def test_refuses_what_validate_metrics_refuses(self, tamper, text):
+        # None raised a bare TypeError, [-1, 5] read 2.5 and [] read 1.0
+        m = simulate(build_negate_demo(), MachineConfig(workers=2))
+        tamper(m)
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            worker_busy_profile(m)
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            validate_metrics(m)
 
     def test_zero_busy_reports_balanced(self):
         m = simulate(build_negate_demo(), MachineConfig(workers=2),

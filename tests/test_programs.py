@@ -5,7 +5,6 @@ from aridem import (
     MachineConfig,
     Matrix,
     Operation,
-    ProgramError,
     build_matmul_program,
     build_negate_demo,
     build_square_demo,
@@ -16,8 +15,8 @@ from aridem import (
     run,
     simulate,
 )
-from aridem.programs import (LCG_INCREMENT, LCG_MULTIPLIER, MM_LEFT, MM_PARTIAL, MM_RESULT,
-                             MM_RIGHT)
+from aridem.programs import (LCG_INCREMENT, LCG_MULTIPLIER, _MM_LEFT, _MM_PARTIAL, _MM_RESULT,
+                             _MM_RIGHT)
 
 
 def lcg_digits(state: int, count: int) -> list[int]:
@@ -200,7 +199,7 @@ class TestMatmulStructure:
 
     def test_left_entries_feed_only_replicate(self):
         program = build_matmul_program(3, seed=0)
-        rels = [r for r in program.relations if MM_LEFT in r.input_identifiers]
+        rels = [r for r in program.relations if _MM_LEFT in r.input_identifiers]
         assert len(rels) == 1
         assert rels[0].operation is Operation.REPLICATE
 
@@ -209,8 +208,8 @@ class TestMatmulStructure:
 
     def test_sum_seeds_start_at_zero(self):
         program = build_matmul_program(2, seed=0)
-        seeds = [e for e in program.initial_elements if e.identifier == MM_PARTIAL]
-        assert seeds == [Element(MM_PARTIAL, (i, j, 0), 0)
+        seeds = [e for e in program.initial_elements if e.identifier == _MM_PARTIAL]
+        assert seeds == [Element(_MM_PARTIAL, (i, j, 0), 0)
                          for i in range(2) for j in range(2)]
 
     def test_right_entries_carry_transposed_layout(self):
@@ -218,13 +217,13 @@ class TestMatmulStructure:
         b = Matrix.from_rows([[1, 2], [3, 4]])
         program = matmul_program(Matrix.identity(2), b)
         rights = {e.indices: e.value for e in program.initial_elements
-                  if e.identifier == MM_RIGHT}
+                  if e.identifier == _MM_RIGHT}
         assert rights == {(0, 0): 1, (0, 1): 3, (1, 0): 2, (1, 1): 4}
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ProgramError):
+        with pytest.raises(ValueError, match=r"^matrix sizes differ: 2 vs 3$"):
             matmul_program(Matrix.identity(2), Matrix.identity(3))
-        with pytest.raises(ProgramError):
+        with pytest.raises(ValueError, match=r"^matrix size must be a positive int, not 0$"):
             build_matmul_program(0, seed=0)
 
     @pytest.mark.parametrize("n, seed, text", [
@@ -237,10 +236,12 @@ class TestMatmulStructure:
     ], ids=["size-float", "size-bool", "size-str", "seed-float", "seed-bool", "seed-none"])
     def test_size_and_seed_must_be_plain_ints(self, n, seed, text):
         # 2.0 raised a bare TypeError, and True failed with the text of
-        # a Relation's transform check
-        with pytest.raises(ProgramError) as caught:
-            build_matmul_program(n, seed)
-        assert str(caught.value) == text
+        # a Relation's transform check; the build refuses each argument
+        # as generate_matrix does
+        for build in (build_matmul_program, lambda n, seed: generate_matrix(n, seed, 0)):
+            with pytest.raises(ValueError) as caught:
+                build(n, seed)
+            assert str(caught.value) == text
 
 
 class TestMatmulResults:
