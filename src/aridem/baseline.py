@@ -61,13 +61,6 @@ class ReferenceTables(_Frozen):
                              element_counts=MappingProxyType(dict(element_counts)),
                              instruction_model_ms=grids[0], element_model_ms=grids[1])
 
-    def __reduce__(self):
-        # pickle and copy rebuild the read-only copies from plain dicts
-        grids = [{n: dict(row) for n, row in grid.items()}
-                 for grid in (self.instruction_model_ms, self.element_model_ms)]
-        return (ReferenceTables, (self.sizes, dict(self.instruction_counts),
-                                  dict(self.element_counts), *grids))
-
 
 REFERENCE_TABLES = ReferenceTables(
     sizes=(40, 60, 80, 100),

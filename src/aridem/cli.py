@@ -60,6 +60,18 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+# The largest matrix size run and sweep accept: at n = 128 a run queues
+# about 4.2M elements at once (2n³ + 2n²), a count that grows as n³.
+# counts computes its counts in closed form and takes any size.
+_MAX_SIZE = 128
+
+
+def _size(n: int) -> int:
+    if n > _MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"expected a size of at most {_MAX_SIZE}, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aridem",
@@ -88,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="simulate one model at one configuration")
     runp.add_argument("model", choices=("element", "instruction"))
-    runp.add_argument("--n", type=_int_at_least(1), required=True, help="matrix size")
+    runp.add_argument("--n", type=lambda text: _size(_int_at_least(1)(text)), required=True,
+                      help="matrix size")
     runp.add_argument("--procs", type=_int_at_least(1), default=1, help="worker count")
     runp.add_argument("--seed", type=_int_at_least(0), default=0)
     add_cost_flags(runp)
@@ -96,13 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     runp.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="run the size/processor grid for both models")
-    sweep.add_argument("--sizes", type=_int_list, default=[40, 60, 80, 100],
+    sweep.add_argument("--sizes", type=lambda text: [*map(_size, _int_list(text))],
+                       default=[40, 60, 80, 100],
                        help="comma-separated matrix sizes (default 40,60,80,100)")
     sweep.add_argument("--procs", type=_int_list, default=[2, 4, 8, 16],
                        help="comma-separated worker counts (default 2,4,8,16)")
     sweep.add_argument("--seed", type=_int_at_least(0), default=0)
-    sweep.add_argument("--max-size", type=_int_at_least(1), default=128,
-                       help="largest size accepted (default 128)")
     add_cost_flags(sweep)
     add_output_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
@@ -215,10 +227,6 @@ def cmd_counts(args: argparse.Namespace) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "sweep" and max(args.sizes) > args.max_size:
-        print(f"error: size {max(args.sizes)} exceeds --max-size {args.max_size}",
-              file=sys.stderr)
-        return 2
     out = getattr(args, "out", None)
     made = None  # an --out file this call created, removed unless it is written
     try:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import FrozenInstanceError
 from enum import Enum, auto
+from types import MappingProxyType
 from typing import NamedTuple
 
 INT64_MIN = -(1 << 63)
@@ -135,10 +136,15 @@ class _Frozen(_Value):
     Its __init__ stores the fields straight into the instance __dict__:
     with one item assignment per field where a program build makes many
     (IndexTransform, Relation), which is the fastest form, and with one
-    update call elsewhere.
+    update call elsewhere. Pickle and copy rebuild a value through its
+    class, read-only mappings passed back as dicts, so its checks run
+    again and what it derives is derived anew.
     """
 
     __slots__ = ()
+
+    def __reduce__(self):
+        return self.__class__, tuple([_thawed(value) for value in self._values()])
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -148,6 +154,13 @@ class _Frozen(_Value):
 
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _thawed(value):
+    """value, or a dict in place of a read-only mapping, nested ones too."""
+    if type(value) is MappingProxyType:
+        return {key: _thawed(item) for key, item in value.items()}
+    return value
 
 
 class IndexTransform(_Frozen):

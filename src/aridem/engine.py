@@ -117,11 +117,6 @@ class Program(_Frozen):
             raise ProgramError(f"cannot read the program's fields: {error}") from None
         d["_plans"], d["_binary"], d["_places"], d["_keys"] = _compile_plans(self)
 
-    def __reduce__(self):
-        # pickle and copy rebuild what the build derives
-        return (Program, (self.relations, self.initial_elements, dict(self.arities),
-                          self.result_identifier, dict(self.names)))
-
     def identifier_name(self, identifier: int) -> str:
         return self.names.get(identifier, f"id{identifier}")
 

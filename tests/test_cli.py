@@ -232,19 +232,49 @@ def _deadlocked(*args):
     raise JoinDeadlockError("machine quiescent")
 
 
-@pytest.mark.parametrize("args, simulator, code", [
-    (("sweep", "--sizes", "200"), simulate, 2),
-    (("run", "element", "--n", "2"), _deadlocked, 1),
-    (("run", "element", "--n", "2", "--t-proc", "0", "--t-msg", "0"), simulate, 1),
-], ids=["size-over-max-size", "model-error", "value-error"])
-def test_failed_run_leaves_no_out_file(monkeypatch, tmp_path, args, simulator, code):
+@pytest.mark.parametrize("args, simulator", [
+    (("run", "element", "--n", "2"), _deadlocked),
+    (("run", "element", "--n", "2", "--t-proc", "0", "--t-msg", "0"), simulate),
+], ids=["model-error", "value-error"])
+def test_failed_run_leaves_no_out_file(monkeypatch, tmp_path, args, simulator):
     """A run that fails removes the --out file it created, and leaves an
     existing one as it was."""
     monkeypatch.setattr(cli, "simulate", simulator)
     kept = tmp_path / "kept.csv"
     kept.write_text("kept\n")
-    assert cli.main([*args, "--out", str(tmp_path / "new.csv")]) == code
-    assert cli.main([*args, "--out", str(kept)]) == code
+    assert cli.main([*args, "--out", str(tmp_path / "new.csv")]) == 1
+    assert cli.main([*args, "--out", str(kept)]) == 1
+    assert list(tmp_path.iterdir()) == [kept]
+    assert kept.read_text() == "kept\n"
+
+
+def _unreachable(*args):
+    raise AssertionError("an oversized run started")
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "element", "--n", "129"),
+    ("run", "instruction", "--n", "129"),
+    ("sweep", "--sizes", "4,129"),
+], ids=["run-element", "run-instruction", "sweep"])
+def test_oversize_is_a_usage_error_before_any_work(monkeypatch, capsys, tmp_path, args):
+    """A size above 128 is refused as argparse reads it: exit 2 with the
+    usage line, before any program is built or any --out file is made,
+    and an existing file is left as it was."""
+    monkeypatch.setattr(cli, "build_matmul_program", _unreachable)
+    monkeypatch.setattr(cli, "simulate_instruction_model", _unreachable)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    for out in (tmp_path / "new.csv", kept):
+        with pytest.raises(SystemExit) as exited:
+            cli.main([*args, "--out", str(out)])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith(f"usage: aridem {args[0]} ")
+        assert lines[-1] == (f"aridem {args[0]}: error: argument {args[-2]}: "
+                             "expected a size of at most 128, got 129")
     assert list(tmp_path.iterdir()) == [kept]
     assert kept.read_text() == "kept\n"
 
@@ -353,14 +383,28 @@ class TestSweep:
         assert len(doc["records"]) == 4
         assert {s["model"] for s in doc["summary"]} == {"element", "instruction"}
 
-    def test_oversize_rejected(self):
-        proc = aridem("sweep", "--sizes", "4,200", check=False)
-        assert proc.returncode == 2
-        assert "max-size" in proc.stderr
+    def test_oversize_rejected(self, tmp_path):
+        out = tmp_path / "f.csv"
+        proc = aridem("sweep", "--sizes", "4,200", "--out", str(out), check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: aridem sweep ")
+        assert proc.stderr.endswith(
+            "aridem sweep: error: argument --sizes: expected a size of at most 128, got 200\n")
+        assert not out.exists()
 
-    def test_max_size_boundary_accepted(self):
-        proc = aridem("sweep", "--sizes", "4", "--procs", "1", "--max-size", "4")
-        assert len(parse_csv(proc.stdout)) == 2
+    def test_max_size_boundary_accepted(self, capsys):
+        """run --n and each sweep --sizes entry may be 128 and not 129,
+        while counts, which is closed-form, takes any size; checked by the
+        parser alone, so no n = 128 run is made."""
+        parser = cli.build_parser()
+        assert parser.parse_args(["counts", "--sizes", "1000"]).sizes == [1000]
+        assert parser.parse_args(["sweep", "--sizes", "128,4"]).sizes == [128, 4]
+        assert parser.parse_args(["run", "instruction", "--n", "128"]).n == 128
+        for args in (["sweep", "--sizes", "128,129"], ["run", "element", "--n", "129"]):
+            with pytest.raises(SystemExit) as exited:
+                parser.parse_args(args)
+            assert exited.value.code == 2
+            assert capsys.readouterr().err.endswith("expected a size of at most 128, got 129\n")
 
     def test_malformed_size_list(self):
         assert aridem("sweep", "--sizes", "4,x", check=False).returncode == 2

@@ -300,6 +300,8 @@ class TestProgramValidation:
          "expected 0"),
         ([Element(-1, (), 5)], [], {-1: 0, 0: 0, 1: 0, 2: 0.5}, 1,
          "arities must map plain ints to plain ints"),
+        ([Element(7, (), 5), Element(0, (1,), 5)], [], {0: 0}, 0,
+         "initial element identifier 7 unregistered"),
     ])
     def test_first_failing_check_names_the_error(self, initial, relations, arities,
                                                  result, message):

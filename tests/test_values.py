@@ -11,6 +11,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from aridem import (
     Metrics,
     Operation,
     Program,
+    ProgramError,
     Relation,
     RunResult,
     TransformKind,
@@ -361,6 +363,30 @@ def test_program_and_stored_relation_round_trips(round_trip):
     assert relation == program.relations[1]
     with pytest.raises(dataclasses.FrozenInstanceError):
         relation.output_identifier = 0
+
+
+@pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)),
+                                        copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+@pytest.mark.parametrize("value, field, bad, error", [
+    (negate_relation(), "operation", "bogus", "unknown operation 'bogus'"),
+    (IndexTransform.keep(), "kind", "bogus", "transform kind 'bogus' is not a TransformKind"),
+    (build_negate_demo(), "result_identifier", 9, "result identifier has no registered arity"),
+    (MachineConfig(2), "workers", 0, "workers must be a positive int, not 0"),
+    (CostModel(), "t_proc", -1, "t_proc must be a non-negative int, not -1"),
+    (CountModel(1, 0), "cubic", True, "cubic term must be a positive int, not True"),
+    (Matrix(1, (5,)), "entries", [5], "matrix entries must be a tuple, not list"),
+], ids=["Relation", "IndexTransform", "Program", "MachineConfig", "CostModel", "CountModel",
+        "Matrix"])
+def test_round_trips_check_each_field_again(value, field, bad, error, round_trip):
+    """A copy is rebuilt through its class, so it refuses a field the class
+    refuses. A forged Relation with operation 'bogus', restored with its
+    fields written straight in, would build into a Program that runs it
+    as Square."""
+    forged = object.__new__(type(value))
+    forged.__dict__.update(value.__dict__, **{field: bad})
+    with pytest.raises((ProgramError, ValueError), match=f"^{re.escape(error)}$"):
+        round_trip(forged)
 
 
 def test_programs_built_alike_are_equal():
