@@ -174,12 +174,12 @@ def simulate_instruction_model(n: int, workers: int,
     finishes at 3 * t_msg + work_s * t_proc; the run takes the longest
     slave's finish time. Outputs are the true product for the seeded
     matrices, so checksums line up with the element machine. ValueError
-    refuses a size that is not a positive int, a slave count that is not
-    a positive int of at most machine.MAX_WORKERS, a seed that is not a
+    refuses a size that is not a positive int, workers that is not a
+    positive int of at most machine.MAX_WORKERS, a seed that is not a
     plain int and costs that are not a CostModel.
     """
     _int_arg("matrix size", n, 1)
-    _int_arg("slave count", workers, 1, most=MAX_WORKERS)
+    _int_arg("workers", workers, 1, most=MAX_WORKERS)
     _int_arg("seed", seed)
     _of_type("costs", costs, CostModel)
 

@@ -24,6 +24,7 @@ from .baseline import (
 from .core import Element, ElementModelError
 from .engine import run as run_program
 from .machine import (
+    MAX_WORKERS,
     CostModel,
     MachineConfig,
     simulate,
@@ -32,44 +33,39 @@ from .machine import (
 from .programs import build_matmul_program, build_negate_demo, build_square_demo, matmul_element_count
 
 
-def _int_at_least(least: int):
-    """An argparse type for an int no less than least, 0 or 1. Any other
-    text gets the message below, not argparse's own, which would name
-    this private function."""
-    error = f"expected a {'positive' if least else 'non-negative'} integer, got "
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = least - 1
-        if value < least:
-            raise argparse.ArgumentTypeError(error + text)
-        return value
-
-    return parse
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("expected a non-empty list of positive integers")
-    return values
-
-
 # The largest matrix size run and sweep accept: at n = 128 a run queues
 # about 4.2M elements at once (2n³ + 2n²), a count that grows as n³.
 # counts computes its counts in closed form and takes any size.
 _MAX_SIZE = 128
 
 
-def _size(n: int) -> int:
-    if n > _MAX_SIZE:
-        raise argparse.ArgumentTypeError(f"expected a size of at most {_MAX_SIZE}, got {n}")
-    return n
+def _ints(least: int, most: tuple[str, int] | None = None, many: bool = False):
+    """An argparse type for an int no less than least, 0 or 1, and no more
+    than most, a bound given as (name, value); with many, for a non-empty
+    comma-separated list of such ints. Any other text gets one of the
+    messages below, not argparse's own, which would name this private
+    function."""
+    kind = "positive" if least else "non-negative"
+
+    def parse(text: str):
+        parts = [part for part in text.split(",") if part.strip()] if many else [text]
+        if not parts:
+            raise argparse.ArgumentTypeError("expected a non-empty list of positive integers")
+        values = []
+        for part in parts:
+            try:
+                value = int(part)
+            except ValueError:
+                value = least - 1
+            if value < least:
+                raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {part}")
+            if most is not None and value > most[1]:
+                raise argparse.ArgumentTypeError(
+                    f"expected a {most[0]} of at most {most[1]}, got {value}")
+            values.append(value)
+        return values if many else value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,11 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=cmd_demo)
 
     def add_cost_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--t-proc", type=_int_at_least(0), default=1,
+        p.add_argument("--t-proc", type=_ints(0), default=1,
                        help="time per dispatched work unit (default 1)")
-        p.add_argument("--t-msg", type=_int_at_least(0), default=10,
+        p.add_argument("--t-msg", type=_ints(0), default=10,
                        help="time per message (default 10)")
-        p.add_argument("--t-master", type=_int_at_least(0), default=0,
+        p.add_argument("--t-master", type=_ints(0), default=0,
                        help="master bookkeeping time per dispatch (default 0)")
         p.add_argument("--dispatch", choices=("idle", "roundrobin"), default="idle",
                        help="worker pick policy (default idle)")
@@ -100,27 +96,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="simulate one model at one configuration")
     runp.add_argument("model", choices=("element", "instruction"))
-    runp.add_argument("--n", type=lambda text: _size(_int_at_least(1)(text)), required=True,
+    runp.add_argument("--n", type=_ints(1, ("size", _MAX_SIZE)), required=True,
                       help="matrix size")
-    runp.add_argument("--procs", type=_int_at_least(1), default=1, help="worker count")
-    runp.add_argument("--seed", type=_int_at_least(0), default=0)
+    runp.add_argument("--procs", type=_ints(1, ("worker count", MAX_WORKERS)), default=1,
+                      help="worker count")
+    runp.add_argument("--seed", type=_ints(0), default=0)
     add_cost_flags(runp)
     add_output_flags(runp)
     runp.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="run the size/processor grid for both models")
-    sweep.add_argument("--sizes", type=lambda text: [*map(_size, _int_list(text))],
+    sweep.add_argument("--sizes", type=_ints(1, ("size", _MAX_SIZE), many=True),
                        default=[40, 60, 80, 100],
                        help="comma-separated matrix sizes (default 40,60,80,100)")
-    sweep.add_argument("--procs", type=_int_list, default=[2, 4, 8, 16],
+    sweep.add_argument("--procs", type=_ints(1, ("worker count", MAX_WORKERS), many=True),
+                       default=[2, 4, 8, 16],
                        help="comma-separated worker counts (default 2,4,8,16)")
-    sweep.add_argument("--seed", type=_int_at_least(0), default=0)
+    sweep.add_argument("--seed", type=_ints(0), default=0)
     add_cost_flags(sweep)
     add_output_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     counts = sub.add_parser("counts", help="print reference count tables and ratios")
-    counts.add_argument("--sizes", type=_int_list, default=[40, 60, 80, 100])
+    counts.add_argument("--sizes", type=_ints(1, many=True), default=[40, 60, 80, 100])
     add_output_flags(counts)
     counts.set_defaults(func=cmd_counts)
 
@@ -249,6 +247,3 @@ def main(argv=None) -> int:
         if made is not None:
             os.remove(made)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -333,9 +333,9 @@ class TestInstructionMachine:
     @pytest.mark.parametrize("args, text", [
         ((2.5, 2), "matrix size must be a positive int, not 2.5"),
         ((True, 2), "matrix size must be a positive int, not True"),
-        ((4, 2.0), "slave count must be a positive int, not 2.0"),
-        ((4, True), "slave count must be a positive int, not True"),
-        ((4, 65_537), "slave count must be at most 65536, not 65537"),
+        ((4, 2.0), "workers must be a positive int, not 2.0"),
+        ((4, True), "workers must be a positive int, not True"),
+        ((4, 65_537), "workers must be at most 65536, not 65537"),
         ((4, 2, CostModel(), 1.0), "seed must be a plain int, not 1.0"),
         ((4, 2, CostModel(), False), "seed must be a plain int, not False"),
     ], ids=["size-float", "size-bool", "workers-float", "workers-bool", "workers-cap",

@@ -128,11 +128,12 @@ class TestRun:
         assert "error" in proc.stderr
 
     @pytest.mark.parametrize("model", ["element", "instruction"])
-    def test_procs_past_the_cap_fail_with_exit_1(self, model):
+    def test_procs_past_the_cap_is_a_usage_error(self, model):
         proc = aridem("run", model, "--n", "2", "--procs", "1000000000", check=False)
-        assert proc.returncode == 1 and proc.stdout == ""
-        count = "workers" if model == "element" else "slave count"
-        assert proc.stderr == f"error: {count} must be at most 65536, not 1000000000\n"
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: aridem run ")
+        assert proc.stderr.endswith("aridem run: error: argument --procs: expected a "
+                                    "worker count of at most 65536, got 1000000000\n")
 
     def test_model_error_fails_with_exit_1(self, monkeypatch, capsys):
         def deadlocked(*args):
@@ -249,19 +250,30 @@ def test_failed_run_leaves_no_out_file(monkeypatch, tmp_path, args, simulator):
 
 
 def _unreachable(*args):
-    raise AssertionError("an oversized run started")
+    raise AssertionError("a refused run started")
 
 
-@pytest.mark.parametrize("args", [
-    ("run", "element", "--n", "129"),
-    ("run", "instruction", "--n", "129"),
-    ("sweep", "--sizes", "4,129"),
-], ids=["run-element", "run-instruction", "sweep"])
-def test_oversize_is_a_usage_error_before_any_work(monkeypatch, capsys, tmp_path, args):
-    """A size above 128 is refused as argparse reads it: exit 2 with the
-    usage line, before any program is built or any --out file is made,
-    and an existing file is left as it was."""
+_SIZE_PAST = "expected a size of at most 128, got 129"
+_PROCS_PAST = "expected a worker count of at most 65536, got 70000"
+
+
+@pytest.mark.parametrize("args, text", [
+    (("run", "element", "--n", "129"), _SIZE_PAST),
+    (("run", "instruction", "--n", "129"), _SIZE_PAST),
+    (("sweep", "--sizes", "4,129"), _SIZE_PAST),
+    (("run", "element", "--n", "2", "--procs", "70000"), _PROCS_PAST),
+    (("run", "instruction", "--n", "2", "--procs", "70000"), _PROCS_PAST),
+    (("sweep", "--sizes", "4", "--procs", "2,70000"), _PROCS_PAST),
+], ids=["size-run-element", "size-run-instruction", "size-sweep",
+        "procs-run-element", "procs-run-instruction", "procs-sweep"])
+def test_value_past_its_bound_is_a_usage_error_before_any_work(monkeypatch, capsys,
+                                                               tmp_path, args, text):
+    """A size above 128 or a worker count above 65,536 is refused as
+    argparse reads it: exit 2 with the usage line, before any program is
+    built or simulated or any --out file is made, and an existing file is
+    left as it was."""
     monkeypatch.setattr(cli, "build_matmul_program", _unreachable)
+    monkeypatch.setattr(cli, "simulate", _unreachable)
     monkeypatch.setattr(cli, "simulate_instruction_model", _unreachable)
     kept = tmp_path / "kept.csv"
     kept.write_text("kept\n")
@@ -273,8 +285,7 @@ def test_oversize_is_a_usage_error_before_any_work(monkeypatch, capsys, tmp_path
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert lines[0].startswith(f"usage: aridem {args[0]} ")
-        assert lines[-1] == (f"aridem {args[0]}: error: argument {args[-2]}: "
-                             "expected a size of at most 128, got 129")
+        assert lines[-1] == f"aridem {args[0]}: error: argument {args[-2]}: {text}"
     assert list(tmp_path.iterdir()) == [kept]
     assert kept.read_text() == "kept\n"
 
@@ -393,22 +404,42 @@ class TestSweep:
         assert not out.exists()
 
     def test_max_size_boundary_accepted(self, capsys):
-        """run --n and each sweep --sizes entry may be 128 and not 129,
-        while counts, which is closed-form, takes any size; checked by the
-        parser alone, so no n = 128 run is made."""
+        """run --n and each sweep --sizes entry may be 128 and not 129, and
+        each run or sweep --procs entry 65536 and not 65537, while counts,
+        which is closed-form, takes any size; checked by the parser alone,
+        so no such run is made."""
         parser = cli.build_parser()
         assert parser.parse_args(["counts", "--sizes", "1000"]).sizes == [1000]
         assert parser.parse_args(["sweep", "--sizes", "128,4"]).sizes == [128, 4]
         assert parser.parse_args(["run", "instruction", "--n", "128"]).n == 128
-        for args in (["sweep", "--sizes", "128,129"], ["run", "element", "--n", "129"]):
+        assert parser.parse_args(["sweep", "--procs", "65536,2"]).procs == [65536, 2]
+        run = parser.parse_args(["run", "element", "--n", "1", "--procs", "65536"])
+        assert run.procs == 65536
+        size, procs = "a size of at most 128", "a worker count of at most 65536"
+        for args, text in (
+            (["sweep", "--sizes", "128,129"], f"{size}, got 129"),
+            (["run", "element", "--n", "129"], f"{size}, got 129"),
+            (["sweep", "--procs", "65536,65537"], f"{procs}, got 65537"),
+            (["run", "element", "--n", "1", "--procs", "65537"], f"{procs}, got 65537"),
+        ):
             with pytest.raises(SystemExit) as exited:
                 parser.parse_args(args)
             assert exited.value.code == 2
-            assert capsys.readouterr().err.endswith("expected a size of at most 128, got 129\n")
+            assert capsys.readouterr().err.endswith(f"expected {text}\n")
 
-    def test_malformed_size_list(self):
-        assert aridem("sweep", "--sizes", "4,x", check=False).returncode == 2
-        assert aridem("sweep", "--sizes", "", check=False).returncode == 2
+    def test_malformed_size_list(self, capsys):
+        for args, text in (
+            (["sweep", "--sizes", "4,x"], "expected a positive integer, got x"),
+            (["sweep", "--sizes", ""], "expected a non-empty list of positive integers"),
+            (["counts", "--sizes", "0"], "expected a positive integer, got 0"),
+        ):
+            with pytest.raises(SystemExit) as exited:
+                cli.main(args)
+            assert exited.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1] == (
+                f"aridem {args[0]}: error: argument --sizes: {text}")
 
 
 class TestCounts:
