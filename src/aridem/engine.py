@@ -79,7 +79,8 @@ DEFAULT_STEP_LIMIT = 100_000_000
 # elements, as matmul's joins do (3n**2 initial elements, n**3 matches per
 # join; a list from n = 6), and a small program with a wide key space
 # keeps its dict. _DENSE_MAX caps a list at 2**22 slots, 32 MB; matmul's
-# stay under it up to n = 160.
+# stay under it up to n = 160. A run's stores are a list by rid, None
+# where the relation is not a join.
 _DENSE_PER_ELEMENT = 64
 _DENSE_MAX = 2 ** 22
 
@@ -120,9 +121,13 @@ class Program(_Frozen):
     def identifier_name(self, identifier: int) -> str:
         return self.names.get(identifier, f"id{identifier}")
 
-    def _stores(self) -> dict[int, list | dict]:
-        """A new run's empty join stores by rid (see _DENSE_MAX)."""
-        return {rid: [None] * slots if slots else {} for rid, slots in self._binary.items()}
+    def _stores(self) -> list[list | dict | None]:
+        """A new run's empty join stores by rid, None where the relation
+        is not a join (see _DENSE_MAX)."""
+        stores = [None] * len(self.relations)
+        for rid, slots in self._binary.items():
+            stores[rid] = [None] * slots if slots else {}
+        return stores
 
     def _initial(self, budget: int) -> tuple[deque, list[int]]:
         """A new run's queue of initial keys and the radix's powers by
@@ -186,7 +191,9 @@ class RunResult(_Value):
 # plan is (code, out_id, e, count, rid): copy j of a key with head
 # key // places[e] and tail key % places[e] is head * places[e + 1] +
 # j * places[e] + tail. A sink's is (code, is_result, arity, rid), arity
-# to decode the result's key with.
+# to decode the result's key with. A join's branch reads only the rid,
+# plan[5], to find its store, and the rest of the plan only once the
+# operand finds its partner.
 #
 # The peak plan, (_OP_PEAK,), names no relation. It ends the plans of an
 # identifier one pop of which can make two or more elements (a
@@ -462,7 +469,7 @@ def _without_gc(fn: Callable, *args):
             gc.enable()
 
 
-def _parked_operands(joins: dict[int, list | dict], arities: Mapping[int, int],
+def _parked_operands(joins: Iterable[list | dict | None], arities: Mapping[int, int],
                      radix: int) -> tuple[Element, ...]:
     """The operands parked in a run's join stores, in (relation id, index
     list) order: keys sort as their index lists while every index is
@@ -471,7 +478,9 @@ def _parked_operands(joins: dict[int, list | dict], arities: Mapping[int, int],
     store is filtered only once a count of its Nones, in C, finds one
     parked."""
     stuck = []
-    for _, store in sorted(joins.items()):
+    for store in joins:
+        if store is None:
+            continue
         if store.__class__ is not list:
             stuck += [store[key] for key in sorted(store)]
         elif store.count(None) != len(store):
@@ -546,7 +555,7 @@ class Execution:
 
     @property
     def partials(self) -> tuple[Element, ...]:
-        return _parked_operands(self._joins or {}, self._program.arities, self._places[1])
+        return _parked_operands(self._joins or (), self._program.arities, self._places[1])
 
     @property
     def elements_created(self) -> int:
@@ -618,10 +627,11 @@ class Execution:
 
         try:
             for processed in counts:
-                if not queue:
+                try:
+                    element = pop()
+                except IndexError:  # the queue ran out
                     processed -= 1
                     break
-                element = pop()
                 if on_event is not None:
                     shown = shown_as(element)
                     on_event(("pop", shown))
@@ -629,8 +639,7 @@ class Execution:
                 for plan in plans[ident]:
                     code = plan[0]
                     if code <= _OP_SUM:  # _OP_MUL or _OP_SUM
-                        _, slot, out_id, arg, result_id, rid = plan
-                        parked = joins[rid]
+                        parked = joins[plan[5]]
                         if parked.__class__ is list:
                             hit = parked[key]
                             if hit is not None:
@@ -643,6 +652,7 @@ class Execution:
                             if psize > max_partial:
                                 max_partial = psize
                             continue
+                        _, slot, out_id, arg, result_id, rid = plan
                         # a join's two identifiers differ, so the same
                         # identifier means the same slot
                         if hit[0] == ident:

@@ -277,8 +277,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                     for plan in plans[ident]:
                         code = plan[0]
                         if code <= _OP_SUM:  # _OP_MUL or _OP_SUM
-                            _, slot, out_id, arg, result_id, rid = plan
-                            parked = joins[rid]
+                            parked = joins[plan[5]]
                             if parked.__class__ is list:
                                 hit = parked[key]
                                 if hit is not None:
@@ -288,6 +287,7 @@ def _simulate(program: Program, machine: MachineConfig, costs: CostModel,
                             if hit is None:
                                 parked[key] = element
                                 continue
+                            _, slot, out_id, arg, result_id, rid = plan
                             # a join's two identifiers differ, so the same
                             # identifier means the same slot
                             if hit[0] == ident:

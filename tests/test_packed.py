@@ -41,7 +41,9 @@ from aridem import (
     simulate,
 )
 from aridem.engine import DEFAULT_STEP_LIMIT
-from reference import apply_relation, apply_transform, drive, run_reference
+from aridem.machine import DEFAULT_EVENT_LIMIT
+from reference import (apply_relation, apply_transform, drive, run_reference,
+                       simulate_reference)
 from test_differential import outcome
 from test_differential import programs as generated_programs
 
@@ -422,7 +424,8 @@ def test_unbounded_program_takes_its_radix_from_the_budget():
         queue, places = program._initial(budget)
         assert places[1] == 15 + budget + 2
         assert tuple(queue) == ((0, 3 * places[1] + 7, 1),)
-        assert program._stores() == {rid: {} for rid in program._binary}
+        assert program._binary == {}
+        assert program._stores() == [None] * len(program.relations)
     assert Execution(program, max_steps=10)._places[1] == 27
     wide = Program(program.relations, [Element(0, (40, 0), 1)], program.arities, 1)
     assert wide._initial(10)[1][1] == 40 + 10 + 2
@@ -533,3 +536,66 @@ def test_cycle_that_ends_under_the_budget_radix():
     )
     assert program._keys is None
     assert agreed(program) == ({(5,): 1806}, 7)
+
+
+BIG = 10 ** 12
+
+
+def sparse_identifiers(stuck=False):
+    """Identifiers 3, 5, 7 and 10**12: 5's elements join with 10**12's,
+    which a Negate makes from 3's, and the products are sunk as the
+    result, 7. One 10**12 element starts in the queue, at index 3, and
+    stuck leaves out the 5 there that it would join with."""
+    return Program(
+        relations=[Relation((3,), Operation.NEGATE, (), BIG, IndexTransform.keep()),
+                   Relation((5, BIG), Operation.MUL_PAIR, (), 7, IndexTransform.keep()),
+                   Relation((7,), Operation.SINK, (), 7, IndexTransform.keep())],
+        initial_elements=[Element(BIG, (3,), 2)]
+        + [Element(3, (i,), i + 1) for i in range(3)]
+        + [Element(5, (i,), 10 * (i + 1)) for i in range(3 if stuck else 4)],
+        arities={5: 1, BIG: 1, 3: 1, 7: 1},
+        result_identifier=7,
+    )
+
+
+def test_sparse_identifiers():
+    """No table is sized by an identifier's value, and every executor,
+    view, event and error text names identifier 10**12 as it is."""
+    program = sparse_identifiers()
+    assert len(program._plans) == len(program.arities) == 4
+    assert agreed(program) == ({(0,): -10, (1,): -40, (2,): -90, (3,): 80}, 15)
+    reference = run_reference(program)
+    counters = ("outputs", "elements_processed", "elements_created", "max_queue_depth",
+                "max_partial_depth")
+    stepped = Execution(program)
+    while stepped.step():
+        pass
+    for result in (run(program), stepped):
+        assert [getattr(result, name) for name in counters] == [
+            getattr(reference, name) for name in counters]
+    for workers in (1, 3):
+        machine = MachineConfig(workers)
+        assert simulate(program, machine) == simulate_reference(
+            program, machine, CostModel(), DEFAULT_EVENT_LIMIT)
+
+    events = []
+    execution = Execution(program, on_event=events.append)
+    assert execution.queue[0] == Element(BIG, (3,), 2)
+    execution.step()
+    assert execution.partials == (Element(BIG, (3,), 2),)
+    execution.run()
+    assert [event[1] for event in events if event[0] == "pop"] == reference.popped
+    made = [event[1] for event in events if event[0] == "create"]
+    assert made[:3] == [Element(BIG, (i,), -(i + 1)) for i in range(3)]
+
+    text = f"quiescent with 1 unmatched operand(s), first id{BIG}(3) = 2"
+    assert agreed(sparse_identifiers(stuck=True)) == (JoinDeadlockError, text)
+    # a cycle that only the budget bounds packs its elements per run
+    cycle = Program([Relation((BIG,), Operation.NEGATE, (), BIG,
+                              IndexTransform.increment_last())],
+                    [Element(BIG, (0,), 1)], {BIG: 1}, BIG)
+    assert cycle._keys is None
+    execution = Execution(cycle, max_steps=5)
+    with pytest.raises(SimulationLimitError):
+        execution.run()
+    assert execution.queue == drive(cycle, steps=5).queue == (Element(BIG, (5,), -1),)

@@ -139,22 +139,32 @@ def test_bound_sits_between_the_two_programs():
     assert _DENSE_MAX == 2 ** 22
 
 
+def stores_of(program):
+    """A new run's join stores as a dict by rid: the stores are a list
+    indexed by rid, None where the relation is not a join."""
+    joins = program._stores()
+    assert type(joins) is list and len(joins) == len(program.relations)
+    assert [rid for rid, store in enumerate(joins) if store is not None] == sorted(
+        program._binary)
+    return {rid: store for rid, store in enumerate(joins) if store is not None}
+
+
 def test_bounded_stores_are_lists_and_unbounded_ones_dicts():
     program = build_matmul_program(8, 0)
-    joins, (_, places) = program._stores(), program._initial(100)
+    joins, (_, places) = stores_of(program), program._initial(100)
     assert joins == {2: [None] * places[1] ** 3, 3: [None] * places[1] ** 3}
     assert joins[2] is not joins[3]
-    joins = PROGRAMS["under"]("matched")._stores()
+    joins = stores_of(PROGRAMS["under"]("matched"))
     assert joins == {0: [None] * (UNDER + 1) ** 2}
     for program in (PROGRAMS["over"]("matched"), PROGRAMS["unbounded"]("matched")):
-        joins = program._stores()
+        joins = stores_of(program)
         assert joins == {0: {}} and type(joins[0]) is dict
     assert PROGRAMS["unbounded"]("matched")._keys is None
     cycle = increment_cycle()
-    assert cycle._keys is None and cycle._stores() == {}
+    assert cycle._keys is None and stores_of(cycle) == {}
     # the packed-key tests' largest initial indices keep their joins' dicts
     for top in (10 ** 6, 2 ** 40):
-        joins = parked_program(top)._stores()
+        joins = stores_of(parked_program(top))
         assert joins == {0: {}, 1: {}}
 
 
@@ -173,7 +183,8 @@ def test_each_run_makes_its_own_stores():
     execution = Execution(program)
     assert execution._joins is None and execution.partials == ()
     result = execution.run()
-    assert all(slot is None for store in execution._joins.values() for slot in store)
+    assert all(slot is None for store in execution._joins if store is not None
+               for slot in store)
     assert result.max_partial_depth == 6 ** 3 + 6 ** 2
     other = Execution(program)
     other.step()
